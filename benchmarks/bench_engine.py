@@ -1,21 +1,23 @@
 """Solver-engine throughput benchmark: one persistent engine vs per-solve calls.
 
-Measures the engine's reason to exist: 50 repeated mixed-size solves
-through one warm :class:`~repro.engine.SolverEngine` (persistent worker
-pool, resident shared-memory planes, digest-keyed result cache) against
-the same 50 solves as independent :func:`~repro.core.mincut.parallel_mincut`
-calls.  Like ``bench_kernels.py``, the two sides of each measurement pair
-run adjacent in time so shared-runner noise moves both together, and the
-headline is the median per-pair ratio.
+Measures the engine's reason to exist: 50 mixed-size solves through one
+warm :class:`~repro.engine.SolverEngine` (persistent worker pool, resident
+shared-memory planes) against the same 50 solves as independent
+:func:`~repro.core.mincut.parallel_mincut` calls.  Like
+``bench_kernels.py``, the sides of each measurement pair run adjacent in
+time so shared-runner noise moves them together, and the headlines are
+medians of per-pair ratios, written next to their per-pair values.
 
-Three variants land in ``BENCH_engine.json``:
+Three variants land in ``BENCH_engine.json``, all three in every pair:
 
 * ``per-solve-parcut`` — the baseline: a fresh solver invocation per item;
-* ``engine-warm`` — the engine with its cache on (repeats hit in O(1));
-  this is the headline pairing, because repeated solves of recurring
-  graphs are exactly the workload the engine is for;
-* ``engine-nocache`` — the honest pool-only number (``cache=False``): what
-  process/plane reuse alone buys, recorded but not gated.
+* ``engine-nocache`` — the engine with ``cache=False``: what process and
+  plane reuse buy on solves it has to run.  Its ratio to the baseline is
+  the gated headline (``engine_nocache_speedup_median``), because a
+  request the cache cannot answer is the engine's common case;
+* ``engine-warm`` — the engine with its cache on, so repeats hit in O(1).
+  Its ratio (``engine_cached_speedup_median``) is reported, not gated: it
+  measures the cache, not the pool.
 
 A correctness cross-check makes throughput unfakeable: every engine result
 must equal the per-solve result on the same item.
@@ -49,11 +51,17 @@ GRAPH_NAME = "gnm-mixed-120-500-w1-9"
 #: total solve requests per measured pass (each graph recurs SOLVES/5 times)
 SOLVES = 50
 
-#: adjacent (per-solve, engine) measurement pairs for the headline median
-PAIRS = 3
+#: adjacent (per-solve, engine-nocache, engine-warm) measurement triples
+PAIRS = 5
 
-#: solver configuration shared by both sides of every pair
+#: solver configuration shared by every side of every pair
 SOLVE_KWARGS = {"executor": "serial", "compute_side": False, "rng": 0}
+
+#: acceptance floor on the gated headline.  Three runs on the 2-core
+#: development host measured medians of 1.53, 1.70 and 1.75 (lowest single
+#: pair 1.07); under 1.1 the uncached engine has lost its lead over
+#: per-solve calls, while shared CI runners keep some room for noise
+NOCACHE_FLOOR = 1.1
 
 
 def _items(graphs):
@@ -63,81 +71,86 @@ def _items(graphs):
 def test_record_engine_throughput():
     graphs = [connected_gnm(**spec) for spec in GRAPH_SPECS]
     items = _items(graphs)
+    uncached = [{"graph": g, "cache": False} for g in items]
 
     # warm-up: first-call numpy/alloc effects land outside every pair
-    baseline_values = [
-        parallel_mincut(g, **SOLVE_KWARGS).value for g in graphs
-    ]
+    for g in graphs:
+        parallel_mincut(g, **SOLVE_KWARGS)
 
     samples: dict[str, list[float]] = {
-        "per-solve-parcut": [], "engine-warm": [], "engine-nocache": [],
+        "per-solve-parcut": [], "engine-nocache": [], "engine-warm": [],
     }
-    ratios = []
     with SolverEngine(pool_size=2, default_algorithm="parcut") as engine:
         # engine warm-up: export the planes and populate the cache once,
         # so pair 1 measures the steady state the engine is built for
         engine.solve_many(graphs, **SOLVE_KWARGS)
 
-        for _ in range(PAIRS):
-            t0 = time.perf_counter()
-            base_results = [parallel_mincut(g, **SOLVE_KWARGS) for g in items]
-            base_wall = time.perf_counter() - t0
-            samples["per-solve-parcut"].append(base_wall)
+        def per_solve():
+            return [parallel_mincut(g, **SOLVE_KWARGS) for g in items]
 
-            t0 = time.perf_counter()
-            engine_results = engine.solve_many(items, **SOLVE_KWARGS)
-            engine_wall = time.perf_counter() - t0
-            samples["engine-warm"].append(engine_wall)
+        def nocache():
+            return engine.solve_many(uncached, **SOLVE_KWARGS)
 
+        def warm():
+            return engine.solve_many(items, **SOLVE_KWARGS)
+
+        sides = {"per-solve-parcut": per_solve, "engine-nocache": nocache,
+                 "engine-warm": warm}
+        for pair in range(PAIRS):
+            # alternate who goes first so drift within a pair cancels out
+            order = list(sides) if pair % 2 == 0 else list(reversed(sides))
+            results = {}
+            for variant in order:
+                t0 = time.perf_counter()
+                results[variant] = sides[variant]()
+                samples[variant].append(time.perf_counter() - t0)
             # throughput may never buy a wrong answer
-            for base, eng in zip(base_results, engine_results):
-                assert eng.value == base.value
-            ratios.append(base_wall / engine_wall)
-
-        t0 = time.perf_counter()
-        nocache_results = engine.solve_many(
-            [{"graph": g, "cache": False} for g in items], **SOLVE_KWARGS
-        )
-        samples["engine-nocache"].append(time.perf_counter() - t0)
-        for g_idx, res in enumerate(nocache_results):
-            assert res.value == baseline_values[g_idx % len(graphs)]
+            base = [r.value for r in results["per-solve-parcut"]]
+            for variant in ("engine-nocache", "engine-warm"):
+                assert [r.value for r in results[variant]] == base, variant
 
         engine_stats = engine.stats()
     assert engine_stats["cache"]["hits"] >= PAIRS * SOLVES
 
-    speedup = float(np.median(ratios))
+    base_walls = np.array(samples["per-solve-parcut"])
+    nocache_ratios = base_walls / np.array(samples["engine-nocache"])
+    cached_ratios = base_walls / np.array(samples["engine-warm"])
     executors = {
         "per-solve-parcut": "serial",
-        "engine-warm": "engine-pool",
         "engine-nocache": "engine-pool",
+        "engine-warm": "engine-pool",
     }
     records = []
     for variant, walls in samples.items():
-        best = min(walls)
+        median = float(np.median(walls))
         records.append({
             "variant": variant,
             "graph": GRAPH_NAME,
             "kernel": "scalar",
             "executor": executors[variant],
-            "wall_s": round(best, 6),
+            "wall_s": round(median, 6),
+            "wall_s_per_pair": [round(w, 6) for w in walls],
             "solves": SOLVES,
-            "solves_per_s": round(SOLVES / best, 1),
+            "solves_per_s": round(SOLVES / median, 1),
         })
 
+    speedup = float(np.median(nocache_ratios))
     payload = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "benchmark": "solver-engine",
-        "headline_metric": "engine_speedup_median",
+        "headline_metric": "engine_nocache_speedup_median",
         "graph": {"name": GRAPH_NAME, "specs": GRAPH_SPECS},
         "solves": SOLVES,
         "pairs": PAIRS,
-        "engine_speedup_median": round(speedup, 3),
-        "engine_speedup_per_pair": [round(r, 3) for r in ratios],
+        "engine_nocache_speedup_median": round(speedup, 3),
+        "engine_nocache_speedup_per_pair": [round(r, 3) for r in nocache_ratios],
+        "engine_cached_speedup_median": round(float(np.median(cached_ratios)), 3),
+        "engine_cached_speedup_per_pair": [round(r, 3) for r in cached_ratios],
         "records": records,
     }
     validate_bench_payload(payload)
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    # the acceptance floor; the honest (usually much larger) number is in
-    # the JSON — the floor stays low so shared CI runners do not flake
-    assert speedup >= 1.5, f"engine throughput regressed: {speedup:.2f}x"
+    assert speedup >= NOCACHE_FLOOR, (
+        f"uncached engine throughput regressed: {speedup:.2f}x per-solve"
+    )

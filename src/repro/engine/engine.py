@@ -33,6 +33,14 @@ Threading model: callers only touch the pending queue, the cache, and
 futures (all lock-protected or thread-safe).  Worker assignment, result
 collection, deadlines, and pool lifecycle belong to the single dispatcher
 thread, so ``_inflight``/``_idle``/pool teardown need no further locking.
+The dispatcher is event-driven: it blocks in one
+:func:`multiprocessing.connection.wait` over a wake pipe (written by
+:meth:`~SolverEngine.submit` and :meth:`~SolverEngine.close`), every
+worker's result pipe and every worker's process sentinel, with the timeout
+set to the earliest pending or in-flight deadline.  A request is assigned
+as soon as it is submitted, a result completes its future as soon as it is
+posted, a dead worker is recycled as soon as it exits, and a deadline
+fires when it expires.
 
 Observability: pass ``tracer=`` to record the engine-level event kinds
 (``engine_start``/``engine_stop``, ``request_start``/``request_end``,
@@ -44,10 +52,12 @@ pooled workers; the engine trace is the request-level view.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Any
 
 from ..core.result import MinCutResult
@@ -55,7 +65,7 @@ from ..runtime.errors import WorkerCrashed, WorkerTimeout
 from .cache import ResultCache
 from .keys import graph_digest, request_key
 from .planes import PlaneRegistry
-from .pool import POLL_INTERVAL, WorkerPool
+from .pool import WorkerPool
 
 #: kwargs that name live objects — impossible to ship to a pooled worker
 #: process or to canonicalise into a cache key.  ``rng`` is fine as an
@@ -231,8 +241,14 @@ class SolverEngine:
             WorkerPool(pool_size, start_method) if pool_size > 0 else None
         )
         self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
+        # self-pipe: submit/close write a byte, the dispatcher's wait wakes
+        self._wake_recv, self._wake_send = os.pipe()
+        os.set_blocking(self._wake_recv, False)
+        os.set_blocking(self._wake_send, False)
         self._pending: deque[_Request] = deque()
+        # no later than the earliest deadline in _pending (None: no queued
+        # request has one); it may lag behind requests that left the queue
+        self._queue_deadline: float | None = None
         # dispatcher-thread-only state (see module docstring):
         self._inflight: dict[int, _Request] = {}  # worker_id -> request
         self._idle: set[int] = set(range(pool_size)) if self._pool else set()
@@ -336,8 +352,8 @@ class SolverEngine:
                 self._emit("cache_hit", req_id=req.req_id, digest=digest)
                 self._finish(req, result=cached, status="cached", locked=True)
                 return req.future
-            self._pending.append(req)
-            self._wake.notify()
+            self._enqueue(req)
+            self._signal()
         return req.future
 
     def solve(
@@ -615,13 +631,16 @@ class SolverEngine:
                     self._emit("request_end", req_id=req.req_id,
                                status="cancelled", seconds=self._elapsed(req))
                     req.future._mark_cancelled()
-            self._wake.notify()
+            self._signal()
         if already_closing:
             return
         self._dispatcher.join(timeout=120.0)
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        if not self._dispatcher.is_alive():
+            os.close(self._wake_recv)
+            os.close(self._wake_send)
         self._planes.close()
         with self._lock:
             self._closed = True
@@ -639,6 +658,25 @@ class SolverEngine:
     def _emit(self, kind: str, **fields) -> None:
         if self._tracer is not None:
             self._tracer.emit(kind, **fields)
+
+    def _enqueue(self, req: _Request, *, front: bool = False) -> None:
+        """Queue a request; the deadline bound stays at or before its
+        deadline (caller holds the lock)."""
+        if front:
+            self._pending.appendleft(req)
+        else:
+            self._pending.append(req)
+        if req.deadline is not None and (
+            self._queue_deadline is None or req.deadline < self._queue_deadline
+        ):
+            self._queue_deadline = req.deadline
+
+    def _signal(self) -> None:
+        """Wake the dispatcher (caller holds the lock, engine not closed)."""
+        try:
+            os.write(self._wake_send, b"\0")
+        except BlockingIOError:
+            pass  # pipe full: the dispatcher has wake-ups queued already
 
     @staticmethod
     def _elapsed(req: _Request) -> float:
@@ -688,34 +726,29 @@ class SolverEngine:
     # -- dispatcher thread ---------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        """Assign, collect, enforce deadlines, supervise the pool."""
+        """Assign, then block until there is something to do."""
         while True:
             inline: list[_Request] = []
             with self._lock:
                 if self._closing and not self._pending and not self._inflight:
                     return
-                self._assign(inline)
-                if self._pool is None and not inline and not self._inflight:
-                    self._wake.wait(timeout=POLL_INTERVAL)
+                next_deadline = self._assign(inline)
             for req in inline:
                 self._solve_inline(req)
-            if self._pool is not None:
-                self._collect()
-            if self._pool is not None:
-                self._enforce_deadlines()
-            if self._pool is not None:
-                self._supervise_workers()
+            if not inline:
+                self._wait(next_deadline)
 
-    def _assign(self, inline: list) -> None:
-        """Move pending requests to idle workers (caller holds the lock)."""
-        still_pending: deque[_Request] = deque()
+    def _assign(self, inline: list) -> float | None:
+        """Move pending requests to idle workers (caller holds the lock).
+
+        Returns the earliest deadline queued or in flight: the dispatcher's
+        wait timeout.
+        """
         now = time.monotonic()
+        if self._queue_deadline is not None and now > self._queue_deadline:
+            self._expire_queued(now)
         while self._pending:
             req = self._pending.popleft()
-            if req.deadline is not None and now > req.deadline:
-                self._finish(req, exc=self._queue_expired(req, now),
-                             status="timeout", locked=True)
-                continue
             if req.cacheable:
                 # a duplicate completed while this one queued: serve it now.
                 # peek(), not get(): the submit-time lookup already counted
@@ -730,7 +763,7 @@ class SolverEngine:
                 inline.append(req)
                 continue
             if not self._idle:
-                still_pending.append(req)
+                self._pending.appendleft(req)
                 break
             worker_id = self._idle.pop()
             try:
@@ -753,9 +786,51 @@ class SolverEngine:
             }
             if fault:
                 task.update(fault)
-            self._pool.submit(worker_id, task)
-        still_pending.extend(self._pending)
-        self._pending = still_pending
+            try:
+                self._pool.submit(worker_id, task)
+            except OSError:
+                pass  # the worker is dead: its sentinel reports the crash
+        deadlines = [
+            req.deadline for req in self._inflight.values()
+            if req.deadline is not None
+        ]
+        if self._queue_deadline is not None:
+            deadlines.append(self._queue_deadline)
+        return min(deadlines, default=None)
+
+    def _expire_queued(self, now: float) -> None:
+        """Fail every queued request past its deadline, wherever it waits,
+        and recompute the deadline bound (caller holds the lock)."""
+        queued, self._pending = self._pending, deque()
+        self._queue_deadline = None
+        for req in queued:
+            if req.deadline is not None and now > req.deadline:
+                self._finish(req, exc=self._queue_expired(req, now),
+                             status="timeout", locked=True)
+            else:
+                self._enqueue(req)
+
+    def _wait(self, next_deadline: float | None) -> None:
+        """Block until a submit/close wakes the dispatcher, a worker posts
+        a result or exits, or ``next_deadline`` passes; then handle it."""
+        results, sentinels = (
+            self._pool.waitables() if self._pool is not None else ([], [])
+        )
+        timeout = (None if next_deadline is None
+                   else max(0.0, next_deadline - time.monotonic()))
+        ready = set(connection.wait([self._wake_recv, *results, *sentinels],
+                                    timeout))
+        if self._wake_recv in ready:
+            os.read(self._wake_recv, 1 << 16)  # a pipe's worth: every wake-up
+        if self._pool is None:
+            return
+        posted = {wid for wid, conn in enumerate(results) if conn in ready}
+        exited = {wid for wid, fd in enumerate(sentinels) if fd in ready}
+        # read exited workers' pipes too: a worker may post its result and
+        # then die, and that result still completes its request
+        dead = self._collect(posted | exited) | exited
+        dead -= self._enforce_deadlines()
+        self._supervise_workers(dead)
 
     @staticmethod
     def _queue_expired(req: _Request, now: float) -> WorkerTimeout:
@@ -765,7 +840,7 @@ class SolverEngine:
         budget = req.deadline - req.submitted_at
         return WorkerTimeout(
             None,
-            elapsed,
+            budget,
             message=(
                 f"request {req.req_id} (algorithm={req.algorithm}, "
                 f"digest={req.digest[:12]}) expired in queue after "
@@ -791,17 +866,26 @@ class SolverEngine:
         else:
             self._finish(req, result=result)
 
-    def _collect(self) -> None:
-        """Drain worker results; the first poll blocks one interval."""
-        msg = self._pool.poll()
-        while msg is not None:
-            worker_id, req_id, status, payload = msg
+    def _collect(self, worker_ids) -> set[int]:
+        """Complete the requests whose results were posted.
+
+        Returns the workers whose result pipe broke: a worker that died
+        partway through sending reads as end-of-file or a short message,
+        and is supervised as a crash like any other death.
+        """
+        broken: set[int] = set()
+        for worker_id in worker_ids:
+            try:
+                msg = self._pool.receive(worker_id)
+            except (EOFError, OSError):
+                broken.add(worker_id)
+                continue
+            if msg is None:
+                continue
+            req_id, status, payload = msg
             req = self._inflight.get(worker_id)
             if req is None or req.req_id != req_id:
-                # late result from a worker whose request already timed out
-                # (the worker was recycled); the payload is orphaned
-                msg = self._pool.poll(timeout=0.0)
-                continue
+                continue  # stale: the request it answers is no longer here
             del self._inflight[worker_id]
             self._idle.add(worker_id)
             if status == "ok":
@@ -819,33 +903,37 @@ class SolverEngine:
                     ),
                     status="error",
                 )
-            msg = self._pool.poll(timeout=0.0)
+        return broken
 
-    def _enforce_deadlines(self) -> None:
+    def _enforce_deadlines(self) -> set[int]:
+        """Fail in-flight requests past their deadline and recycle their
+        workers; returns the recycled worker ids."""
         now = time.monotonic()
         expired = [
             (wid, req) for wid, req in self._inflight.items()
             if req.deadline is not None and now > req.deadline
         ]
+        recycled: set[int] = set()
         for worker_id, req in expired:
             if self._inflight.pop(worker_id, None) is None:
                 # a previous recycle abandoned the pool and requeued this
                 # request; _assign's deadline check will time it out
                 continue
             self._recycle_worker(worker_id, reason="deadline")
-            self._finish(req, exc=WorkerTimeout(worker_id, now - req.submitted_at),
-                         status="timeout")
+            recycled.add(worker_id)
+            self._finish(
+                req,
+                exc=WorkerTimeout(worker_id, req.deadline - req.submitted_at),
+                status="timeout",
+            )
+        return recycled
 
-    def _supervise_workers(self) -> None:
+    def _supervise_workers(self, dead: set[int]) -> None:
         """Respawn dead workers; retry (once) or fail their requests."""
-        dead = [
-            (wid, self._pool.exitcode(wid))
-            for wid in range(self._pool.size)
-            if self._pool.exitcode(wid) is not None
-        ]
-        for worker_id, code in dead:
+        for worker_id in sorted(dead):
             if self._pool is None:
                 break  # abandoned mid-loop by a previous recycle
+            code = self._pool.reap(worker_id)
             req = self._inflight.pop(worker_id, None)
             self._idle.discard(worker_id)
             self._recycle_worker(worker_id, reason=f"crashed exit={code}")
@@ -858,7 +946,7 @@ class SolverEngine:
                 # retry on a fresh worker, or inline if the pool is gone
                 with self._lock:
                     self._counters["retries"] += 1
-                    self._pending.appendleft(req)
+                    self._enqueue(req, front=True)
             else:
                 self._finish(
                     req,
@@ -890,7 +978,7 @@ class SolverEngine:
                 if req.leased:
                     self._planes.release(req.digest)
                     req.leased = False
-                self._pending.appendleft(req)
+                self._enqueue(req, front=True)
         # shut the old pool down off-thread: terminate() of a wedged worker
         # can block, and the dispatcher must keep serving inline
         threading.Thread(target=pool.shutdown, daemon=True).start()

@@ -15,7 +15,7 @@ not bolted on:
   ``X-Timeout-Ms`` header, defaulted and clamped by config) becomes an
   absolute deadline mapped onto the engine's per-request deadlines, so a
   blown budget cancels the *solve* (recycling the worker it occupied)
-  within one engine dispatch cycle, and the client gets a ``504`` whose
+  as soon as the deadline passes, and the client gets a ``504`` whose
   body names the digest, algorithm, and elapsed/deadline.
 * **Disconnect cancellation** — while a solve is in flight the connection
   is watched; a client that vanishes has its engine request cancelled
@@ -62,6 +62,7 @@ from ..engine import (
     RequestCancelled,
     SolverEngine,
     UnkeyableRequest,
+    graph_digest,
 )
 from ..graph.builder import from_edges
 from ..graph.io import read_edge_list, read_metis
@@ -78,6 +79,10 @@ from .http import (
 
 #: drain state machine (see module docstring)
 RUNNING, DRAINING, STOPPED = "running", "draining", "stopped"
+
+#: how long close() waits for connection handlers to unwind before
+#: cancelling them
+CLOSE_GRACE_S = 5.0
 
 
 class ClientDisconnected(ConnectionError):
@@ -169,10 +174,13 @@ class _RequestCtx:
         self._futures: list[EngineFuture] = []
         self.cancelled = False
         self.retries = 0
+        # digest/algorithm of the latest attempt (for 504 bodies and logs)
+        self.subject: dict = {}
 
     def register(self, fut: EngineFuture) -> None:
         with self._lock:
             self._futures.append(fut)
+            self.subject = {"digest": fut.digest, "algorithm": fut.algorithm}
             if self.cancelled:
                 fut.cancel()
 
@@ -182,15 +190,6 @@ class _RequestCtx:
             futures = list(self._futures)
         for fut in futures:
             fut.cancel()
-
-    def last_submit_info(self) -> dict:
-        """Digest/algorithm of the most recent engine attempt (for 504
-        bodies and logs), or an empty dict before any submit."""
-        with self._lock:
-            if not self._futures:
-                return {}
-            fut = self._futures[-1]
-        return {"digest": fut.digest, "algorithm": fut.algorithm}
 
     @property
     def elapsed(self) -> float:
@@ -217,7 +216,7 @@ class MinCutService:
         self._server: asyncio.base_events.Server | None = None
         self._state = STOPPED
         self._active: set[_RequestCtx] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._next_rid = 0
         self._drain_done: asyncio.Event | None = None
         self._drain_summary: dict = {"drained": 0, "cancelled": 0,
@@ -299,8 +298,9 @@ class MinCutService:
                 ctx.cancel()
                 cancelled += 1
             self._counters["drain_cancelled"] += cancelled
-            # cancelled futures resolve within one engine dispatch cycle;
-            # give the handlers a short, bounded unwind window
+            # queued futures resolve as they are cancelled and running
+            # solves at their deadline, which the engine enforces as it
+            # passes; give the handlers a short, bounded unwind window
             await self._wait_active_empty(5.0)
         seconds = round(time.monotonic() - t0, 6)
         summary = {
@@ -327,10 +327,18 @@ class MinCutService:
         """Drain (if still running), close connections, emit the stop event."""
         if self._state == RUNNING or self._state == DRAINING:
             await self.drain()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        # close every transport: each handler then reads end-of-file and
+        # unwinds on its own, so close() returns only after every handler
+        # has finished (a handler still awaiting its socket when the event
+        # loop shuts down would be cancelled there and logged)
+        for writer in self._conns.values():
+            writer.close()
+        if self._conns:
+            _done, stuck = await asyncio.wait(list(self._conns),
+                                              timeout=CLOSE_GRACE_S)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         if self._state != STOPPED:
             self._state = STOPPED
             self._emit("service_stop", **self._counters)
@@ -343,22 +351,23 @@ class MinCutService:
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
-        self._conn_tasks.add(task)
+        self._conns[task] = writer
         self._counters["connections"] += 1
         stream = BufferedStream(reader)
         peer = writer.get_extra_info("peername")
         peer_host = peer[0] if isinstance(peer, tuple) else str(peer)
         try:
             await self._serve_connection(stream, writer, peer_host)
-        except (ConnectionError, asyncio.CancelledError):
+        except ConnectionError:
             pass
         finally:
-            self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                del self._conns[task]
 
     async def _serve_connection(self, stream: BufferedStream,
                                 writer: asyncio.StreamWriter,
@@ -738,7 +747,7 @@ class MinCutService:
                 raise RequestCancelled("client went away")
             remaining = ctx.deadline_abs - time.monotonic()
             if remaining <= 0:
-                raise WorkerTimeout(-1, ctx.elapsed)
+                raise self._budget_spent(ctx, graph_digest(graph), algorithm)
             fut = self._engine.submit(graph, algorithm, deadline=remaining,
                                       cache=cache, **(options or {}), **kwargs)
             ctx.register(fut)
@@ -757,6 +766,23 @@ class MinCutService:
                     raise
                 time.sleep(sleep_s)
 
+    def _budget_spent(self, ctx: _RequestCtx, digest: str,
+                      algorithm: str | None) -> WorkerTimeout:
+        """The deadline passed before a (re)submit: no worker was involved,
+        so the error names the request instead of a worker id."""
+        algorithm = algorithm or self._engine.default_algorithm
+        ctx.subject = {"digest": digest, "algorithm": algorithm}
+        budget = ctx.deadline_abs - ctx.t0
+        return WorkerTimeout(
+            None,
+            budget,
+            message=(
+                f"{ctx.route} request {ctx.rid} (algorithm={algorithm}, "
+                f"digest={digest[:12]}) spent its {budget:.3g}s deadline "
+                f"after {ctx.elapsed:.3f}s, before a solve attempt could start"
+            ),
+        )
+
     def _update_blocking(self, ctx: _RequestCtx, handle, inserts, deletes,
                          algorithm: str | None, kwargs: dict, cache: bool,
                          options: dict) -> object:
@@ -774,7 +800,7 @@ class MinCutService:
                 raise RequestCancelled("client went away")
             remaining = ctx.deadline_abs - time.monotonic()
             if remaining <= 0:
-                raise WorkerTimeout(-1, ctx.elapsed)
+                raise self._budget_spent(ctx, handle.digest, algorithm)
             try:
                 return self._engine.update(
                     handle, inserts, deletes, algorithm=algorithm,
@@ -914,7 +940,7 @@ class MinCutService:
         body = {"error": str(exc), "kind": kind, "elapsed_s": ctx.elapsed,
                 "retries": ctx.retries}
         if kind in ("timeout", "retryable", "fault"):
-            body.update(ctx.last_submit_info())
+            body.update(ctx.subject)
         if kind == "timeout":
             body["timeout_ms"] = timeout_ms
         return body

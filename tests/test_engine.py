@@ -6,7 +6,7 @@ deadline/crash/cancellation semantics, degradation to in-process solving,
 and the engine-level trace event contract.
 
 Fault injection uses the pool's deterministic ``test_fault`` task hooks
-(``exit``/``hang``), threaded through ``submit(..., _test_fault=...)`` —
+(``exit``/``hang``/``torn``), threaded through ``submit(..., _test_fault=...)`` —
 the same philosophy as ``tests/test_fault_injection.py``: faults are
 planned, never random.
 """
@@ -14,6 +14,10 @@ planned, never random.
 from __future__ import annotations
 
 import os
+import random
+import statistics
+import sys
+import threading
 import time
 
 import numpy as np
@@ -31,6 +35,7 @@ from repro.engine import (
     request_key,
 )
 from repro.engine.planes import PlaneRegistry
+from repro.generators.gnm import connected_gnm
 from repro.graph.builder import GraphBuilder
 from repro.observability import Tracer
 from repro.observability.schema import EVENT_KINDS, validate_trace_events
@@ -703,3 +708,120 @@ class TestHarnessIntegration:
         fn = make_engine_variants()["Engine-NOIlam-Heap-VieCut"]
         rec = time_variant("engineless", fn, dumbbell, "dumbbell")
         assert rec.value == 1
+
+
+# ---------------------------------------------------------------------------
+# the event-driven dispatcher: latency, concurrency, fd hygiene
+# ---------------------------------------------------------------------------
+
+
+class TestEventDrivenDispatch:
+    def test_idle_pool_solves_without_a_poll_tick(self):
+        # a request reaching an idle pool is assigned on submit and its
+        # result read the moment it is posted; a 20 ms result poll used to
+        # add most of a tick to every solve (a median of 15-23 ms on a
+        # 2-core host, against about 2.5 ms without it)
+        g = connected_gnm(16, 40, rng=0, weights=(1, 5))
+        with SolverEngine(pool_size=2) as eng:
+            eng.solve(g, cache=False)  # warm: plane export, worker imports
+            walls = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                eng.submit(g, cache=False).result(timeout=30)
+                walls.append(time.perf_counter() - t0)
+        assert statistics.median(walls) < 0.008, walls
+
+    def test_queued_deadline_fires_behind_the_head(
+        self, dumbbell, weighted_cycle, path4
+    ):
+        # a queued request's deadline fires as it passes even while it waits
+        # behind another queued request; only the head of the queue used to
+        # be checked, so it expired when the hang ended
+        with SolverEngine(pool_size=1) as eng:
+            eng.submit(dumbbell, cache=False,
+                       _test_fault={"test_fault": "hang", "sleep_seconds": 1.5})
+            head = eng.submit(weighted_cycle, cache=False)
+            t0 = time.monotonic()
+            starved = eng.submit(path4, cache=False, deadline=0.2)
+            with pytest.raises(WorkerTimeout, match="expired in queue"):
+                starved.result(timeout=30)
+            assert time.monotonic() - t0 < 1.0
+            assert head.result(timeout=30).value == 2
+
+    def test_concurrent_submitters_all_accounted(self):
+        graphs = [connected_gnm(12 + 3 * i, 40 + 8 * i, rng=i, weights=(1, 5))
+                  for i in range(6)]
+        expected = [minimum_cut(g).value for g in graphs]
+        errors: list[str] = []
+        stop_at = time.monotonic() + 1.5
+
+        def submitter(eng: SolverEngine, seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                while time.monotonic() < stop_at:
+                    batch = []
+                    for _ in range(4):
+                        i = rng.randrange(len(graphs))
+                        fut = eng.submit(graphs[i], cache=rng.random() < 0.5)
+                        if rng.random() < 0.2:
+                            fut.cancel()
+                        batch.append((i, fut))
+                    for i, fut in batch:
+                        try:
+                            value = fut.result(timeout=60).value
+                        except RequestCancelled:
+                            continue
+                        if value != expected[i]:
+                            errors.append(f"graph {i}: {value} != {expected[i]}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SolverEngine(pool_size=2, cache_size=4) as eng:
+                threads = [threading.Thread(target=submitter, args=(eng, seed))
+                           for seed in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                stats = eng.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:5]
+        assert stats["submitted"] > 0
+        assert stats["submitted"] == (
+            stats["completed"] + stats["failed"] + stats["cancelled"]
+        )
+        assert stats["failed"] == 0
+        assert stats["queue_depth"] == 0 and stats["inflight"] == 0
+
+    def test_worker_dying_mid_result_is_a_crash(self, dumbbell):
+        # a torn result frame must surface as that worker's crash (retried
+        # once, then WorkerCrashed), never wedge or kill the dispatcher
+        with SolverEngine(pool_size=1, max_recycles=4) as eng:
+            fut = eng.submit(dumbbell, cache=False,
+                             _test_fault={"test_fault": "torn"})
+            with pytest.raises(WorkerCrashed):
+                fut.result(timeout=30)
+            stats = eng.stats()
+            assert stats["retries"] == 1 and stats["pool"]["recycles"] == 2
+            assert eng.solve(dumbbell).value == 1
+
+    def test_recycles_close_their_pipes(self, dumbbell):
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("open-fd count needs /proc/self/fd")
+        with SolverEngine(pool_size=1, max_recycles=16) as eng:
+            eng.solve(dumbbell, cache=False)  # warm: plane export, trackers
+            before = len(os.listdir(fd_dir))
+            for _ in range(5):  # each: crash, recycle, retry, crash, recycle
+                fut = eng.submit(dumbbell, cache=False,
+                                 _test_fault={"test_fault": "exit"})
+                with pytest.raises(WorkerCrashed):
+                    fut.result(timeout=30)
+            assert eng.stats()["pool"]["recycles"] == 10
+            assert eng.solve(dumbbell, cache=False).value == 1
+            assert len(os.listdir(fd_dir)) == before

@@ -21,13 +21,21 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.api import minimum_cut
+from repro.engine import graph_digest
+from repro.generators.gnm import connected_gnm
 from repro.graph.io import write_metis
 from repro.observability import Tracer
 from repro.observability.schema import EVENT_KINDS, validate_trace_events
@@ -619,6 +627,32 @@ class TestDeadlines:
             assert body["retries"] >= 1  # the bounded retry loop ran
 
 
+    @pytest.mark.parametrize("route", ["/v1/solve", "/v1/update"])
+    def test_budget_spent_before_submit_names_the_request(self, route):
+        # the 1 ms budget is gone while the large body is still decoding, so
+        # no solve attempt starts: the 504 names the request and its graph,
+        # not the phantom "worker -1" the retry loops used to blame
+        graph = connected_gnm(2000, 8000, rng=0, weights=(1, 9))
+        digest = graph_digest(graph)
+        payload = {"graph": graph_payload(graph), "timeout_ms": 1}
+        if route == "/v1/update":
+            payload["graph_id"] = "spent"
+        with _tight_service() as st:
+            with ServiceClient("127.0.0.1", st.port) as client:
+                status, _headers, body = client.request("POST", route, payload)
+            submitted = st.engine.stats()["submitted"]
+        assert status == 504
+        assert body["kind"] == "timeout" and body["timeout_ms"] == 1
+        assert body["digest"] == digest and body["algorithm"] == "noi-viecut"
+        assert body["retries"] == 0
+        message = body["error"]
+        assert message.startswith(f"{route} request ")
+        assert f"algorithm=noi-viecut, digest={digest[:12]}" in message
+        assert "before a solve attempt could start" in message
+        assert "worker" not in message
+        assert submitted == 0  # the engine never saw it
+
+
 class TestDisconnectAndDrain:
     def test_client_disconnect_cancels_and_releases(self, dumbbell):
         tracer = Tracer()
@@ -694,6 +728,37 @@ class TestDisconnectAndDrain:
             summary = st.drain(grace=0.3)
             t.join()
             assert summary["cancelled"] == 1
+
+    def test_sigterm_drain_after_clients_close_logs_no_traceback(self, dumbbell):
+        # clients closing keep-alive connections just before SIGTERM used to
+        # leave their handlers awaiting wait_closed() when the event loop
+        # shut down; the loop cancelled them and logged a CancelledError
+        # traceback on most runs
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for _ in range(5):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.service", "--port", "0",
+                 "--pool-size", "0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env,
+            )
+            try:
+                port = int(proc.stdout.readline().rsplit(":", 1)[1])
+                clients = [ServiceClient("127.0.0.1", port) for _ in range(3)]
+                for client in clients:
+                    assert client.solve(dumbbell)[0] == 200
+                for client in clients:
+                    client.close()
+                proc.send_signal(signal.SIGTERM)
+                _out, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+            assert proc.returncode == 0, err
+            assert "Traceback" not in err, err
 
     def test_drain_is_idempotent(self):
         with _tight_service() as st:
