@@ -41,15 +41,23 @@ Executors
     is the documented Python-vs-C++ substitution (DESIGN.md §2).
 ``processes``
     Process workers over a zero-copy shared-memory plane
-    (:mod:`repro.graph.shm`): the CSR graph is exported once into a named
-    segment that every worker maps read-only style (no per-worker graph
-    copy, under ``fork`` *and* ``spawn``), ``T`` is a shared byte plane,
-    ``λ̂`` a ``multiprocessing.Value``, and marked pairs come back through
-    a preallocated shared int64 buffer — each worker deduplicates its marks
-    through a local union–find, so its row never exceeds ``n - 1`` pairs.
-    The start method defaults to ``fork`` where the platform offers it and
-    falls back to ``spawn`` otherwise (overridable via ``start_method=``);
-    the method used is surfaced on the result.  True parallelism for
+    (:mod:`repro.graph.shm`): the CSR graph is exported once per pass into
+    a named segment that every worker maps read-only style (no per-worker
+    graph copy, under ``fork`` *and* ``spawn``), ``T`` is a shared byte
+    plane, ``λ̂`` an aligned int64 slot of the pass's pair plane, and
+    marked pairs come back through that preallocated shared int64 buffer —
+    each worker deduplicates its marks through a local union–find, so its
+    row never exceeds ``n - 1`` pairs.  The workers themselves are one
+    long-lived group per process (:class:`repro.runtime.WorkerGroup`), as
+    Algorithm 2 runs every round on one team: the group starts on the
+    first pass, grows when a pass needs more workers, is replaced when a
+    pass asks for another start method, and closes at interpreter exit
+    (or when idle); every pass — each ParCut round, each solve, each
+    parallel Matula pass — sends one task down each worker's own pipe.
+    Passes from different threads take turns on the group.  The start
+    method defaults to ``fork`` where the platform offers it and falls
+    back to ``spawn`` otherwise (overridable via ``start_method=``); the
+    method used is surfaced on the result.  True parallelism for
     wall-clock scaling experiments.
 
 All three executors run under the supervised execution runtime
@@ -61,7 +69,9 @@ can be injected on any executor for testing.  Losing a worker only drops
 its contraction marks, which Lemma 3.2(1) shows is always safe — the
 survivors' merged result stays exact.  Shared-memory segments are owned by
 the coordinator and unlinked in a ``finally`` block, so even a round whose
-workers were all killed leaves nothing behind in ``/dev/shm``.
+workers were all killed leaves nothing behind in ``/dev/shm``; every
+worker a pass cannot vouch for is restarted before the next pass, so no
+state outlives a pass.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
 from ..runtime.errors import ExecutorUnavailable, NoProgressError, WorkerCrashed
 from ..runtime.faults import FaultClock, FaultPlan
+from ..runtime.pool import WorkerGroup, default_start_method
 from ..runtime.supervisor import supervise_processes, worker_event
 from .capforest import MAX_BUCKET_BOUND, resolve_kernel
 
@@ -640,27 +651,6 @@ def _finalize(
 # ---------------------------------------------------------------------------
 
 
-def default_start_method() -> str:
-    """``fork`` where the platform offers it, else ``spawn``.
-
-    The ``REPRO_START_METHOD`` environment variable overrides the platform
-    default (CI uses this to run the parallel suites under both methods on
-    Linux); an unsupported value raises rather than silently degrading.
-    """
-    import multiprocessing as mp
-    import os
-
-    override = os.environ.get("REPRO_START_METHOD")
-    if override:
-        if override not in mp.get_all_start_methods():
-            raise ValueError(
-                f"REPRO_START_METHOD={override!r} not supported here; "
-                f"available: {mp.get_all_start_methods()}"
-            )
-        return override
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
 def _run_processes(
     graph: Graph, lambda_hat, starts, pq_kind, fixed_bound=False, kernel="scalar",
     start_method: str | None = None,
@@ -668,122 +658,158 @@ def _run_processes(
 ) -> ParallelCapforestResult:
     """Process executor over the shared-memory plane, supervised.
 
-    The CSR graph, the visited table ``T``, and the marked-pair return
-    buffer all live in named shared-memory segments (:mod:`repro.graph.shm`)
-    created here and attached by name in each worker — so the executor is
+    Runs on the process-wide group of round workers (:data:`_ROUND_WORKERS`),
+    leased for the pass: workers ``0..p-1`` each get one task on their own
+    task pipe and post one report on their own result pipe.  The CSR graph,
+    the visited table ``T``, ``λ̂`` and the marked-pair return buffer live
+    in named shared-memory segments (:mod:`repro.graph.shm`) created here
+    for this pass and attached by name in each worker — so the executor is
     start-method agnostic (``fork`` and ``spawn`` share the same zero-copy
     path) and workers return at most ``n - 1`` locally-deduplicated pairs
     through preallocated memory instead of pickling tuples.
 
-    Results are collected through :func:`repro.runtime.supervise_processes`
-    — bounded ``get`` with per-worker exit-code checks — so a crashed,
-    wedged, silent, or corrupt worker becomes a structured event and the
-    survivors' marks are merged (safe by Lemma 3.2(1)).  Pair rows are
-    range-checked before merging, exactly as queue payloads were: a worker
-    publishing out-of-range vertices is recorded as *corrupt* and discarded.
-    With zero survivors, :class:`~repro.runtime.ExecutorUnavailable` is
-    raised for the caller's degradation ladder.  The coordinator owns the
-    segments: the ``finally`` block unlinks them even when every worker was
-    killed, so no run can leak ``/dev/shm`` entries.
+    Reports are collected through :func:`repro.runtime.supervise_processes`,
+    so a crashed, wedged, silent, or corrupt worker becomes a structured
+    event and the survivors' marks are merged (safe by Lemma 3.2(1)).  Pair
+    rows are range-checked before merging: a worker publishing out-of-range
+    vertices is recorded as *corrupt* and discarded.  With zero survivors,
+    :class:`~repro.runtime.ExecutorUnavailable` is raised for the caller's
+    degradation ladder.  The coordinator owns the segments: the ``finally``
+    block unlinks them even when every worker was killed, so no run can
+    leak ``/dev/shm`` entries, and then restarts every worker the pass
+    cannot vouch for, so the next pass starts from clean workers.
     """
-    import multiprocessing as mp
-
     from ..graph.shm import SharedBytes, SharedGraph, SharedPairsBuffer
 
     method = start_method or default_start_method()
-    ctx = mp.get_context(method)
     n = graph.n
     p = len(starts)
-
-    shared_graph = SharedGraph.export(graph)
-    pair_buf = SharedPairsBuffer.create(p, n)
-    visited = SharedBytes.create(n)
-    try:
-        lam_val = ctx.Value("q", lambda_hat, lock=False)
-        lam_lock = ctx.Lock()
-        out = ctx.Queue()  # Queue (not SimpleQueue): its get() supports a timeout
-
-        procs = [
-            ctx.Process(
-                target=_process_worker,
-                args=(
-                    shared_graph.name, pair_buf.name, visited.name, p, n,
-                    i, s, pq_kind, lambda_hat, lam_val, lam_lock, out, fixed_bound, kernel,
+    with _ROUND_WORKERS.lease(p, method) as pool:
+        # workers start (above) before this pass's segments exist, so a
+        # forked worker never inherits a mapping it would keep alive
+        segments: list = []
+        clean: set[int] = set()  # workers whose report and pair row were merged
+        try:
+            shared_graph = SharedGraph.export(graph)
+            segments.append(shared_graph)
+            pair_buf = SharedPairsBuffer.create(p, n)
+            segments.append(pair_buf)
+            visited = SharedBytes.create(n)
+            segments.append(visited)
+            pair_buf.bound[0] = lambda_hat
+            for i, s in enumerate(starts):
+                task = (
+                    shared_graph.name, pair_buf.name, visited.name, p, n, i, s,
+                    pq_kind, lambda_hat, fixed_bound, kernel,
                     fault_plan.for_worker(i, "processes") if fault_plan else None,
-                ),
-                daemon=True,
-            )
-            for i, s in enumerate(starts)
-        ]
-        for pr in procs:
-            pr.start()
-        outcome = supervise_processes(procs, out, n=n, timeout=timeout)
-        if outcome.all_lost:
-            raise ExecutorUnavailable("processes", "no worker reported a result", outcome.events)
+                )
+                try:
+                    pool.submit(i, task)
+                except OSError:
+                    pass  # died since the lease began: its sentinel reports it
+            procs, conns = pool.workers(p)
+            outcome = supervise_processes(procs, conns, n=n, timeout=timeout)
+            if outcome.all_lost:
+                raise ExecutorUnavailable(
+                    "processes", "no worker reported a result", outcome.events
+                )
 
-        uf = UnionFind(n)
-        reports: list[WorkerReport] = []
-        lam_out = lambda_hat
-        for worker_id in sorted(outcome.results):
-            _, _, rep_dict = outcome.results[worker_id]
-            pairs = pair_buf.read_pairs(worker_id)
-            if len(pairs) and (pairs.min() < 0 or int(pairs.max()) >= n):
-                outcome.events.append(worker_event(
-                    worker_id, "corrupt",
-                    detail=f"worker {worker_id}: shared pair row out of range for n={n}",
-                ))
-                continue
-            if len(pairs):
-                uf.union_pairs(pairs[:, 0], pairs[:, 1])
-            rep = WorkerReport(
-                worker_id=worker_id,
-                start_vertex=rep_dict["start_vertex"],
-                vertices_scanned=rep_dict["vertices_scanned"],
-                edges_scanned=rep_dict["edges_scanned"],
-                blacklisted=rep_dict["blacklisted"],
-                pq_stats=PQStats(**rep_dict["pq_stats"]),
-                best_alpha=rep_dict["best_alpha"],
-                best_prefix=rep_dict["best_prefix"],
-            )
-            reports.append(rep)
-            if not fixed_bound and rep.best_alpha is not None and rep.best_alpha < lam_out:
-                lam_out = rep.best_alpha
-        if not reports:
-            raise ExecutorUnavailable("processes", "no worker survived validation",
-                                      outcome.events)
-        res = _finalize(uf, lambda_hat, lam_out, reports, n)
-        res.events = outcome.events
-        res.start_method = method
-        return res
-    finally:
-        for seg in (shared_graph, pair_buf, visited):
-            seg.unlink()
+            uf = UnionFind(n)
+            reports: list[WorkerReport] = []
+            lam_out = lambda_hat
+            for worker_id in sorted(outcome.results):
+                _, _, rep_dict = outcome.results[worker_id]
+                pairs = pair_buf.read_pairs(worker_id)
+                if len(pairs) and (pairs.min() < 0 or int(pairs.max()) >= n):
+                    outcome.events.append(worker_event(
+                        worker_id, "corrupt",
+                        detail=f"worker {worker_id}: shared pair row out of range for n={n}",
+                    ))
+                    continue
+                clean.add(worker_id)
+                if len(pairs):
+                    uf.union_pairs(pairs[:, 0], pairs[:, 1])
+                rep = WorkerReport(
+                    worker_id=worker_id,
+                    start_vertex=rep_dict["start_vertex"],
+                    vertices_scanned=rep_dict["vertices_scanned"],
+                    edges_scanned=rep_dict["edges_scanned"],
+                    blacklisted=rep_dict["blacklisted"],
+                    pq_stats=PQStats(**rep_dict["pq_stats"]),
+                    best_alpha=rep_dict["best_alpha"],
+                    best_prefix=rep_dict["best_prefix"],
+                )
+                reports.append(rep)
+                # λ̂ comes from the reports, never from the shared slot
+                if not fixed_bound and rep.best_alpha is not None and rep.best_alpha < lam_out:
+                    lam_out = rep.best_alpha
+            if not reports:
+                raise ExecutorUnavailable("processes", "no worker survived validation",
+                                          outcome.events)
+            res = _finalize(uf, lambda_hat, lam_out, reports, n)
+            res.events = outcome.events
+            res.start_method = method
+            return res
+        finally:
+            for seg in segments:
+                seg.unlink()
+            for worker_id in range(p):
+                if worker_id not in clean:
+                    pool.recycle(worker_id)
 
 
-class _ProcessBound:
-    """λ̂ box over a multiprocessing Value (lock only for updates)."""
+class _SlotBound:
+    """λ̂ box over the pass's shared int64 slot, kept as a monotone minimum.
 
-    __slots__ = ("_val", "_lock")
+    Updated without a lock: two workers may both read the old value and
+    store their candidates in either order, so a smaller candidate can be
+    overwritten by a larger one.  That lost update is safe — every value
+    stored is the capacity of a real cut, so the slot always holds a valid
+    marking bound — and the coordinator takes the pass's ``λ̂`` from the
+    worker reports, not from the slot.
+    """
 
-    def __init__(self, val, lock) -> None:
-        self._val = val
-        self._lock = lock
+    __slots__ = ("_slot",)
+
+    def __init__(self, slot) -> None:
+        self._slot = slot
 
     @property
     def value(self) -> int:
-        return self._val.value
+        return self._slot[0]
 
     def minimize(self, candidate: int) -> None:
-        if candidate < self._val.value:
-            with self._lock:
-                if candidate < self._val.value:
-                    self._val.value = candidate
+        if candidate < self._slot[0]:
+            self._slot[0] = candidate
 
 
-def _process_worker(
+def _round_worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
+    """One round worker: run a scan task per message until ``None``.
+
+    Each task posts exactly one report on ``results``, except under an
+    injected ``drop_result`` fault, where the worker exits cleanly without
+    one.  Any exception ends the process with a nonzero exit code, which
+    the coordinator records as a crash and repairs by restarting the worker.
+    """
+    while True:
+        try:
+            task = tasks.recv()
+        except EOFError:
+            return  # the coordinator closed its end of the task pipe
+        if task is None:
+            return
+        report = _round_task(*task)
+        if report is None:
+            return
+        results.send(report)
+
+
+def _round_task(
     graph_name, pairs_name, visited_name, p, n, worker_id, start, pq_kind, bound,
-    lam_val, lam_lock, out, fixed_bound=False, kernel="scalar", fault=None,
-) -> None:  # pragma: no cover - exercised via subprocesses
+    fixed_bound, kernel, fault,
+):  # pragma: no cover - exercised via subprocesses
+    """Scan one region of one pass; returns the report payload (``None``
+    when an injected fault drops it)."""
     import os
     import time as _time
 
@@ -812,22 +838,9 @@ def _process_worker(
                 pairs.append((u, v))
 
         report = WorkerReport(worker_id=worker_id, start_vertex=start)
-        lam_box = _FrozenBound(bound) if fixed_bound else _ProcessBound(lam_val, lam_lock)
+        lam_box = _FrozenBound(bound) if fixed_bound else _SlotBound(pair_buf.bound)
         region = _REGION_WORKERS.get(kernel, _region_worker_with_prefix)
-        gen = region(
-            graph_arrays[0],
-            graph_arrays[1],
-            graph_arrays[2],
-            graph_arrays[3],
-            graph_arrays[4],
-            visited.buf,
-            lam_box,
-            union,
-            start,
-            pq_kind,
-            bound,
-            report,
-        )
+        gen = region(*graph_arrays, visited.buf, lam_box, union, start, pq_kind, bound, report)
         clock = FaultClock(fault)
         for _ in gen:
             f = clock.tick()
@@ -846,32 +859,33 @@ def _process_worker(
             if fault.kind in ("hang", "delay"):
                 _time.sleep(fault.sleep_seconds)
         if fault is not None and fault.kind == "drop_result":
-            return  # clean exit, result silently lost
+            return None  # clean exit, result silently lost
         if fault is not None and fault.kind == "corrupt_pairs":
             pairs = [(n + 1, n + 2)]  # out of range: coordinator must reject the row
         pair_buf.write_pairs(worker_id, pairs)
-        out.put(
-            (
-                worker_id,
-                None,  # pairs travel through the shared buffer, not the queue
-                {
-                    "start_vertex": report.start_vertex,
-                    "vertices_scanned": report.vertices_scanned,
-                    "edges_scanned": report.edges_scanned,
-                    "blacklisted": report.blacklisted,
-                    "pq_stats": report.pq_stats.as_dict(),
-                    "best_alpha": report.best_alpha,
-                    "best_prefix": report.best_prefix,
-                },
-            )
+        return (
+            worker_id,
+            None,  # pairs travel through the shared buffer, not the pipe
+            {
+                "start_vertex": report.start_vertex,
+                "vertices_scanned": report.vertices_scanned,
+                "edges_scanned": report.edges_scanned,
+                "blacklisted": report.blacklisted,
+                "pq_stats": report.pq_stats.as_dict(),
+                "best_alpha": report.best_alpha,
+                "best_prefix": report.best_prefix,
+            },
         )
     finally:
         # drop every view into the segments before closing them, otherwise
         # SharedMemory refuses to unmap ("cannot close exported pointers")
-        # — at interpreter shutdown that becomes an ignored-in-__del__ noise
-        gen = graph_arrays = g = None
+        gen = graph_arrays = g = lam_box = None
         for seg in (shared_graph, pair_buf, visited):
             try:
                 seg.close()
             except BufferError:  # pragma: no cover - view leak backstop
                 pass
+
+
+#: the process-wide round workers every ``processes`` pass runs on
+_ROUND_WORKERS = WorkerGroup(_round_worker_main)

@@ -19,7 +19,6 @@ from .engine import (
 )
 from .keys import UnkeyableRequest, graph_digest, request_key
 from .planes import PlaneRegistry
-from .pool import WorkerPool
 
 __all__ = [
     "DEFAULT_MAX_RECYCLES",
@@ -30,7 +29,6 @@ __all__ = [
     "ResultCache",
     "SolverEngine",
     "UnkeyableRequest",
-    "WorkerPool",
     "graph_digest",
     "request_key",
 ]

@@ -13,7 +13,7 @@ What one engine amortises across solves (versus per-call
 ``parallel_mincut``):
 
 * **process startup** — ``pool_size`` solve workers are spawned once and
-  reused (:mod:`~repro.engine.pool`), instead of a fresh fan-out per call;
+  reused for whole solves (:mod:`~repro.engine.pool`);
 * **plane setup** — each distinct graph is exported to shared memory once
   and leased per request (:mod:`~repro.engine.planes`);
 * **repeated work** — an LRU cache keyed by canonical graph digest plus
@@ -62,10 +62,11 @@ from typing import Any
 
 from ..core.result import MinCutResult
 from ..runtime.errors import WorkerCrashed, WorkerTimeout
+from ..runtime.pool import WorkerPool
 from .cache import ResultCache
 from .keys import graph_digest, request_key
 from .planes import PlaneRegistry
-from .pool import WorkerPool
+from .pool import _pool_worker_main
 
 #: kwargs that name live objects — impossible to ship to a pooled worker
 #: process or to canonicalise into a cache key.  ``rng`` is fine as an
@@ -238,7 +239,8 @@ class SolverEngine:
         self._cache = ResultCache(cache_size)
         self._planes = PlaneRegistry(capacity=plane_capacity)
         self._pool: WorkerPool | None = (
-            WorkerPool(pool_size, start_method) if pool_size > 0 else None
+            WorkerPool(_pool_worker_main, pool_size, start_method)
+            if pool_size > 0 else None
         )
         self._lock = threading.Lock()
         # self-pipe: submit/close write a byte, the dispatcher's wait wakes

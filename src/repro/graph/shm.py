@@ -15,7 +15,8 @@ segments:
   <SharedGraph.attach>` by name and rebuild a :class:`~repro.graph.csr.Graph`
   whose arrays are *views into the segment* — zero copies under fork **and**
   spawn.
-* :class:`SharedPairsBuffer` — one ``p × (2(n-1)+1)`` int64 plane of
+* :class:`SharedPairsBuffer` — one int64 slot holding the pass's shared
+  bound ``λ̂``, then a ``p × (2(n-1)+1)`` int64 plane of
   ``[count, u0, v0, u1, v1, ...]`` rows.  Each worker writes its
   (locally deduplicated, hence ≤ n-1) marked pairs into its own row; the
   coordinator reads survivors' rows directly instead of unpickling tuples.
@@ -184,23 +185,33 @@ class SharedGraph(_Segment):
 
 
 class SharedPairsBuffer(_Segment):
-    """Fixed-width marked-pair return plane: one int64 row per worker.
+    """A pass's shared bound slot plus its marked-pair return plane.
 
-    Row ``i`` is ``[count, u0, v0, ..., u_{count-1}, v_{count-1}]``; with
-    worker-side union–find deduplication ``count ≤ n-1`` always fits.
+    Slot 0 of the segment holds the pass's ``λ̂`` (:attr:`bound`); row
+    ``i`` that follows is ``[count, u0, v0, ..., u_{count-1}, v_{count-1}]``;
+    with worker-side union–find deduplication ``count ≤ n-1`` always fits.
     """
 
-    __slots__ = ("p", "n", "_rows")
+    __slots__ = ("p", "n", "_rows", "_bound")
 
     def __init__(self, shm, owner: bool, p: int, n: int) -> None:
         super().__init__(shm, owner)
         self.p = p
         self.n = n
-        self._rows = np.frombuffer(shm.buf, dtype=_INT, count=p * self.row_len(n)).reshape(
-            p, self.row_len(n)
-        )
+        self._rows = np.frombuffer(
+            shm.buf, dtype=_INT, count=p * self.row_len(n), offset=_ITEM
+        ).reshape(p, self.row_len(n))
+        # at offset 0 of a page-aligned mapping the slot is 8-byte aligned,
+        # so a store to it is one machine word and a read is never torn
+        self._bound = shm.buf[:_ITEM].cast("q")
         if owner:
             self._rows[:, 0] = 0
+
+    @property
+    def bound(self) -> memoryview:
+        """The pass's shared ``λ̂``: a one-element int64 view (``bound[0]``)
+        read and written as a Python ``int``."""
+        return self._bound
 
     @staticmethod
     def row_len(n: int) -> int:
@@ -211,7 +222,7 @@ class SharedPairsBuffer(_Segment):
     def create(cls, p: int, n: int) -> "SharedPairsBuffer":
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        shm = _create(_ITEM * p * cls.row_len(n))
+        shm = _create(_ITEM * (1 + p * cls.row_len(n)))
         return cls(shm, owner=True, p=p, n=n)
 
     @classmethod
@@ -234,6 +245,7 @@ class SharedPairsBuffer(_Segment):
         if k:
             row[1 : 1 + 2 * k] = np.asarray(pairs, dtype=_INT).reshape(-1)
         row[0] = k
+
     def read_pairs(self, worker_id: int) -> np.ndarray:
         """One worker's pairs as an ``int64[count, 2]`` array (a copy).
 
@@ -248,6 +260,9 @@ class SharedPairsBuffer(_Segment):
 
     def _drop_views(self) -> None:
         self._rows = None
+        if self._bound is not None:
+            self._bound.release()
+            self._bound = None
 
 
 class SharedBytes(_Segment):

@@ -6,8 +6,9 @@ failure is observable as a structured event, and a failing executor
 degrades ``processes → threads → serial`` instead of aborting (Lemma
 3.2(1) makes dropped workers safe; the sequential fallback guarantees
 progress when everything else dies).  See the module docstrings of
-:mod:`~repro.runtime.supervisor`, :mod:`~repro.runtime.faults` and
-:mod:`~repro.runtime.errors` for the pieces.
+:mod:`~repro.runtime.supervisor`, :mod:`~repro.runtime.pool`,
+:mod:`~repro.runtime.faults` and :mod:`~repro.runtime.errors` for the
+pieces.
 """
 
 from .errors import (
@@ -18,6 +19,7 @@ from .errors import (
     WorkerTimeout,
 )
 from .faults import FaultClock, FaultPlan, WorkerFault
+from .pool import WorkerGroup, WorkerPool, default_start_method
 from .supervisor import (
     DEFAULT_TIMEOUT,
     DEGRADATION_LADDER,
@@ -44,4 +46,7 @@ __all__ = [
     "raise_for_events",
     "supervise_processes",
     "worker_event",
+    "WorkerPool",
+    "WorkerGroup",
+    "default_start_method",
 ]

@@ -2,20 +2,29 @@
 
 The original process executor did ``results = [out.get() for _ in procs]``
 — one crashed or wedged worker and the coordinator blocked forever.  The
-supervisor replaces that with a bounded collection loop:
+supervisor replaces that with a bounded collection loop over one result
+pipe per worker:
 
-* every ``out.get`` carries a timeout (poll interval), so the loop always
-  regains control;
-* between polls each missing worker's ``Process.exitcode`` is inspected —
-  a nonzero exit is recorded as a *crashed* event immediately, a clean
-  exit with no payload becomes a *lost* event after a short grace period
-  (the queue feeder thread may still be flushing);
+* the loop blocks in one :func:`multiprocessing.connection.wait` over the
+  pending workers' result pipes and process sentinels, so a report is read
+  the moment it is posted and a death is seen the moment it happens;
+* a worker's id is the index of its pipe, never a field it reports, so a
+  mangled report is charged to the worker that sent it;
+* when a worker's sentinel fires, its pipe is drained first — a pipe write
+  is complete before the writer exits, so a report posted just before the
+  exit still counts — and only then is the worker recorded as *crashed*
+  (nonzero exit) or *lost* (clean exit, no report);
 * an overall deadline (default :data:`DEFAULT_TIMEOUT`, a backstop so no
   run can hang even when the caller passes no timeout) converts the
-  remaining workers into *timeout* events and terminates them;
+  remaining workers into *timeout* events;
 * payloads are sanitised before they are merged — a worker reporting
   out-of-range contraction pairs is recorded as *corrupt* and its payload
   discarded, never unioned.
+
+The supervisor neither terminates nor joins the processes it watches:
+their owner decides whether a worker is replaced (the round workers of
+:mod:`repro.core.parallel_capforest` live across passes) or joined (the
+per-call fan-out of :mod:`repro.treepack.solver`).
 
 Losing workers is safe by the paper's Lemma 3.2(1): contraction marks are
 unions, unions commute, and any *subset* of safe marks is still safe — the
@@ -28,9 +37,9 @@ on the next-simpler executor.
 
 from __future__ import annotations
 
-import queue
 import time
 from dataclasses import dataclass, field
+from multiprocessing import connection
 
 from .errors import ExecutorUnavailable, NoProgressError, RuntimeFault, WorkerCrashed, WorkerTimeout
 
@@ -38,12 +47,8 @@ from .errors import ExecutorUnavailable, NoProgressError, RuntimeFault, WorkerCr
 #: enough for any in-repo workload, finite so nothing can hang forever.
 DEFAULT_TIMEOUT = 600.0
 
-#: how often the collection loop wakes to check worker liveness
-POLL_INTERVAL = 0.05
-
-#: grace period for a cleanly-exited worker whose payload has not yet been
-#: drained from the queue (the feeder thread flushes asynchronously)
-EXIT_GRACE = 0.5
+#: how long to wait for the exit code of a worker whose sentinel fired
+EXIT_CODE_WAIT = 1.0
 
 #: executor downgrade chain; ``None`` means nowhere left to go
 DEGRADATION_LADDER: dict[str, str | None] = {
@@ -81,7 +86,7 @@ def _validate_payload(payload, n: int, n_workers: int) -> tuple[int, list, dict]
     payload can poison the result is through its pair list — every pair
     must be a valid vertex pair.  ``pairs`` may be ``None``: the sentinel
     meaning the pairs travelled through the shared-memory return buffer
-    instead of the queue (the coordinator range-checks that buffer row
+    instead of the pipe (the coordinator range-checks that buffer row
     itself before merging).  The report dict only feeds statistics, but
     its fields are type-checked too so a mangled payload cannot crash the
     coordinator later.
@@ -103,70 +108,66 @@ def _validate_payload(payload, n: int, n_workers: int) -> tuple[int, list, dict]
 
 
 def supervise_processes(
-    procs,
-    out,
-    *,
-    n: int,
-    timeout: float | None = None,
-    poll_interval: float = POLL_INTERVAL,
+    procs, conns, *, n: int, timeout: float | None = None
 ) -> SupervisedOutcome:
     """Collect one payload per process in ``procs`` without ever hanging.
 
-    ``procs`` is indexed by worker id; ``out`` is a ``multiprocessing.Queue``
-    whose ``get`` supports a timeout; ``n`` is the vertex count used to
-    validate contraction pairs.  Returns the surviving payloads plus one
-    event per lost worker.  Always terminates and joins every process
-    before returning.
+    ``procs`` and ``conns`` are indexed by worker id: ``conns[i]`` is the
+    receiving end of worker ``i``'s own result pipe.  ``n`` is the vertex
+    count used to validate contraction pairs.  Returns the surviving
+    payloads plus one event per worker that did not report cleanly.
     """
     budget = DEFAULT_TIMEOUT if timeout is None else timeout
     deadline = time.monotonic() + budget
     outcome = SupervisedOutcome()
     pending = set(range(len(procs)))
-    exited_at: dict[int, float] = {}
+    broken: set[int] = set()  # pipe at end-of-file: only the sentinel is left
 
-    def accept(payload) -> None:
+    def read(wid: int) -> None:
+        """Take worker ``wid``'s report if one is waiting on its pipe."""
+        conn = conns[wid]
         try:
-            worker_id, pairs, rep = _validate_payload(payload, n, len(procs))
-        except (ValueError, TypeError) as exc:
-            wid = payload[0] if isinstance(payload, tuple) and payload else -1
-            wid = wid if isinstance(wid, int) else -1
-            outcome.events.append(worker_event(wid, "corrupt", detail=str(exc)))
+            if not conn.poll():
+                return
+            payload = conn.recv()
+        except (EOFError, OSError):
+            broken.add(wid)
+            return
+        except Exception as exc:  # noqa: BLE001 - an unreadable report is corrupt
+            outcome.events.append(
+                worker_event(wid, "corrupt", detail=f"unreadable report: {exc!r}")
+            )
             pending.discard(wid)
             return
-        outcome.results[worker_id] = (worker_id, pairs, rep)
-        pending.discard(worker_id)
+        pending.discard(wid)
+        try:
+            worker_id, pairs, rep = _validate_payload(payload, n, len(procs))
+            if worker_id != wid:
+                raise ValueError(f"worker {wid} reported as worker {worker_id}")
+        except (ValueError, TypeError) as exc:
+            outcome.events.append(worker_event(wid, "corrupt", detail=str(exc)))
+            return
+        outcome.results[wid] = (wid, pairs, rep)
 
-    try:
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for wid in sorted(pending):
-                    outcome.events.append(worker_event(wid, "timeout", deadline_s=budget))
-                break
-            try:
-                accept(out.get(timeout=min(poll_interval, remaining)))
-                continue
-            except queue.Empty:
-                pass
-            now = time.monotonic()
+    while pending:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
             for wid in sorted(pending):
+                outcome.events.append(worker_event(wid, "timeout", deadline_s=budget))
+            break
+        owners = {procs[wid].sentinel: wid for wid in pending}
+        owners.update((conns[wid], wid) for wid in pending - broken)
+        for ready in connection.wait(list(owners), remaining):
+            wid = owners[ready]
+            if wid not in pending:
+                continue
+            read(wid)  # a sentinel's worker may have posted before it exited
+            if wid in pending and ready is not conns[wid]:
+                procs[wid].join(EXIT_CODE_WAIT)
                 code = procs[wid].exitcode
-                if code is None:
-                    continue
-                if code != 0:
-                    outcome.events.append(worker_event(wid, "crashed", exit_code=code))
-                    pending.discard(wid)
-                elif now - exited_at.setdefault(wid, now) > EXIT_GRACE:
-                    # clean exit, queue drained, grace elapsed: payload lost
-                    outcome.events.append(worker_event(wid, "lost", exit_code=0))
-                    pending.discard(wid)
-    finally:
-        for pr in procs:
-            if pr.is_alive():
-                pr.terminate()
-        for pr in procs:
-            pr.join(timeout=5.0)
-        out.close()
+                kind = "lost" if code == 0 else "crashed"
+                outcome.events.append(worker_event(wid, kind, exit_code=code))
+                pending.discard(wid)
     return outcome
 
 

@@ -294,14 +294,14 @@ def _evaluate_trees(
     )
 
 
-def _chunk_worker(worker_id, n, us, vs, ws, chunk, compute_side, out_q):
+def _chunk_worker(worker_id, n, us, vs, ws, chunk, compute_side, conn):
     # pragma: no cover — exercised via subprocesses (tests/test_treepack.py)
     """Process-executor entry point: evaluate one chunk of trees.
 
-    Posts one supervised payload ``(worker_id, None, report)`` — the
-    ``None`` pair slot and dict report match the runtime supervisor's
-    payload contract; sides travel as raw bool bytes to keep the queue
-    cheap.
+    Posts one supervised payload ``(worker_id, None, report)`` on its own
+    result pipe — the ``None`` pair slot and dict report match the runtime
+    supervisor's payload contract; sides travel as raw bool bytes to keep
+    the message cheap.
     """
     results = []
     for idx, parent in chunk:
@@ -313,7 +313,8 @@ def _chunk_worker(worker_id, n, us, vs, ws, chunk, compute_side, out_q):
              None if side is None else side.astype(np.uint8).tobytes(),
              int(one_c), int(two_c))
         )
-    out_q.put((worker_id, None, {"results": results}))
+    conn.send((worker_id, None, {"results": results}))
+    conn.close()
 
 
 def _evaluate_processes(
@@ -326,25 +327,40 @@ def _evaluate_processes(
     path therefore re-runs every tree a lost worker owned, so the result
     is exact regardless of which workers survived; ``policy="fail"``
     instead raises the runtime fault taxonomy like every other executor.
+    The workers live for this call only: each posts one report on its own
+    pipe and exits, and every one is joined (a worker past the deadline
+    terminated first) before the call returns.
     """
     import multiprocessing as mp
 
-    from ..core.parallel_capforest import default_start_method
+    from ..runtime.pool import default_start_method
 
     nw = min(workers, len(trees))
     chunks: list[list] = [trees[i::nw] for i in range(nw)]
     ctx = mp.get_context(default_start_method())
-    out_q = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_chunk_worker,
-            args=(i, n, us, vs, ws, chunks[i], compute_side, out_q),
-        )
-        for i in range(nw)
-    ]
-    for pr in procs:
-        pr.start()
-    outcome = supervise_processes(procs, out_q, n=n, timeout=timeout)
+    procs: list = []
+    conns: list = []
+    try:
+        for i in range(nw):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(
+                target=_chunk_worker,
+                args=(i, n, us, vs, ws, chunks[i], compute_side, send),
+            )
+            try:
+                proc.start()
+            finally:
+                send.close()  # the worker holds its own copy
+            procs.append(proc)
+        outcome = supervise_processes(procs, conns, n=n, timeout=timeout)
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=5.0)
+        for conn in conns:
+            conn.close()
     if outcome.events:
         events.extend(outcome.events)
         if policy == "fail":

@@ -239,3 +239,88 @@ class TestCliExitCodes:
         write_metis(from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0]), path)
         # stoer-wagner takes no timeout kwarg: invalid usage, exit code 2
         assert main(["--algorithm", "stoer-wagner", "--timeout", "5", str(path)]) == 2
+
+
+# -- supervise_processes over one result pipe per worker -----------------------
+
+
+def _post_and_exit(conn, payload) -> None:
+    conn.send(payload)
+    conn.close()
+
+
+def _exit_with(conn, code: int) -> None:
+    import os
+
+    os._exit(code)
+
+
+def _sleep(conn, seconds: float) -> None:
+    import time
+
+    time.sleep(seconds)
+
+
+def _supervise(behaviours, *, n: int = 4, timeout: float = 30.0):
+    """Start one process per ``(target, arg)`` pair, each with its own
+    result pipe, and supervise them; every process is stopped afterwards."""
+    import multiprocessing as mp
+
+    from repro.runtime import default_start_method, supervise_processes
+
+    ctx = mp.get_context(default_start_method())
+    procs, conns = [], []
+    try:
+        for target, arg in behaviours:
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=target, args=(send, arg))
+            proc.start()
+            send.close()
+            procs.append(proc)
+        outcome = supervise_processes(procs, conns, n=n, timeout=timeout)
+        alive = [proc.is_alive() for proc in procs]
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=10.0)
+        for conn in conns:
+            conn.close()
+    return outcome, alive
+
+
+class TestPipeSupervision:
+    def test_unreadable_worker_id_is_one_corrupt_event_for_the_sender(self):
+        outcome, _ = _supervise([(_post_and_exit, ("x", None, {})),
+                                 (_post_and_exit, (1, None, {"ok": 1}))])
+        assert outcome.events == [outcome.events[0]]
+        assert outcome.events[0]["kind"] == "corrupt"
+        assert outcome.events[0]["worker_id"] == 0
+        assert all(ev["worker_id"] != -1 for ev in outcome.events)
+        assert list(outcome.results) == [1]
+
+    def test_report_under_another_workers_id_is_charged_to_the_sender(self):
+        outcome, _ = _supervise([(_post_and_exit, (1, None, {})),
+                                 (_post_and_exit, (1, None, {}))])
+        assert [(ev["worker_id"], ev["kind"]) for ev in outcome.events] == [(0, "corrupt")]
+        assert list(outcome.results) == [1]
+
+    def test_report_posted_just_before_exit_is_kept(self):
+        outcome, _ = _supervise([(_post_and_exit, (i, None, {"i": i})) for i in range(4)])
+        assert not outcome.events
+        assert sorted(outcome.results) == [0, 1, 2, 3]
+        assert outcome.results[2][2] == {"i": 2}
+
+    def test_exits_without_report_are_crashed_or_lost(self):
+        outcome, _ = _supervise([(_exit_with, 3), (_exit_with, 0),
+                                 (_post_and_exit, (2, None, {}))])
+        assert sorted((ev["worker_id"], ev["kind"], ev["exit_code"]) for ev in outcome.events) == [
+            (0, "crashed", 3), (1, "lost", 0)]
+        assert list(outcome.results) == [2]
+
+    def test_deadline_reports_timeout_and_leaves_the_process_to_its_owner(self):
+        outcome, alive = _supervise([(_sleep, 60.0), (_post_and_exit, (1, None, {}))],
+                                    timeout=1.0)
+        assert [(ev["worker_id"], ev["kind"]) for ev in outcome.events] == [(0, "timeout")]
+        assert alive[0], "supervise_processes must not terminate the processes it watches"
