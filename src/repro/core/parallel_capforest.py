@@ -790,8 +790,17 @@ def _round_worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
     injected ``drop_result`` fault, where the worker exits cleanly without
     one.  Any exception ends the process with a nonzero exit code, which
     the coordinator records as a crash and repairs by restarting the worker.
+    The worker also exits once the coordinator has, however it ended: its
+    task pipe alone would not tell, because under ``fork`` the worker holds
+    a copy of the pipe's sending end.
     """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
+    coordinator = mp.parent_process().sentinel
     while True:
+        if coordinator in wait([tasks, coordinator]):
+            return
         try:
             task = tasks.recv()
         except EOFError:

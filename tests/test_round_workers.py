@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from multiprocessing.connection import wait
 from multiprocessing.process import BaseProcess
 
@@ -194,3 +195,45 @@ def test_interpreter_exit_leaves_no_worker_behind():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "0"
+
+
+#: solves with two round workers, prints their pids, then waits to be killed
+SOLVE_AND_WAIT = """
+import time
+from repro.core.mincut import parallel_mincut
+from repro.core.parallel_capforest import _ROUND_WORKERS
+from repro.generators import connected_gnm
+g = connected_gnm(80, 300, rng=1, weights=(1, 9))
+parallel_mincut(g, workers=2, executor="processes", rng=0)
+procs, _ = _ROUND_WORKERS._pool.workers(2)
+print(*(proc.pid for proc in procs), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
+def test_workers_exit_when_the_coordinator_is_killed():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    coordinator = subprocess.Popen([sys.executable, "-c", SOLVE_AND_WAIT],
+                                   stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+    finally:
+        coordinator.kill()  # no exit handler runs
+        coordinator.wait(timeout=30)
+        coordinator.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 30.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
