@@ -212,7 +212,6 @@ class WorkerGroup:
         """Start from no pool, without stopping any: after a fork the
         inherited pool's workers belong to the parent."""
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
         self._pool: WorkerPool | None = None
         self._last_used = 0.0
 
@@ -244,13 +243,16 @@ class WorkerGroup:
                 self._last_used = time.monotonic()
 
     def _close_when_idle(self, pool: WorkerPool) -> None:
-        with self._idle:
-            while self._pool is pool:
+        left = IDLE_CLOSE_S
+        while True:
+            time.sleep(left)
+            with self._lock:
+                if self._pool is not pool:
+                    return  # closed or replaced meanwhile
                 left = self._last_used + IDLE_CLOSE_S - time.monotonic()
                 if left <= 0:
                     self._shutdown_locked()
                     return
-                self._idle.wait(left)
 
     def close(self) -> None:
         """Stop the pool, if any; the next lease starts a new one."""
@@ -261,7 +263,6 @@ class WorkerGroup:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
-        self._idle.notify_all()
 
 
 __all__ = ["IDLE_CLOSE_S", "WorkerGroup", "WorkerPool", "default_start_method"]
