@@ -66,17 +66,23 @@ def _noi_hnss(graph: Graph, **kw) -> MinCutResult:
 
 
 def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
+    from ..kernels import resolve_kernel
+    from ..utils.timers import Timer
     from ..viecut.viecut import viecut
+    from .capforest import check_queue
     from .noi import noi_mincut
 
+    # fail on a bad queue before VieCut runs (noi_mincut's own defaults)
+    check_queue(kw.get("pq_kind", "heap"), kw.get("bounded", True))
     rng = kw.pop("rng", None)
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
     compute_side = kw.get("compute_side", True)
-    seed = viecut(
-        graph, rng=rng, tracer=kw.get("tracer"),
-        kernel=kw.get("kernel", "scalar"),
-    )
+    # noi_mincut resolves the kernel again and reports any fallback, once
+    kernel, _ = resolve_kernel(kw.get("kernel", "scalar"))
+    timer = Timer()
+    with timer.phase("viecut"):
+        seed = viecut(graph, rng=rng, tracer=kw.get("tracer"), kernel=kernel)
     res = noi_mincut(
         graph,
         initial_bound=seed.value,
@@ -85,6 +91,9 @@ def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
         **kw,
     )
     res.stats["viecut_value"] = seed.value
+    res.stats["phase_seconds"] = {
+        "viecut": round(timer.total("viecut"), 6), **res.stats["phase_seconds"]
+    }
     return res
 
 

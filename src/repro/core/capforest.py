@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..datastructures.pq import PQStats, make_pq
+from ..datastructures.pq import PQ_NAMES, PQStats, make_pq
 from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
 
@@ -126,6 +126,18 @@ class CapforestResult:
         mask = np.zeros(n, dtype=bool)
         mask[self.scan_order[: self.best_prefix]] = True
         return mask
+
+
+def check_queue(pq_kind: str, bounded: bool = True) -> None:
+    """Validate a CAPFOREST queue configuration (the rule every driver shares).
+
+    ``pq_kind`` must be one of :data:`~repro.datastructures.pq.PQ_NAMES`,
+    and an unbounded scan must use the heap: a bucket queue needs a bound.
+    """
+    if pq_kind not in PQ_NAMES:
+        raise ValueError(f"unknown priority queue kind {pq_kind!r}; expected one of {PQ_NAMES}")
+    if not bounded and pq_kind != "heap":
+        raise ValueError("unbounded CAPFOREST requires the heap queue (bucket queues need a bound)")
 
 
 def capforest(
@@ -193,8 +205,7 @@ def capforest(
     """
     if lambda_hat < 0:
         raise ValueError(f"lambda_hat must be non-negative, got {lambda_hat}")
-    if not bounded and pq_kind != "heap":
-        raise ValueError("unbounded CAPFOREST requires the heap queue (bucket queues need a bound)")
+    check_queue(pq_kind, bounded)
     kernel, _ = resolve_kernel(kernel, tracer=tracer)
     n = graph.n
     uf = UnionFind(n)

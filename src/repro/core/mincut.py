@@ -55,7 +55,7 @@ from ..runtime.errors import NoProgressError, RuntimeFault
 from ..runtime.faults import FaultPlan
 from ..runtime.supervisor import call_with_degradation, raise_for_events
 from ..utils.timers import Timer
-from .capforest import capforest
+from .capforest import capforest, check_queue
 from .noi import _absorb
 from .parallel_capforest import parallel_capforest
 from .result import MinCutResult
@@ -177,6 +177,7 @@ def parallel_mincut(
         raise ValueError(
             f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
         )
+    check_queue(pq_kind)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")

@@ -31,8 +31,12 @@ from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_union_find
 from ..graph.csr import Graph
 from ..kernels import resolve_kernel
-from .capforest import capforest
+from ..utils.timers import Timer
+from .capforest import capforest, check_queue
 from .result import MinCutResult
+
+#: phases timed in ``stats["phase_seconds"]`` (ParCut's names for the same work)
+NOI_PHASES = ("capforest", "contract")
 
 
 def noi_mincut(
@@ -94,8 +98,12 @@ def noi_mincut(
     -------
     MinCutResult
         Exact minimum cut value, with a certified side when requested and
-        available.
+        available.  ``stats["phase_seconds"]`` holds the wall seconds spent
+        in every phase of :data:`NOI_PHASES` (0.0 for a phase that never
+        ran): the CAPFOREST scans, Stoer–Wagner fallback scans included,
+        and the contractions.
     """
+    check_queue(pq_kind, bounded)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")
@@ -118,7 +126,9 @@ def noi_mincut(
         "kernel": requested_kernel,
         "kernel_resolved": kernel,
         "kernel_fallback": kernel_fb,
+        "phase_seconds": {},
     }
+    timer = Timer()
     algo = _variant_name(pq_kind, bounded, initial_bound is not None)
     if tracer is not None:
         tracer.emit(
@@ -133,7 +143,7 @@ def noi_mincut(
         if tracer is not None:
             tracer.lambda_update(0, "disconnected", components=ncomp)
             tracer.emit("solve_end", value=0, rounds=0)
-        return MinCutResult(0, side, n, algo, stats)
+        return MinCutResult(0, side, n, algo, _seal_phases(stats, timer))
 
     # Initial bound: trivial cut of the minimum-weighted-degree vertex,
     # optionally improved by the caller-supplied (e.g. VieCut) cut.
@@ -176,10 +186,11 @@ def noi_mincut(
                 "round_start", round=stats["rounds"] + 1, n=round_n, m=round_m,
                 lambda_hat=lam_in,
             )
-        res = capforest(
-            g, lam, pq_kind=pq_kind, bounded=bounded, rng=rng, kernel=kernel,
-            tracer=tracer,
-        )
+        with timer.phase("capforest"):
+            res = capforest(
+                g, lam, pq_kind=pq_kind, bounded=bounded, rng=rng, kernel=kernel,
+                tracer=tracer,
+            )
         stats["rounds"] += 1
         _absorb(stats, res)
         uf = res.uf
@@ -195,10 +206,11 @@ def noi_mincut(
             # Stoer–Wagner phase fallback: one unbounded maximum-adjacency
             # scan; contract its last two vertices (safe, see module doc).
             stats["fallback_rounds"] += 1
-            sw = capforest(
-                g, lam, pq_kind="heap", bounded=False, rng=rng, kernel=kernel,
-                tracer=tracer,
-            )
+            with timer.phase("capforest"):
+                sw = capforest(
+                    g, lam, pq_kind="heap", bounded=False, rng=rng, kernel=kernel,
+                    tracer=tracer,
+                )
             _absorb(stats, sw)
             if sw.lambda_hat < best_value:
                 best_value = sw.lambda_hat
@@ -211,7 +223,8 @@ def noi_mincut(
             uf = sw.uf
             order = sw.scan_order
             uf.union(order[-2], order[-1])
-        g, contraction = contract_by_union_find(g, uf, kernel=kernel)
+        with timer.phase("contract"):
+            g, contraction = contract_by_union_find(g, uf, kernel=kernel)
         labels = compose_labels(labels, contraction)
         if trace:
             stats["trace"].append(
@@ -248,7 +261,14 @@ def noi_mincut(
 
     if tracer is not None:
         tracer.emit("solve_end", value=best_value, rounds=stats["rounds"])
-    return MinCutResult(best_value, best_side if compute_side else None, n, algo, stats)
+    return MinCutResult(
+        best_value, best_side if compute_side else None, n, algo, _seal_phases(stats, timer)
+    )
+
+
+def _seal_phases(stats: dict, timer: Timer) -> dict:
+    stats["phase_seconds"] = {ph: round(timer.total(ph), 6) for ph in NOI_PHASES}
+    return stats
 
 
 def _absorb(stats: dict, res) -> None:

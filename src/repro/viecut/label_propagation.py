@@ -19,6 +19,9 @@ import numpy as np
 
 from ..graph.csr import Graph
 
+#: propagation engines accepted by :func:`cluster_labels` (``method=``)
+LP_METHODS = ("async", "sync", "parallel", "compiled")
+
 
 def propagate_labels(
     graph: Graph,
@@ -78,18 +81,20 @@ def propagate_labels_sync(
     Each round, every vertex simultaneously adopts the label with the
     largest incident weight *as of the previous round*.  Unlike the
     asynchronous scan of :func:`propagate_labels` this needs no per-vertex
-    Python loop: one ``lexsort`` groups the arcs by ``(head, tail-label)``
-    and a segmented argmax picks each vertex's winner — O(m log m) in numpy
-    (the hpc-parallel guides' vectorization rule applied to LP).
+    Python loop: a sort groups the arcs by ``(tail, head-label)`` and one
+    ``np.maximum.reduceat`` per tail picks each vertex's winner —
+    O(m log m) in numpy (the hpc-parallel guides' vectorization rule
+    applied to LP).
 
     Fully synchronous updates oscillate on symmetric structures (two
     vertices adopting each other's labels forever), so each round applies
     the computed updates to two complementary *random halves* of the
     vertices in turn — the standard semi-synchronous symmetry breaker —
-    and ties additionally break toward the currently held label.  Cluster
-    quality is statistically indistinguishable from the asynchronous scan
-    for VieCut's purposes (tests assert the dumbbell and suite behaviours),
-    at roughly a tenth of the interpreter cost.
+    and a half-update groups only the arcs of the vertices it updates.
+    Ties break toward the currently held label, then toward the largest
+    label.  Cluster quality is statistically indistinguishable from the
+    asynchronous scan for VieCut's purposes (tests assert the dumbbell and
+    suite behaviours), at roughly a tenth of the interpreter cost.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
@@ -103,49 +108,57 @@ def propagate_labels_sync(
     dst = graph.adjncy
     wgt = graph.adjwgt
 
-    def compute_winners(current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # group arcs by (src, label[dst]) and sum weights per group
-        keys = src * np.int64(n) + current[dst]
-        order = np.argsort(keys, kind="stable")
-        k_sorted = keys[order]
-        w_sorted = wgt[order]
-        boundary = np.empty(len(k_sorted), dtype=bool)
-        boundary[0] = True
-        np.not_equal(k_sorted[1:], k_sorted[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        ends = np.concatenate((starts[1:], [len(k_sorted)]))
-        csum = np.concatenate(([0], np.cumsum(w_sorted, dtype=np.int64)))
-        gains = csum[ends] - csum[starts]
-        group_src = k_sorted[starts] // n
-        group_label = k_sorted[starts] % n
-        # bonus epsilon for keeping the current label: stability tie-break.
-        # Scale gains by 2 and add 1 to the own-label group so strict
-        # integer comparison implements "switch only on strictly better".
-        scaled = gains * 2 + (group_label == current[group_src])
-        # segmented argmax per src: sort groups by (src, scaled) and take
-        # the last entry of each src segment
-        sort2 = np.lexsort((scaled, group_src))
-        gs = group_src[sort2]
-        seg_end = np.empty(len(gs), dtype=bool)
-        seg_end[-1] = True
-        np.not_equal(gs[1:], gs[:-1], out=seg_end[:-1])
-        winners = sort2[seg_end]
-        return group_src[winners], group_label[winners]
-
     for _ in range(iterations):
         changed = False
         half = rng.random(n) < 0.5
         for active in (half, ~half):  # two complementary half-updates
-            upd_src, upd_label = compute_winners(labels)
-            take = active[upd_src]
-            new_labels = labels.copy()
-            new_labels[upd_src[take]] = upd_label[take]
-            if not np.array_equal(new_labels, labels):
+            arcs = active[src]
+            if not arcs.any():
+                continue
+            upd_src, upd_label = _winners(src[arcs], dst[arcs], wgt[arcs], labels, n)
+            if (upd_label != labels[upd_src]).any():
                 changed = True
-            labels = new_labels
+                labels[upd_src] = upd_label
         if not changed:
             break
     return labels
+
+
+def _winners(
+    src: np.ndarray, dst: np.ndarray, wgt: np.ndarray, labels: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each source's heaviest neighbour label over the arcs ``src -> dst``.
+
+    ``src`` must be non-decreasing.  The own label wins a tie; otherwise
+    the largest of the tied labels wins.
+    """
+    # group arcs by (src, label[dst]) and sum weights per group
+    keys = src * np.int64(n) + labels[dst]
+    order = np.argsort(keys)
+    k_sorted = keys[order]
+    starts = _run_starts(k_sorted)
+    gains = np.add.reduceat(wgt[order], starts)
+    group_src = k_sorted[starts] // n
+    group_label = k_sorted[starts] - group_src * n
+    # bonus epsilon for keeping the current label: stability tie-break.
+    # Scale gains by 2 and add 1 to the own-label group so strict
+    # integer comparison implements "switch only on strictly better".
+    scaled = gains * 2 + (group_label == labels[group_src])
+    # groups are sorted by (src, label): per-src maximum, then the largest
+    # label among the groups that reach it
+    src_starts = _run_starts(group_src)
+    best = np.maximum.reduceat(scaled, src_starts)
+    at_best = scaled == np.repeat(best, np.diff(src_starts, append=len(scaled)))
+    winner = np.maximum.reduceat(np.where(at_best, group_label, -1), src_starts)
+    return group_src[src_starts], winner
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal keys (non-empty input)."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def propagate_labels_compiled(
@@ -301,8 +314,8 @@ def cluster_labels(
     bit-equal to ``"async"``), or ``"parallel"`` (threaded asynchronous;
     also selected by ``workers > 1``).
     """
-    if method not in ("async", "sync", "parallel", "compiled"):
-        raise ValueError(f"unknown method {method!r}")
+    if method not in LP_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {LP_METHODS}")
     if workers > 1 or method == "parallel":
         raw = propagate_labels_parallel(
             graph, iterations=iterations, workers=max(workers, 2), rng=rng
@@ -318,10 +331,10 @@ def cluster_labels(
 
 def _split_into_connected_clusters(graph: Graph, raw: np.ndarray) -> np.ndarray:
     """Dense labels of the components of the same-raw-label subgraph."""
-    from ..graph.components import components_from_arcs
+    from ..graph.components import components_from_csr
 
-    src = graph.arc_sources()
-    dst = graph.adjncy
-    same = raw[src] == raw[dst]
-    _, dense = components_from_arcs(graph.n, src[same], dst[same])
+    same = raw[graph.arc_sources()] == raw[graph.adjncy]
+    # the kept arcs stay grouped by source: their CSR offsets are prefix counts
+    kept = np.concatenate(([0], np.cumsum(same)))
+    _, dense = components_from_csr(kept[graph.xadj], graph.adjncy[same])
     return dense

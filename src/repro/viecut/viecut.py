@@ -23,7 +23,7 @@ from ..graph.contract import compose_labels, contract_by_labels, contract_by_uni
 from ..graph.csr import Graph
 from ..core.result import MinCutResult
 from ..runtime.errors import RuntimeFault
-from .label_propagation import cluster_labels
+from .label_propagation import LP_METHODS, cluster_labels
 from .padberg_rinaldi import padberg_rinaldi_marks
 
 
@@ -61,11 +61,13 @@ def viecut(
         :func:`~repro.viecut.label_propagation.propagate_labels_parallel`).
     lp_method:
         Label-propagation engine when ``workers == 1``: ``"sync"``
-        (vectorized, the fast default), ``"async"`` (reference scan) or
+        (vectorized, the fast default), ``"async"`` (reference scan),
         ``"compiled"`` (jitted async twin — identical labels to
-        ``"async"`` for every graph and seed).  The default stays
-        ``"sync"`` regardless of ``kernel`` so a driver's clustering is
-        identical across kernel tiers.
+        ``"async"`` for every graph and seed) or ``"parallel"``
+        (:data:`~repro.viecut.label_propagation.LP_METHODS`; checked on
+        entry, even when the graph is too small to cluster).  The default
+        stays ``"sync"`` regardless of ``kernel`` so a driver's clustering
+        is identical across kernel tiers.
     kernel:
         Relaxation kernel for the final exact NOI solve on the remnant
         graph and for the level contractions
@@ -73,11 +75,11 @@ def viecut(
         :func:`repro.kernels.resolve_kernel`).  Does not change the
         clustering, so the returned cut is kernel-independent.
     pr34_max_arcs:
-        The triangle/star PR tests (common-neighbour intersections, a
-        Python loop) run only once the contracted graph has at most this
-        many arcs; the vectorized PR1/PR2 always run.  Keeps the VieCut
-        constant linear-ish on large inputs, as the paper's linear-work PR
-        pass does.
+        The triangle/star PR tests (budgeted common-neighbour
+        intersections, whose index arrays grow with the budget) run only
+        once the contracted graph has at most this many arcs; PR1/PR2
+        always run.  Keeps the VieCut constant linear-ish on large inputs,
+        as the paper's linear-work PR pass does.
     tracer:
         Optional :class:`repro.observability.Tracer` receiving
         ``viecut_start`` / ``viecut_level`` / ``viecut_end`` events (one
@@ -89,6 +91,8 @@ def viecut(
         ``result.value`` is the capacity of the cut ``result.side`` — an
         upper bound on λ(G), usually equal to it.
     """
+    if lp_method not in LP_METHODS:
+        raise ValueError(f"unknown method {lp_method!r}; expected one of {LP_METHODS}")
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")
@@ -160,7 +164,7 @@ def viecut(
             best_value = d
             best_side = labels == v
         # Padberg–Rinaldi pass on the contracted graph (PR3/4 only when the
-        # graph is small enough for their intersection loops, see docstring)
+        # graph is small enough for their intersection arrays, see docstring)
         if g.num_arcs <= pr34_max_arcs:
             uf = padberg_rinaldi_marks(g, best_value)
         else:

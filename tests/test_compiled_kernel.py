@@ -157,6 +157,20 @@ class TestFallback:
         assert events[0]["resolved"] == "vector"
         validate_trace_events(tr.events())
 
+    @pytest.mark.parametrize(
+        "algorithm", ["noi", "noi-hnss", "noi-viecut", "parcut", "viecut"]
+    )
+    def test_one_fallback_event_per_solve(self, no_tier, algorithm):
+        # noi-viecut runs VieCut and then NOI, and each used to report the
+        # fallback: every algorithm that takes kernel= reports it once
+        g = connected_gnm(60, 200, rng=1)
+        tr = Tracer()
+        res = minimum_cut(g, algorithm=algorithm, rng=0, kernel="compiled", tracer=tr)
+        assert len(tr.events("kernel_fallback")) == 1
+        assert res.stats["kernel"] == "compiled"
+        assert res.stats["kernel_resolved"] == "vector"
+        assert res.stats["kernel_fallback"] is not None
+
     def test_parcut_stats_schema_covers_kernel_keys(self, no_tier):
         g = connected_gnm(80, 250, rng=5, weights=(1, 5))
         assert {"kernel_resolved", "kernel_fallback"} <= PARCUT_STATS_KEYS
