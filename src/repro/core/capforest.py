@@ -129,7 +129,7 @@ class CapforestResult:
 
 
 def check_queue(pq_kind: str, bounded: bool = True) -> None:
-    """Validate a CAPFOREST queue configuration (the rule every driver shares).
+    """Validate a CAPFOREST queue configuration (the rule every solver shares).
 
     ``pq_kind`` must be one of :data:`~repro.datastructures.pq.PQ_NAMES`,
     and an unbounded scan must use the heap: a bucket queue needs a bound.

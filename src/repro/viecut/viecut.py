@@ -66,7 +66,7 @@ def viecut(
         ``"async"`` for every graph and seed) or ``"parallel"``
         (:data:`~repro.viecut.label_propagation.LP_METHODS`; checked on
         entry, even when the graph is too small to cluster).  The default
-        stays ``"sync"`` regardless of ``kernel`` so a driver's clustering
+        stays ``"sync"`` regardless of ``kernel`` so a solver's clustering
         is identical across kernel tiers.
     kernel:
         Relaxation kernel for the final exact NOI solve on the remnant

@@ -2,7 +2,7 @@
 
 An invalid queue or label-propagation option used to surface only on the
 path that consumed it: a two-vertex or disconnected graph returned a value
-where a triangle raised.  Every driver now rejects it before any work.
+where a triangle raised.  Every solver now rejects it before any work.
 """
 
 from __future__ import annotations
