@@ -66,7 +66,7 @@ from ..runtime.pool import WorkerPool
 from .cache import ResultCache
 from .keys import graph_digest, request_key
 from .planes import PlaneRegistry
-from .pool import _pool_worker_main
+from .pool import _pool_worker_main, _pooled_error
 
 #: kwargs that name live objects — impossible to ship to a pooled worker
 #: process or to canonicalise into a cache key.  ``rng`` is fine as an
@@ -304,25 +304,9 @@ class SolverEngine:
         containers — seed with ``rng=<int>``, never a live Generator or
         tracer object).
         """
-        from ..core.api import ALGORITHMS, EXACT_ALGORITHMS, UnknownAlgorithmError
-
-        algorithm = algorithm or self.default_algorithm
-        if algorithm not in ALGORITHMS:
-            raise UnknownAlgorithmError(algorithm)
-        all_cuts = bool(all_cuts or most_balanced)
-        if all_cuts and algorithm not in EXACT_ALGORITHMS:
-            raise ValueError(
-                f"all_cuts/most_balanced require an exact algorithm, got {algorithm!r}"
-            )
-        options = {"all_cuts": all_cuts, "most_balanced": bool(most_balanced)}
-        for bad in _UNPOOLABLE_KWARGS:
-            if bad in kwargs:
-                raise ValueError(
-                    f"{bad!r} cannot cross the engine boundary; seed with an "
-                    "integer and trace at the engine level instead"
-                )
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+        algorithm, options = self._check_request(
+            algorithm, all_cuts, most_balanced, kwargs, deadline
+        )
         # pooled workers are daemonic and may not fork grandchildren; the
         # pool already provides cross-request process parallelism
         if self._pool is not None and kwargs.get("executor") == "processes":
@@ -412,31 +396,12 @@ class SolverEngine:
         completion on the calling thread (they are the cheap path).
         ``result.stats["warm"]`` records which path ran.
         """
-        from ..core.api import (
-            ALGORITHMS,
-            EXACT_ALGORITHMS,
-            UnknownAlgorithmError,
-            attach_cactus,
-        )
+        from ..core.api import EXACT_ALGORITHMS, attach_cactus
         from ..dynamic import make_warm_state, warm_solve
 
-        algorithm = algorithm or self.default_algorithm
-        if algorithm not in ALGORITHMS:
-            raise UnknownAlgorithmError(algorithm)
-        all_cuts = bool(all_cuts or most_balanced)
-        if all_cuts and algorithm not in EXACT_ALGORITHMS:
-            raise ValueError(
-                f"all_cuts/most_balanced require an exact algorithm, got {algorithm!r}"
-            )
-        for bad in _UNPOOLABLE_KWARGS:
-            if bad in kwargs:
-                raise ValueError(
-                    f"{bad!r} cannot cross the engine boundary; seed with an "
-                    "integer and trace at the engine level instead"
-                )
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        options = {"all_cuts": all_cuts, "most_balanced": bool(most_balanced)}
+        algorithm, options = self._check_request(
+            algorithm, all_cuts, most_balanced, kwargs, deadline
+        )
         # canary keying: reject uncanonicalisable kwargs *before* mutating
         # the graph, so a bad request leaves the handle untouched
         request_key("0" * 32, algorithm, kwargs, options)
@@ -482,7 +447,7 @@ class SolverEngine:
             kernel = kwargs.get("kernel", "scalar")
             if out is not None:
                 result, info = out
-                if all_cuts:
+                if options["all_cuts"]:
                     attach_cactus(graph, result, most_balanced=most_balanced)
                 if info["mode"] == "fast-path":
                     counter = "updates_fast_path"
@@ -503,7 +468,7 @@ class SolverEngine:
             else:
                 fut = self.submit(
                     graph, algorithm, deadline=deadline, cache=cache,
-                    all_cuts=all_cuts, most_balanced=most_balanced, **kwargs,
+                    **options, **kwargs,
                 )
                 result = fut.result()
                 info = {
@@ -656,6 +621,36 @@ class SolverEngine:
         self.close()
 
     # -- internals ----------------------------------------------------------
+
+    def _check_request(self, algorithm, all_cuts, most_balanced, kwargs,
+                       deadline) -> tuple[str, dict]:
+        """The request check :meth:`submit` and :meth:`update` share.
+
+        Resolves the algorithm (default when ``None``), rejects cactus
+        options on an inexact algorithm, live-object kwargs and a
+        non-positive deadline, and returns the algorithm with the output
+        options (``all_cuts`` implied by ``most_balanced``).
+        """
+        from ..core.api import ALGORITHMS, EXACT_ALGORITHMS, UnknownAlgorithmError
+
+        algorithm = algorithm or self.default_algorithm
+        if algorithm not in ALGORITHMS:
+            raise UnknownAlgorithmError(algorithm)
+        all_cuts = bool(all_cuts or most_balanced)
+        if all_cuts and algorithm not in EXACT_ALGORITHMS:
+            raise ValueError(
+                f"all_cuts/most_balanced require an exact algorithm, got {algorithm!r}"
+            )
+        for bad in _UNPOOLABLE_KWARGS:
+            if bad in kwargs:
+                raise ValueError(
+                    f"{bad!r} cannot cross the engine boundary; seed with an "
+                    "integer and trace at the engine level instead"
+                )
+        if deadline is not None and deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {deadline}")
+        return algorithm, {"all_cuts": all_cuts,
+                           "most_balanced": bool(most_balanced)}
 
     def _emit(self, kind: str, **fields) -> None:
         if self._tracer is not None:
@@ -898,13 +893,8 @@ class SolverEngine:
                                         cactus=cactus),
                 )
             else:
-                self._finish(
-                    req,
-                    exc=RuntimeError(
-                        f"pooled solve of request {req_id} failed: {payload}"
-                    ),
-                    status="error",
-                )
+                self._finish(req, exc=_pooled_error(req_id, payload),
+                             status="error")
         return broken
 
     def _enforce_deadlines(self) -> set[int]:

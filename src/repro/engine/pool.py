@@ -33,8 +33,46 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import struct
 import time
+
+
+def _portable_error(exc: BaseException) -> bytes | None:
+    """``exc`` pickled, so the engine can raise what an inline solve raises.
+
+    ``None`` unless ``exc`` is an :class:`Exception` that survives a pickle
+    round trip with its type and message intact (a
+    :class:`~repro.runtime.WorkerTimeout`, for one, does not: its
+    constructor needs arguments its pickled form lacks).  The engine then
+    falls back to a :class:`RuntimeError` naming ``repr(exc)``.
+    """
+    if not isinstance(exc, Exception):
+        return None
+    try:
+        blob = pickle.dumps(exc)
+        back = pickle.loads(blob)
+    except Exception:  # noqa: BLE001 - any failure means "not portable"
+        return None
+    if type(back) is not type(exc) or str(back) != str(exc):
+        return None
+    return blob
+
+
+def _pooled_error(req_id: int, payload) -> Exception:
+    """The engine's reading of an ``("error", payload)`` message: the
+    exception the inline solve raises when it crossed the pipe intact,
+    else a :class:`RuntimeError` naming its repr.  A blob that cannot be
+    decoded here fails only its own request."""
+    blob, text = payload
+    if blob is not None:
+        try:
+            exc = pickle.loads(blob)
+        except Exception:  # noqa: BLE001 - undecodable here: fall back
+            exc = None
+        if isinstance(exc, Exception):
+            return exc
+    return RuntimeError(f"pooled solve of request {req_id} failed: {text}")
 
 
 def _pool_worker_main(tasks, results) -> None:
@@ -42,9 +80,9 @@ def _pool_worker_main(tasks, results) -> None:
     """One pool worker: loop over tasks until the ``None`` sentinel.
 
     Every task posts exactly one ``(req_id, status, payload)`` message on
-    ``results``: ``("ok", result-tuple)`` or ``("error", repr(exc))``.
-    Worker deaths post nothing — the engine detects them through the
-    process sentinel.
+    ``results``: ``("ok", result-tuple)`` or ``("error", (blob, repr(exc)))``
+    with ``blob`` from :func:`_portable_error`.  Worker deaths post nothing
+    — the engine detects them through the process sentinel.
     """
     from ..core.api import minimum_cut
     from ..graph.shm import SharedGraph
@@ -87,7 +125,8 @@ def _pool_worker_main(tasks, results) -> None:
             )
         except BaseException as exc:  # noqa: BLE001 - any failure must be reported
             try:
-                results.send((req_id, "error", repr(exc)))
+                results.send((req_id, "error",
+                              (_portable_error(exc), repr(exc))))
             except Exception:  # pragma: no cover - engine end already closed
                 pass
         finally:

@@ -12,8 +12,9 @@ for, built robustness-first on :class:`~repro.engine.SolverEngine`::
 
 or, as a process, ``python -m repro.service --port 8377 --pool-size 4``.
 
-Endpoints: ``POST /v1/solve``, ``POST /v1/solve_many``, ``POST /v1/batch``
-(server-side manifest), ``GET /v1/healthz``, ``GET /v1/stats``.  See
+Endpoints: ``POST /v1/solve``, ``POST /v1/update`` (dynamic graphs),
+``POST /v1/solve_many``, ``POST /v1/batch`` (server-side manifest),
+``GET /v1/healthz``, ``GET /v1/stats``.  See
 :mod:`repro.service.server` for the admission-control, deadline,
 retry, and graceful-drain semantics.
 """

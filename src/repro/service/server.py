@@ -1,16 +1,18 @@
 """Mincut-as-a-service: a hardened asyncio front end on :class:`SolverEngine`.
 
-:class:`MinCutService` serves exact minimum cuts over HTTP/JSON with the
-robustness properties a long-lived service boundary needs *designed in*,
-not bolted on:
+:class:`MinCutService` serves exact minimum cuts over HTTP/JSON.  Each
+route is written once, in :data:`ROUTES` (path, method, handler).  The
+solve routes ``/v1/solve``, ``/v1/update``, ``/v1/solve_many`` and
+``/v1/batch`` share one request pipeline, :meth:`MinCutService._run_route`,
+and supply only their parse step, blocking work and 200 body.  The
+pipeline has the robustness a long-lived service boundary needs built in:
 
 * **Admission control & load shedding** — every solve request passes a
   bounded global inflight budget and a per-client bounded queue
   (:mod:`~repro.service.admission`) *before* any graph bytes are parsed.
-  Work that does not fit is shed immediately with ``429`` +
-  ``Retry-After`` and a structured ``shed_reason``/``queue_depth`` body —
-  the queue never grows unboundedly and admitted requests keep their
-  latency budget.
+  Work that does not fit is shed at once with ``429`` + ``Retry-After``
+  and a structured ``shed_reason``/``queue_depth`` body, so the queue
+  never grows unboundedly.
 * **Deadline propagation** — the client's ``timeout_ms`` (body field or
   ``X-Timeout-Ms`` header, defaulted and clamped by config) becomes an
   absolute deadline mapped onto the engine's per-request deadlines, so a
@@ -24,10 +26,10 @@ not bolted on:
 * **Bounded retry with jittered backoff** — failures are classified with
   the runtime fault taxonomy: a pooled worker crash
   (:class:`~repro.runtime.errors.WorkerCrashed`, the ``pool_recycle``
-  path) is transient and retried up to ``retry_attempts`` times with
-  exponential jittered backoff inside the request's deadline; graph
-  validation errors are deterministic and never retried; blown deadlines
-  never retry (the budget is already spent).
+  path) is transient and retried up to ``retry_attempts`` times inside
+  the request's deadline by one helper, which re-enters an update with
+  an empty batch so the batch is applied once; validation errors and
+  blown deadlines are never retried.
 * **Graceful drain** — :meth:`MinCutService.drain` (wired to SIGTERM by
   ``python -m repro.service``) walks a three-state machine
   ``RUNNING → DRAINING → STOPPED``: stop accepting (admission sheds with
@@ -42,19 +44,23 @@ observability taxonomy (``service_start/stop``,
 covers service traces end to end.
 
 Threading model: the asyncio event loop owns all service state (counters,
-active-request set, drain state).  Engine waits run on worker threads via
-``asyncio.to_thread`` — bounded by the admission budget — and touch only
-the per-request :class:`_RequestCtx` (lock-protected) plus the thread-safe
-engine/admission objects.
+active-request set, drain state, the ``/v1/update`` graph registry).
+Blocking work runs on worker threads via ``asyncio.to_thread`` — bounded
+by the admission budget — and touches only the per-request
+:class:`_RequestCtx` (lock-protected) plus the thread-safe
+engine/admission objects and dynamic-graph handles.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..engine import (
     EngineClosed,
@@ -108,6 +114,34 @@ class ServiceConfig:
     keepalive_timeout_s: float = 30.0  # idle keep-alive connection lifetime
     allow_test_faults: bool = False  # accept `_test_fault` kwargs (CI smoke)
     max_dynamic_graphs: int = 64  # registered /v1/update graph handles
+
+
+class _Route(NamedTuple):
+    method: str
+    handler: str  # name of the MinCutService method serving the route
+    items: bool = False  # admission weighs the request by its item count
+
+
+#: every route, its method and its handler, written once; ``_dispatch``
+#: answers 404 and 405 from this table.  A GET handler answers on the
+#: event loop.  A POST handler is the route's parse step: the route runner
+#: calls it after admission and runs the :class:`_Job` it returns.
+ROUTES = {
+    "/v1/healthz": _Route("GET", "_healthz"),
+    "/v1/stats": _Route("GET", "_stats_reply"),
+    "/v1/solve": _Route("POST", "_solve_job"),
+    "/v1/update": _Route("POST", "_update_job"),
+    "/v1/solve_many": _Route("POST", "_solve_many_job", items=True),
+    "/v1/batch": _Route("POST", "_batch_job", items=True),
+}
+
+
+class _Job(NamedTuple):
+    """What a solve route's parse step hands the route runner."""
+
+    work: Callable[[], object]  # the blocking part, run on a worker thread
+    reply: Callable[[object], dict]  # the 200 body, from work's result
+    undo: Callable[[], None] = lambda: None  # on every outcome but a 200
 
 
 def graph_from_json(obj) -> "object":
@@ -409,23 +443,14 @@ class MinCutService:
 
     async def _dispatch(self, req: Request, stream: BufferedStream,
                         client: str) -> tuple[int, dict, dict | None]:
-        route = (req.method, req.path)
-        if route == ("GET", "/v1/healthz"):
-            return self._healthz()
-        if route == ("GET", "/v1/stats"):
-            return 200, self.stats(), None
-        if route == ("POST", "/v1/solve"):
-            return await self._handle_solve(req, stream, client)
-        if route == ("POST", "/v1/update"):
-            return await self._handle_update(req, stream, client)
-        if route == ("POST", "/v1/solve_many"):
-            return await self._handle_many(req, stream, client, batch=False)
-        if route == ("POST", "/v1/batch"):
-            return await self._handle_many(req, stream, client, batch=True)
-        if req.path in ("/v1/healthz", "/v1/stats", "/v1/solve",
-                        "/v1/update", "/v1/solve_many", "/v1/batch"):
+        route = ROUTES.get(req.path)
+        if route is None:
+            raise HttpError(404, f"no route {req.path}")
+        if req.method != route.method:
             raise HttpError(405, f"{req.method} not allowed on {req.path}")
-        raise HttpError(404, f"no route {req.path}")
+        if route.method == "GET":
+            return getattr(self, route.handler)()
+        return await self._run_route(req, stream, client, route)
 
     def _healthz(self) -> tuple[int, dict, None]:
         engine_stats = self._engine.stats()
@@ -438,6 +463,9 @@ class MinCutService:
         # a draining server answers 503 so load balancers stop routing to it
         return (200 if self._state == RUNNING else 503), body, None
 
+    def _stats_reply(self) -> tuple[int, dict, None]:
+        return 200, self.stats(), None
+
     def stats(self) -> dict:
         """The ``/v1/stats`` document: service, admission, engine."""
         return {
@@ -447,7 +475,59 @@ class MinCutService:
             "engine": self._engine.stats(),
         }
 
-    # -- solve routes --------------------------------------------------------
+    # -- the route runner ----------------------------------------------------
+
+    async def _run_route(self, req: Request, stream: BufferedStream,
+                         client: str, route: _Route
+                         ) -> tuple[int, dict, dict | None]:
+        """One solve request's lifecycle, the same for every POST route.
+
+        In order: a JSON-object body; a many/batch item count (400/413);
+        the deadline; admission or a shed; the route's parse step (an
+        :class:`HttpError` there settles the request as a 400); the job's
+        blocking work on a worker thread, under the disconnect watch; then
+        a classified failure or the 200 body.
+        """
+        body = req.json()
+        if not isinstance(body, dict):
+            raise HttpError(400, "request body must be a JSON object")
+        weight = self._item_count(body) if route.items else 1
+        deadline_abs, timeout_ms = self._deadline_from(req, body)
+        ctx, shed = self._admit(req.path, client, weight, deadline_abs,
+                                timeout_ms)
+        if ctx is None:
+            return shed
+        try:
+            job = getattr(self, route.handler)(body, ctx)
+        except HttpError:
+            self._request_done(ctx, 400)
+            raise
+        task = asyncio.create_task(asyncio.to_thread(job.work))
+        task.add_done_callback(_reap_task)
+        try:
+            result = await self._await_with_disconnect(task, stream, ctx)
+        except ClientDisconnected:
+            job.undo()
+            self._on_disconnect(ctx, task)
+            raise
+        except Exception as exc:  # noqa: BLE001 - classified into HTTP statuses
+            kind, status = classify_failure(exc)
+            job.undo()
+            self._request_done(ctx, status)
+            return status, self._failure_body(exc, kind, ctx, timeout_ms), None
+        payload = job.reply(result)
+        self._request_done(ctx, 200)
+        return 200, payload, None
+
+    def _item_count(self, body: dict) -> int:
+        """A many/batch request's admission weight: its item count."""
+        items = body.get("items")
+        if not isinstance(items, list) or not items:
+            raise HttpError(400, "'items' must be a non-empty list")
+        if len(items) > self.config.max_batch_items:
+            raise HttpError(413, f"{len(items)} items exceed the "
+                                 f"{self.config.max_batch_items}-item bound")
+        return len(items)
 
     def _deadline_from(self, req: Request, body: dict) -> tuple[float, int]:
         """Resolve the request deadline: body ``timeout_ms`` wins over the
@@ -497,11 +577,12 @@ class MinCutService:
                    queue_depth=decision.queue_depth)
         return ctx, None
 
-    def _parse_solve_fields(
-        self, item: dict
-    ) -> tuple[str | None, dict, bool, dict]:
-        """Common per-solve fields: algorithm, engine kwargs, cache flag,
-        and the output-shape options (``all_cuts``/``most_balanced``)."""
+    # -- parse steps of the solve routes -------------------------------------
+
+    def _parse_solve_fields(self, item: dict) -> dict:
+        """The per-solve fields of every solve route: algorithm, engine
+        kwargs, and the flags ``cache``, ``include_side`` and the output
+        shape ``all_cuts``/``most_balanced``, each a JSON boolean."""
         algorithm = item.get("algorithm")
         if algorithm is not None and not isinstance(algorithm, str):
             raise HttpError(400, f"algorithm must be a string, got {algorithm!r}")
@@ -513,49 +594,21 @@ class MinCutService:
             for key in kwargs:
                 if key.startswith("_"):
                     raise HttpError(400, f"unknown solver kwarg {key!r}")
-        cache = item.get("cache", True)
-        if not isinstance(cache, bool):
-            raise HttpError(400, f"cache must be a boolean, got {cache!r}")
-        options = {}
-        for key in ("all_cuts", "most_balanced"):
-            flag = item.get(key, False)
+        spec = {"algorithm": algorithm, "kwargs": kwargs}
+        for key, default in (("cache", True), ("all_cuts", False),
+                             ("most_balanced", False), ("include_side", False)):
+            flag = item.get(key, default)
             if not isinstance(flag, bool):
                 raise HttpError(400, f"{key} must be a boolean, got {flag!r}")
-            options[key] = flag
-        return algorithm, kwargs, cache, options
+            spec[key] = flag
+        return spec
 
-    async def _handle_solve(self, req: Request, stream: BufferedStream,
-                            client: str) -> tuple[int, dict, dict | None]:
-        body = req.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        deadline_abs, timeout_ms = self._deadline_from(req, body)
-        ctx, shed = self._admit("/v1/solve", client, 1, deadline_abs, timeout_ms)
-        if ctx is None:
-            return shed
-        try:
-            algorithm, kwargs, cache, options = self._parse_solve_fields(body)
-            graph = graph_from_json(body.get("graph"))
-            include_side = bool(body.get("include_side", False))
-        except HttpError:
-            self._request_done(ctx, 400)
-            raise
-        solve_task = asyncio.create_task(asyncio.to_thread(
-            self._solve_blocking, ctx, graph, algorithm, kwargs, cache, options
-        ))
-        solve_task.add_done_callback(_reap_task)
-        try:
-            result = await self._await_with_disconnect(solve_task, stream, ctx)
-        except ClientDisconnected:
-            self._on_disconnect(ctx, solve_task)
-            raise
-        except Exception as exc:  # noqa: BLE001 - classified into HTTP statuses
-            kind, status = classify_failure(exc)
-            self._request_done(ctx, status)
-            return status, self._failure_body(exc, kind, ctx, timeout_ms), None
-        payload = self._result_body(result, include_side, ctx)
-        self._request_done(ctx, 200)
-        return 200, payload, None
+    def _solve_job(self, body: dict, ctx: _RequestCtx) -> _Job:
+        """``POST /v1/solve``: one graph in the request body."""
+        spec = self._parse_solve_fields(body)
+        graph = graph_from_json(body.get("graph"))
+        return _Job(lambda: self._solve_blocking(ctx, graph, spec),
+                    lambda result: self._result_body(result, spec, ctx))
 
     def _edge_batch(self, body: dict, key: str, arity: int) -> list:
         """Validate the wire shape of an ``inserts``/``deletes`` list."""
@@ -570,19 +623,26 @@ class MinCutService:
                 raise HttpError(400, f"{key}[{i}] must be {want}")
         return batch
 
-    def _dynamic_handle(self, body: dict):
-        """Resolve (or register) the request's dynamic-graph handle.
+    def _update_job(self, body: dict, ctx: _RequestCtx) -> _Job:
+        """``POST /v1/update``: apply an edge batch to a dynamic graph and
+        return the (warm) re-solve.
 
-        Runs on the event loop thread, which owns the registry: a request
-        carrying ``graph`` registers a new ``graph_id`` (409 if taken, 413
-        when the registry is full); one without must name a known id (404).
+        A request carrying ``graph`` registers a new ``graph_id`` (409 if
+        taken, 413 when the registry is full); one without must name a
+        known id (404).  The event loop thread owns the registry.  A
+        registration holds its id while in flight, so a concurrent one gets
+        the 409, and is undone unless the request ends in a 200.
         """
         from ..dynamic import DynamicGraph
 
+        spec = self._parse_solve_fields(body)
+        inserts = self._edge_batch(body, "inserts", 3)
+        deletes = self._edge_batch(body, "deletes", 2)
         graph_id = body.get("graph_id")
         if not isinstance(graph_id, str) or not graph_id:
             raise HttpError(400, "'graph_id' must be a non-empty string")
-        if "graph" in body:
+        registers = "graph" in body
+        if registers:
             if graph_id in self._dynamic:
                 raise HttpError(
                     409, f"graph_id {graph_id!r} is already registered; "
@@ -600,121 +660,55 @@ class MinCutService:
                 404, f"unknown graph_id {graph_id!r}; register it by "
                      "including 'graph' in the first request"
             )
-        return graph_id, handle
-
-    async def _handle_update(self, req: Request, stream: BufferedStream,
-                             client: str) -> tuple[int, dict, dict | None]:
-        """``POST /v1/update``: apply an edge batch to a registered dynamic
-        graph and return the (warm) re-solve — same admission, deadline,
-        disconnect, and failure machinery as ``/v1/solve``."""
-        body = req.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        deadline_abs, timeout_ms = self._deadline_from(req, body)
-        ctx, shed = self._admit("/v1/update", client, 1, deadline_abs,
-                                timeout_ms)
-        if ctx is None:
-            return shed
-        try:
-            algorithm, kwargs, cache, options = self._parse_solve_fields(body)
-            inserts = self._edge_batch(body, "inserts", 3)
-            deletes = self._edge_batch(body, "deletes", 2)
-            graph_id, handle = self._dynamic_handle(body)
-            include_side = bool(body.get("include_side", False))
-        except HttpError:
-            self._request_done(ctx, 400)
-            raise
         self._counters["updates"] += 1
-        solve_task = asyncio.create_task(asyncio.to_thread(
-            self._update_blocking, ctx, handle, inserts, deletes, algorithm,
-            kwargs, cache, options,
-        ))
-        solve_task.add_done_callback(_reap_task)
-        try:
-            result = await self._await_with_disconnect(solve_task, stream, ctx)
-        except ClientDisconnected:
-            self._on_disconnect(ctx, solve_task)
-            raise
-        except Exception as exc:  # noqa: BLE001 - classified into HTTP statuses
-            kind, status = classify_failure(exc)
-            self._request_done(ctx, status)
-            return status, self._failure_body(exc, kind, ctx, timeout_ms), None
-        payload = self._result_body(result, include_side, ctx)
-        payload["graph_id"] = graph_id
-        payload["version"] = handle.version
-        payload["digest"] = handle.digest
-        payload["n"] = handle.graph.n
-        payload["m"] = handle.graph.m
-        payload["warm"] = result.stats.get("warm")
-        self._request_done(ctx, 200)
-        return 200, payload, None
 
-    async def _handle_many(self, req: Request, stream: BufferedStream,
-                           client: str, *, batch: bool
-                           ) -> tuple[int, dict, dict | None]:
-        route = "/v1/batch" if batch else "/v1/solve_many"
-        body = req.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        items = body.get("items")
-        if not isinstance(items, list) or not items:
-            raise HttpError(400, "'items' must be a non-empty list")
-        if len(items) > self.config.max_batch_items:
-            raise HttpError(413, f"{len(items)} items exceed the "
-                                 f"{self.config.max_batch_items}-item bound")
-        deadline_abs, timeout_ms = self._deadline_from(req, body)
-        ctx, shed = self._admit(route, client, len(items), deadline_abs,
-                                timeout_ms)
-        if ctx is None:
-            return shed
-        try:
-            defaults_algorithm, defaults_kwargs, defaults_cache, \
-                defaults_options = self._parse_solve_fields(body)
-            parsed = [
-                self._parse_item(item, i, batch, defaults_algorithm,
-                                 defaults_kwargs, defaults_cache,
-                                 defaults_options)
-                for i, item in enumerate(items)
-            ]
-        except HttpError:
-            self._request_done(ctx, 400)
-            raise
-        solve_task = asyncio.create_task(asyncio.to_thread(
-            self._solve_many_blocking, ctx, parsed
-        ))
-        solve_task.add_done_callback(_reap_task)
-        try:
-            entries = await self._await_with_disconnect(solve_task, stream, ctx)
-        except ClientDisconnected:
-            self._on_disconnect(ctx, solve_task)
-            raise
-        except Exception as exc:  # noqa: BLE001 - classified into HTTP statuses
-            kind, status = classify_failure(exc)
-            self._request_done(ctx, status)
-            return status, self._failure_body(exc, kind, ctx, timeout_ms), None
-        failed = sum(1 for e in entries if "error" in e)
-        self._request_done(ctx, 200)
-        return 200, {"results": entries, "items": len(entries),
-                     "failed": failed}, None
+        def reply(result) -> dict:
+            return {**self._result_body(result, spec, ctx),
+                    "graph_id": graph_id, "version": handle.version,
+                    "digest": handle.digest, "n": handle.graph.n,
+                    "m": handle.graph.m, "warm": result.stats.get("warm")}
+
+        def unregister() -> None:
+            if registers:
+                del self._dynamic[graph_id]
+
+        return _Job(
+            lambda: self._update_blocking(ctx, handle, inserts, deletes, spec),
+            reply, unregister,
+        )
+
+    def _items_job(self, body: dict, ctx: _RequestCtx, *, batch: bool) -> _Job:
+        """``POST /v1/solve_many`` (graphs inline) and ``POST /v1/batch``
+        (a manifest of server-side files): one entry per item, failed items
+        as error entries.  Request-level fields are the items' defaults,
+        except ``include_side``, which each item sets for itself."""
+        defaults = self._parse_solve_fields(body)
+        specs = [self._parse_item(item, i, batch, defaults)
+                 for i, item in enumerate(body["items"])]
+
+        def reply(entries: list[dict]) -> dict:
+            failed = sum(1 for e in entries if "error" in e)
+            return {"results": entries, "items": len(entries),
+                    "failed": failed}
+
+        return _Job(lambda: self._solve_many_blocking(ctx, specs), reply)
+
+    _solve_many_job = functools.partialmethod(_items_job, batch=False)
+    _batch_job = functools.partialmethod(_items_job, batch=True)
 
     def _parse_item(self, item, index: int, batch: bool,
-                    default_algorithm, default_kwargs: dict,
-                    default_cache: bool, default_options: dict) -> dict:
+                    defaults: dict) -> dict:
         """One solve_many/batch item → a normalized spec for the collector."""
         if not isinstance(item, dict):
             raise HttpError(400, f"item {index} must be an object")
-        algorithm, kwargs, cache, options = self._parse_solve_fields(
-            {"algorithm": item.get("algorithm", default_algorithm),
-             "kwargs": {**default_kwargs, **item.get("kwargs", {})}
-             if isinstance(item.get("kwargs", {}), dict) else item.get("kwargs"),
-             "cache": item.get("cache", default_cache),
-             "all_cuts": item.get("all_cuts", default_options["all_cuts"]),
-             "most_balanced": item.get("most_balanced",
-                                       default_options["most_balanced"])}
-        )
-        spec = {"algorithm": algorithm, "kwargs": kwargs, "cache": cache,
-                "options": options,
-                "include_side": bool(item.get("include_side", False))}
+        kwargs = item.get("kwargs", {})
+        spec = self._parse_solve_fields({
+            **{key: item.get(key, defaults[key])
+               for key in ("algorithm", "cache", "all_cuts", "most_balanced")},
+            "kwargs": ({**defaults["kwargs"], **kwargs}
+                       if isinstance(kwargs, dict) else kwargs),
+            "include_side": item.get("include_side", False),
+        })
         if batch:
             path = item.get("path")
             if not isinstance(path, str) or not path:
@@ -728,17 +722,16 @@ class MinCutService:
             spec["graph"] = graph_from_json(item.get("graph"))
         return spec
 
-    # -- blocking solve paths (worker threads) -------------------------------
+    # -- blocking work (worker threads) --------------------------------------
 
-    def _solve_blocking(self, ctx: _RequestCtx, graph, algorithm: str | None,
-                        kwargs: dict, cache: bool,
-                        options: dict | None = None):
-        """Submit + await one engine solve with bounded jittered retries.
-
-        Runs on a ``to_thread`` worker.  Retries only the transient
-        pool-recycle class (``WorkerCrashed``); invalid input and blown
-        deadlines surface immediately.  Every attempt re-checks the
-        remaining deadline budget and the disconnect flag.
+    def _with_retries(self, ctx: _RequestCtx, algorithm: str | None,
+                      digest, attempt, on_retry=None):
+        """Run ``attempt(remaining_s)`` on a ``to_thread`` worker with
+        bounded jittered retries of the transient pool-recycle class
+        (``WorkerCrashed``); invalid input and blown deadlines surface at
+        once.  Each attempt re-checks the disconnect flag and the deadline
+        (a spent budget raises :meth:`_budget_spent`, the one caller of
+        ``digest()``); ``on_retry()`` runs before each retry.
         """
         attempts_left = self.config.retry_attempts
         backoff = self.config.retry_backoff_s
@@ -747,19 +740,16 @@ class MinCutService:
                 raise RequestCancelled("client went away")
             remaining = ctx.deadline_abs - time.monotonic()
             if remaining <= 0:
-                raise self._budget_spent(ctx, graph_digest(graph), algorithm)
-            fut = self._engine.submit(graph, algorithm, deadline=remaining,
-                                      cache=cache, **(options or {}), **kwargs)
-            ctx.register(fut)
+                raise self._budget_spent(ctx, digest(), algorithm)
             try:
-                # the engine enforces the real deadline; the +1s margin only
-                # guards against a wedged dispatcher, mapping to 504 anyway
-                return fut.result(timeout=remaining + 1.0)
+                return attempt(remaining)
             except WorkerCrashed:
                 if attempts_left <= 0:
                     raise
                 attempts_left -= 1
                 ctx.retries += 1
+                if on_retry is not None:
+                    on_retry()
                 sleep_s = backoff * (0.5 + self._rng.random())
                 backoff *= 2.0
                 if time.monotonic() + sleep_s >= ctx.deadline_abs:
@@ -783,40 +773,44 @@ class MinCutService:
             ),
         )
 
-    def _update_blocking(self, ctx: _RequestCtx, handle, inserts, deletes,
-                         algorithm: str | None, kwargs: dict, cache: bool,
-                         options: dict) -> object:
-        """Apply + re-solve one update on a ``to_thread`` worker.
+    def _solve_blocking(self, ctx: _RequestCtx, graph, spec: dict):
+        """Submit + await one engine solve, under :meth:`_with_retries`."""
 
-        Retries mirror :meth:`_solve_blocking`, with one twist: the batch
-        is applied exactly once — a retry after a cold-path worker crash
-        re-enters :meth:`SolverEngine.update` with *empty* batches (a
-        no-op apply) so edges are never inserted or deleted twice.
-        """
-        attempts_left = self.config.retry_attempts
-        backoff = self.config.retry_backoff_s
-        while True:
-            if ctx.cancelled:
-                raise RequestCancelled("client went away")
-            remaining = ctx.deadline_abs - time.monotonic()
-            if remaining <= 0:
-                raise self._budget_spent(ctx, handle.digest, algorithm)
-            try:
-                return self._engine.update(
-                    handle, inserts, deletes, algorithm=algorithm,
-                    deadline=remaining, cache=cache, **options, **kwargs,
-                )
-            except WorkerCrashed:
-                if attempts_left <= 0:
-                    raise
-                attempts_left -= 1
-                ctx.retries += 1
-                inserts, deletes = (), ()  # batch already applied
-                sleep_s = backoff * (0.5 + self._rng.random())
-                backoff *= 2.0
-                if time.monotonic() + sleep_s >= ctx.deadline_abs:
-                    raise
-                time.sleep(sleep_s)
+        def attempt(remaining: float):
+            fut = self._engine.submit(
+                graph, spec["algorithm"], deadline=remaining,
+                cache=spec["cache"], all_cuts=spec["all_cuts"],
+                most_balanced=spec["most_balanced"], **spec["kwargs"],
+            )
+            ctx.register(fut)
+            # the engine enforces the real deadline; the +1s margin only
+            # guards against a wedged dispatcher, mapping to 504 anyway
+            return fut.result(timeout=remaining + 1.0)
+
+        return self._with_retries(ctx, spec["algorithm"],
+                                  lambda: graph_digest(graph), attempt)
+
+    def _update_blocking(self, ctx: _RequestCtx, handle, inserts, deletes,
+                         spec: dict):
+        """Apply + re-solve one update, under :meth:`_with_retries`.  The
+        batch is applied once: a retry after a cold-path worker crash
+        re-enters :meth:`SolverEngine.update` with empty batches."""
+
+        def attempt(remaining: float):
+            return self._engine.update(
+                handle, inserts, deletes, algorithm=spec["algorithm"],
+                deadline=remaining, cache=spec["cache"],
+                all_cuts=spec["all_cuts"],
+                most_balanced=spec["most_balanced"], **spec["kwargs"],
+            )
+
+        def applied() -> None:
+            nonlocal inserts, deletes
+            inserts, deletes = (), ()
+
+        return self._with_retries(ctx, spec["algorithm"],
+                                  lambda: handle.digest, attempt,
+                                  on_retry=applied)
 
     def _solve_many_blocking(self, ctx: _RequestCtx,
                              specs: list[dict]) -> list[dict]:
@@ -826,34 +820,23 @@ class MinCutService:
             try:
                 graph = spec.get("graph")
                 if graph is None:  # batch item: read server-side
-                    reader = (read_metis if spec["format"] == "metis"
-                              else read_edge_list)
-                    graph = reader(spec["path"])
-                result = self._solve_blocking(
-                    ctx, graph, spec["algorithm"], spec["kwargs"],
-                    spec["cache"], spec["options"]
-                )
+                    graph = _read_item(spec["path"], spec["format"])
+                result = self._solve_blocking(ctx, graph, spec)
             except Exception as exc:  # noqa: BLE001 - per-item entries
-                kind, _status = classify_failure(exc)
-                if isinstance(exc, OSError):
-                    kind = "invalid"
-                entry = {"error": str(exc), "kind": kind}
-                if "path" in spec:
-                    entry["path"] = spec["path"]
-                entries.append(entry)
-                if isinstance(exc, RequestCancelled):
-                    # the client is gone or the drain cancelled us: stop
-                    # burning pool time on the remaining items
-                    entries.extend(
-                        {"error": "cancelled before solving", "kind": "cancelled"}
-                        for _ in range(len(specs) - len(entries))
-                    )
-                    break
+                entry = {"error": str(exc), "kind": classify_failure(exc)[0]}
             else:
-                entry = self._result_body(result, spec["include_side"], ctx)
-                if "path" in spec:
-                    entry["path"] = spec["path"]
-                entries.append(entry)
+                entry = self._result_body(result, spec, ctx)
+            if "path" in spec:
+                entry["path"] = spec["path"]
+            entries.append(entry)
+            if entry.get("kind") == "cancelled":
+                # the client is gone or the drain cancelled us: stop
+                # burning pool time on the remaining items
+                entries.extend(
+                    {"error": "cancelled before solving", "kind": "cancelled"}
+                    for _ in specs[len(entries):]
+                )
+                break
         return entries
 
     # -- await / disconnect / completion helpers -----------------------------
@@ -915,14 +898,14 @@ class MinCutService:
         self._emit("request_done", rid=ctx.rid, route=ctx.route,
                    status=status, seconds=ctx.elapsed, retries=ctx.retries)
 
-    def _result_body(self, result, include_side: bool, ctx: _RequestCtx) -> dict:
+    def _result_body(self, result, spec: dict, ctx: _RequestCtx) -> dict:
         body = {
             "value": int(result.value),
             "algorithm": result.algorithm,
             "n": int(result.n),
             "seconds": ctx.elapsed,
         }
-        if include_side and result.side is not None:
+        if spec["include_side"] and result.side is not None:
             body["side"] = [int(v) for v in result.smaller_side()]
         if result.cactus is not None:
             body["num_min_cuts"] = result.num_min_cuts()
@@ -948,6 +931,17 @@ class MinCutService:
     def _emit(self, kind: str, **fields) -> None:
         if self._tracer is not None:
             self._tracer.emit(kind, **fields)
+
+
+def _read_item(path: str, fmt: str):
+    """Read one batch item's graph file.  Whatever goes wrong, the error
+    names only the path and format: a reader's message may quote the file
+    (its offending line) or the OS error, and neither may reach a client."""
+    reader = read_metis if fmt == "metis" else read_edge_list
+    try:
+        return reader(path)
+    except Exception:  # noqa: BLE001 - masked on purpose, see docstring
+        raise ValueError(f"cannot read a {fmt} graph from {path!r}") from None
 
 
 def _reap_task(task: asyncio.Task) -> None:

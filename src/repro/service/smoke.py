@@ -6,11 +6,16 @@ about in one pass:
 
 1. ``/v1/healthz`` answers 200 while running;
 2. a solve returns the exact minimum cut;
-3. with the budget occupied by hanging requests, a further solve is
+3. every other route answers: ``/v1/update`` registers a graph and
+   applies an insert batch (the value is the updated graph's minimum
+   cut), a two-item ``/v1/solve_many`` solves both items, an unknown path
+   is a 404, a wrong method a 405, and a solver option the pooled solve
+   rejects is a 400 ``invalid``;
+4. with the budget occupied by hanging requests, a further solve is
    *shed* — 429, ``Retry-After``, structured ``shed_reason`` body;
-4. SIGTERM mid-load drains gracefully: the process exits 0 on its own,
+5. SIGTERM mid-load drains gracefully: the process exits 0 on its own,
    the inflight work having finished or deadlined out;
-5. the trace file the server wrote validates against the closed event
+6. the trace file the server wrote validates against the closed event
    taxonomy and contains the service lifecycle (start → drain → stop).
 
 Exits 0 on success, 1 with a diagnostic on any violated expectation —
@@ -69,6 +74,53 @@ def _launch(trace_path: str) -> tuple[subprocess.Popen, str, int]:
     return proc, host, int(port)
 
 
+def _absent_edges(graph, count: int, weight: int) -> list[list[int]]:
+    """The first ``count`` vertex pairs of ``graph`` that are not edges."""
+    pairs = ([u, v, weight] for u in range(graph.n)
+             for v in range(u + 1, graph.n) if not graph.has_edge(u, v))
+    return [next(pairs) for _ in range(count)]
+
+
+def _walk_routes(client: ServiceClient, graph) -> None:
+    """Step 3 of the module docstring: the routes besides ``/v1/solve``."""
+    from ..core.api import minimum_cut
+    from ..dynamic import apply_updates
+
+    status, _h, body = client.update("smoke", graph=graph)
+    _expect(status == 200 and body["version"] == 0,
+            f"update registration failed: {status} {body}")
+    inserts = _absent_edges(graph, 2, weight=5)
+    expected = minimum_cut(apply_updates(graph, inserts)[0]).value
+    status, _h, body = client.update("smoke", inserts=inserts)
+    _expect(status == 200 and body["version"] == 1,
+            f"update batch failed: {status} {body}")
+    _expect(body["value"] == expected,
+            f"update returned {body['value']}, expected {expected}")
+    print(f"smoke: update ok (value={body['value']}, "
+          f"{body['warm']['mode']})", flush=True)
+
+    other = connected_gnm(30, 80, rng=1, weights=(1, 9))
+    status, _h, body = client.solve_many(
+        [{"graph": graph_payload(g)} for g in (graph, other)]
+    )
+    values = [minimum_cut(g).value for g in (graph, other)]
+    _expect(status == 200 and body["failed"] == 0,
+            f"solve_many failed: {status} {body}")
+    _expect([r["value"] for r in body["results"]] == values,
+            f"solve_many returned {body['results']}, expected {values}")
+    print(f"smoke: solve_many ok (values={values})", flush=True)
+
+    status, _h, body = client.request("GET", "/v1/no-such-route")
+    _expect(status == 404, f"unknown path answered {status} {body}")
+    status, _h, body = client.request("GET", "/v1/solve")
+    _expect(status == 405, f"wrong method answered {status} {body}")
+    status, _h, body = client.solve(graph, cache=False,
+                                    kwargs={"pq_kind": "bogus"})
+    _expect(status == 400 and body.get("kind") == "invalid",
+            f"bogus pq_kind answered {status} {body}")
+    print("smoke: 404, 405 and invalid-option 400 ok", flush=True)
+
+
 def run_smoke(trace_path: str) -> None:
     graph = connected_gnm(60, 200, rng=0, weights=(1, 9))
     from ..core.api import minimum_cut
@@ -88,6 +140,8 @@ def run_smoke(trace_path: str) -> None:
         _expect(body["value"] == expected,
                 f"solve returned {body['value']}, expected {expected}")
         print(f"smoke: solve ok (value={body['value']})", flush=True)
+
+        _walk_routes(client, graph)
 
         # occupy the 2-unit budget with bounded hangs, then provoke a shed
         hang = {"graph": graph_payload(graph), "cache": False,
@@ -149,7 +203,8 @@ def run_smoke(trace_path: str) -> None:
     summary = validate_trace_file(trace_path)
     by_kind = summary["by_kind"]
     for kind in ("service_start", "request_admitted", "request_done",
-                 "request_shed", "drain_begin", "drain_end", "service_stop"):
+                 "request_shed", "graph_update", "warm_solve", "drain_begin",
+                 "drain_end", "service_stop"):
         _expect(by_kind.get(kind, 0) >= 1, f"trace lacks {kind}: {by_kind}")
     print(f"smoke: trace ok ({summary['events']} events, "
           f"{by_kind['request_shed']} shed)", flush=True)
@@ -158,7 +213,7 @@ def run_smoke(trace_path: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.service.smoke",
-        description="end-to-end solve/shed/drain smoke test",
+        description="end-to-end solve/route/shed/drain smoke test",
     )
     ap.add_argument("--trace", default="service-trace.jsonl",
                     help="trace sink path handed to the server")
