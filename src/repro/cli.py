@@ -125,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--kernel", choices=KERNELS, default=None,
                     help="CAPFOREST relaxation kernel for noi/parcut variants "
                     "(identical results; vector batches relaxations via numpy, "
-                    "compiled runs numba-jitted loops and falls back to vector "
-                    "when numba is absent)")
+                    "compiled runs as vector)")
     ap.add_argument("--workers", type=int, default=None, help="parallel workers (parcut)")
     ap.add_argument(
         "--executor",

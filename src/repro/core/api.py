@@ -225,10 +225,9 @@ def minimum_cut(
         reproducibility, ``pq_kind=...``, ``workers=...``;
         ``kernel="scalar"|"vector"|"compiled"`` selects the CAPFOREST
         relaxation kernel for the NOI/ParCut solvers — identical results;
-        the vector kernel batches arc relaxations through numpy, the
-        compiled tier runs them as numba-jitted machine code (falling
-        back to vector, with a ``kernel_fallback`` stats note, when numba
-        is unavailable — see :mod:`repro.kernels`); for the
+        the vector kernel batches arc relaxations through numpy, and
+        ``"compiled"`` runs as vector with a ``kernel_fallback`` stats
+        note (see :mod:`repro.kernels`); for the
         parallel solvers also ``timeout=...`` and
         ``on_worker_failure="degrade"|"fail"``).  Solvers with parallel
         executors never hang on worker failure: lost workers are recorded

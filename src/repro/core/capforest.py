@@ -25,7 +25,7 @@ This implementation adds the paper's two sequential optimizations:
 
 Relaxation kernels
 ------------------
-Three interchangeable kernels drive the scan, selected by ``kernel=``
+Two interchangeable kernels drive the scan, selected by ``kernel=``
 (registry: :data:`repro.kernels.KERNELS`):
 
 ``"scalar"``
@@ -46,13 +46,10 @@ Three interchangeable kernels drive the scan, selected by ``kernel=``
     vector kernel runs the scalar relaxation step, so results — λ̂, marks,
     scan order, ``pq_stats`` — are bit-identical to ``kernel="scalar"``
     for every configuration.
-``"compiled"``
-    The scan transcribed into numba ``@njit`` code over flat arrays — the
-    scalar loop, the priority queue, everything — so one call runs the
-    whole pass in machine code (:mod:`repro.kernels.capforest_kernel`).
-    Scalar-order semantics: results are bit-identical to ``"scalar"``.
-    When numba is unavailable the request resolves to ``"vector"`` with a
-    ``kernel_fallback`` note (:func:`repro.kernels.resolve_kernel`).
+
+The registry also accepts ``"compiled"``, the name of a retired JIT tier:
+it resolves to ``"vector"`` with a ``kernel_fallback`` note
+(:func:`repro.kernels.resolve_kernel`).
 """
 
 from __future__ import annotations
@@ -68,9 +65,9 @@ from ..graph.csr import Graph
 # the kernel registry is homed in repro.kernels (one source of truth for
 # capforest, parallel_capforest, the CLI, and the API); re-exported here
 # for compatibility with existing import sites
-from ..kernels import KERNEL_CROSSOVERS, resolve_kernel
 from ..kernels import KERNELS as KERNELS
 from ..kernels import check_kernel as check_kernel
+from ..kernels import resolve_kernel
 
 #: Largest λ̂ for which a bucket queue is still sensible; above this the
 #: bucket array (λ̂ + 1 slots, one per possible priority) would dwarf the
@@ -78,16 +75,15 @@ from ..kernels import check_kernel as check_kernel
 MAX_BUCKET_BOUND = 1 << 22
 
 #: below this many members, draining the top bucket costs more in array
-#: bookkeeping than the scalar pops it replaces — the *vector*-tier
-#: crossover (the compiled tier relaxes arc-by-arc in machine code, see
-#: :data:`repro.kernels.KERNEL_CROSSOVERS` for the per-tier table)
-MIN_BATCH = KERNEL_CROSSOVERS["vector"]["min_batch"]
+#: bookkeeping than the scalar pops it replaces (the vector kernel's
+#: batching crossover; the bench record republishes it in
+#: ``batch_crossovers``)
+MIN_BATCH = 16
 
 #: minimum arc-slice length before a *single* pop relaxes its slice with
 #: array expressions — below this the fixed per-call numpy overhead loses
-#: to the plain Python loop (vector-tier crossover, measured on GNM
-#: instances; per-tier table in :data:`repro.kernels.KERNEL_CROSSOVERS`)
-POP_VECTOR_MIN_DEGREE = KERNEL_CROSSOVERS["vector"]["pop_vector_min_degree"]
+#: to the plain Python loop (measured on GNM instances)
+POP_VECTOR_MIN_DEGREE = 96
 
 
 @dataclass
@@ -189,8 +185,8 @@ def capforest(
     kernel:
         ``"scalar"`` (reference, one Python iteration per arc),
         ``"vector"`` (batched numpy relaxation), or ``"compiled"``
-        (numba-jitted scan; resolves to ``"vector"`` when numba is
-        unavailable) — identical results either way, see module docstring.
+        (runs as ``"vector"``) — identical results either way, see module
+        docstring.
     tracer:
         Optional :class:`repro.observability.Tracer`.  One
         ``capforest_pass`` event is emitted per call — *pass* granularity,
@@ -223,39 +219,24 @@ def capforest(
     else:
         effective_kind = "heap"
 
-    if kernel == "compiled" and not record_certificates:
-        res = _capforest_compiled(
-            graph,
-            lambda_hat,
-            uf,
-            effective_kind,
-            start,
-            scan_all=scan_all,
-            fixed_bound=fixed_bound,
-            bounded=bounded,
-        )
-    else:
-        # certificate recording needs the per-arc λ̂ bookkeeping only the
-        # scalar loop keeps, so a compiled request with
-        # record_certificates=True runs the (bit-identical) reference
-        pq = make_pq(
-            effective_kind,
-            n,
-            bound=lambda_hat if bounded else None,
-            array_keys=kernel == "vector",
-        )
-        run = _capforest_vector if kernel == "vector" else _capforest_scalar
-        res = run(
-            graph,
-            lambda_hat,
-            uf,
-            pq,
-            effective_kind,
-            start,
-            scan_all=scan_all,
-            record_certificates=record_certificates,
-            fixed_bound=fixed_bound,
-        )
+    pq = make_pq(
+        effective_kind,
+        n,
+        bound=lambda_hat if bounded else None,
+        array_keys=kernel == "vector",
+    )
+    run = _capforest_vector if kernel == "vector" else _capforest_scalar
+    res = run(
+        graph,
+        lambda_hat,
+        uf,
+        pq,
+        effective_kind,
+        start,
+        scan_all=scan_all,
+        record_certificates=record_certificates,
+        fixed_bound=fixed_bound,
+    )
     if tracer is not None:
         tracer.emit(
             "capforest_pass",
@@ -270,91 +251,6 @@ def capforest(
             vertices_scanned=res.vertices_scanned,
         )
     return res
-
-
-def _capforest_compiled(
-    graph: Graph,
-    lambda_hat: int,
-    uf: UnionFind,
-    effective_kind: str,
-    start: int,
-    *,
-    scan_all: bool,
-    fixed_bound: bool,
-    bounded: bool,
-) -> CapforestResult:
-    """Compiled kernel: the whole scan runs inside one jitted call.
-
-    A transcription of :func:`_capforest_scalar` over flat arrays (see
-    :mod:`repro.kernels.capforest_kernel`), so every observable output is
-    bit-identical; marks come back as pair buffers and merge through one
-    ``union_pairs`` call, exactly like the vector kernel.
-    """
-    from ..kernels.capforest_kernel import (
-        OUT_BEST_PREFIX,
-        OUT_EDGES,
-        OUT_ERR,
-        OUT_LAM,
-        OUT_MIN_ALPHA,
-        OUT_N_MARKED,
-        OUT_N_SCANNED,
-        alloc_scan_state,
-        capforest_scan,
-    )
-    from ..kernels.flat_pq import PQ_CODES, SC_POPS, SC_PUSHES, SC_SKIPPED, SC_UPDATES
-
-    n = graph.n
-    code = PQ_CODES[effective_kind]
-    bound = lambda_hat if bounded else -1
-    pq_state, visited, r, scan_order, mark_u, mark_v, out = alloc_scan_state(
-        code, n, len(graph.adjncy), max(bound, 0)
-    )
-    capforest_scan(
-        graph.xadj,
-        graph.adjncy,
-        graph.adjwgt,
-        graph.weighted_degrees(),
-        lambda_hat,
-        start,
-        code,
-        bound,
-        scan_all,
-        fixed_bound,
-        *pq_state,
-        visited,
-        r,
-        scan_order,
-        mark_u,
-        mark_v,
-        out,
-    )
-    if out[OUT_ERR]:
-        from ..runtime.errors import NoProgressError
-
-        raise NoProgressError(f"scan popped more than {n} vertices")
-    n_marked = int(out[OUT_N_MARKED])
-    if n_marked:
-        uf.union_pairs(mark_u[:n_marked], mark_v[:n_marked])
-    sc = pq_state[-1]
-    stats = PQStats(
-        pushes=int(sc[SC_PUSHES]),
-        updates=int(sc[SC_UPDATES]),
-        skipped_updates=int(sc[SC_SKIPPED]),
-        pops=int(sc[SC_POPS]),
-    )
-    k = int(out[OUT_N_SCANNED])
-    min_alpha = int(out[OUT_MIN_ALPHA])
-    return CapforestResult(
-        uf=uf,
-        n_marked=n_marked,
-        lambda_hat=int(out[OUT_LAM]),
-        min_alpha=None if min_alpha < 0 else min_alpha,
-        scan_order=scan_order[:k].tolist(),
-        best_prefix=int(out[OUT_BEST_PREFIX]),
-        pq_stats=stats,
-        vertices_scanned=k,
-        edges_scanned=int(out[OUT_EDGES]),
-    )
 
 
 def _capforest_scalar(

@@ -144,12 +144,11 @@ def parallel_mincut(
     kernel:
         CAPFOREST relaxation kernel (``"scalar"``, ``"vector"`` or
         ``"compiled"`` — :data:`repro.kernels.KERNELS`), used by the
-        parallel workers, both sequential fallbacks, the VieCut seed, and
-        contraction alike.  ``"compiled"`` resolves through
-        :func:`repro.kernels.resolve_kernel`: when numba is unavailable it
-        runs as ``"vector"``, with the requested name in
-        ``stats["kernel"]``, the executed one in
-        ``stats["kernel_resolved"]``, and the reason in
+        parallel workers, both sequential fallbacks and the VieCut seed
+        alike.  ``"compiled"`` resolves through
+        :func:`repro.kernels.resolve_kernel` and runs as ``"vector"``,
+        with the requested name in ``stats["kernel"]``, the executed one
+        in ``stats["kernel_resolved"]``, and the reason in
         ``stats["kernel_fallback"]`` (plus one ``kernel_fallback`` trace
         event when a tracer is given).
     start_method:
@@ -364,9 +363,7 @@ def parallel_mincut(
 
         block_labels = uf.labels()
         with timer.phase("contract"):
-            g, contraction = parallel_contract_by_labels(
-                g, block_labels, workers=workers, kernel=kernel
-            )
+            g, contraction = parallel_contract_by_labels(g, block_labels, workers=workers)
         labels = compose_labels(labels, contraction)
         ratio = g.n / round_n
         stats["contraction_ratios"].append(round(ratio, 6))

@@ -65,11 +65,10 @@ def noi_mincut(
     kernel:
         CAPFOREST relaxation kernel, ``"scalar"``, ``"vector"`` or
         ``"compiled"`` (:data:`repro.kernels.KERNELS`).  Results are
-        identical; only the speed differs.  A ``"compiled"`` request
-        degrades to ``"vector"`` when numba is unavailable — the stats
-        record the requested name under ``"kernel"``, the one that ran
-        under ``"kernel_resolved"``, and the reason (or ``None``) under
-        ``"kernel_fallback"``.
+        identical; only the speed differs.  A ``"compiled"`` request runs
+        as ``"vector"`` — the stats record the requested name under
+        ``"kernel"``, the one that ran under ``"kernel_resolved"``, and the
+        reason (or ``None``) under ``"kernel_fallback"``.
     initial_bound, initial_side:
         An externally known cut (value and optional side mask), e.g. from
         VieCut.  Must be the capacity of a real cut (any valid upper bound
@@ -224,7 +223,7 @@ def noi_mincut(
             order = sw.scan_order
             uf.union(order[-2], order[-1])
         with timer.phase("contract"):
-            g, contraction = contract_by_union_find(g, uf, kernel=kernel)
+            g, contraction = contract_by_union_find(g, uf)
         labels = compose_labels(labels, contraction)
         if trace:
             stats["trace"].append(

@@ -18,14 +18,13 @@ per-worker merge buffers replayed afterwards (processes) — all equivalent
 because unions commute (Lemma 3.2(1)).
 
 Workers run the ``scalar`` relaxation kernel (one Python iteration per
-arc — the reference), the ``vector`` kernel (each popped vertex's whole
-arc slice relaxed with numpy array expressions), or the ``compiled``
-kernel (the arc loop and the flat-array queue jitted by numba — see
-:mod:`repro.kernels`; resolves to ``vector`` when numba is unavailable).
-The vector and compiled workers stay *per-pop* — they never batch across
-pops the way the sequential vector kernel does — so the pop/claim
-interleaving, and with it the round-robin semantics of the serial
-executor, is identical between kernels.
+arc — the reference) or the ``vector`` kernel (each popped vertex's whole
+arc slice relaxed with numpy array expressions); a ``compiled`` request
+runs as ``vector`` (:func:`repro.kernels.resolve_kernel`).  The vector
+worker stays *per-pop* — it never batches across pops the way the
+sequential vector kernel does — so the pop/claim interleaving, and with
+it the round-robin semantics of the serial executor, is identical between
+kernels.
 
 Executors
 ---------
@@ -86,7 +85,7 @@ from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
 from ..runtime.errors import ExecutorUnavailable, NoProgressError, WorkerCrashed
 from ..runtime.faults import FaultClock, FaultPlan
-from ..runtime.pool import WorkerGroup, default_start_method
+from ..runtime.pool import WorkerGroup, default_start_method, next_task
 from ..runtime.supervisor import supervise_processes, worker_event
 from .capforest import MAX_BUCKET_BOUND, resolve_kernel
 
@@ -319,97 +318,9 @@ def _region_worker_vector(
     report.best_prefix = scan_order[:best_len]
 
 
-def _region_worker_compiled(
-    xadj, adjncy, adjwgt, wdeg, n, T, lam_box, union, start, pq_kind, bound, report
-):
-    """Compiled-kernel twin of :func:`_region_worker_with_prefix`.
-
-    The queue lives in flat arrays (:mod:`repro.kernels.flat_pq`) and each
-    popped vertex's arc loop runs through one jitted
-    :func:`~repro.kernels.capforest_kernel.region_relax` call.  The pop /
-    ``T``-claim / yield interleaving stays in Python, one vertex per turn,
-    so the serial executor's round-robin — and with it every observable
-    output — is bit-identical to the scalar worker.  Marked heads come
-    back through ``mark_buf`` and are replayed through ``union`` in arc
-    order, exactly the scalar worker's union sequence.
-    """
-    from ..kernels.capforest_kernel import region_relax
-    from ..kernels.flat_pq import (
-        PQ_CODES,
-        SC_POPS,
-        SC_PUSHES,
-        SC_SIZE,
-        SC_SKIPPED,
-        SC_UPDATES,
-        alloc_pq,
-        pq_insert,
-        pq_pop,
-    )
-
-    code = PQ_CODES[pq_kind if bound <= MAX_BUCKET_BOUND else "heap"]
-    key, evn, enext, eprev, bhead, btail, pos, heap, sc = alloc_pq(
-        code, n, bound, n + len(adjncy) + 1
-    )
-    dead = np.zeros(n, dtype=np.uint8)  # blacklisted-or-locally-visited, merged
-    r = np.zeros(n, dtype=np.int64)
-    max_deg = int(np.max(xadj[1:] - xadj[:-1])) if n > 0 else 0
-    mark_buf = np.empty(max(max_deg, 1), dtype=np.int64)
-    alpha = 0
-    scan_order: list[int] = []
-    best_len = 0
-    stats = report.pq_stats
-
-    def sync_stats() -> None:
-        # the scalar worker exposes its queue's live stats object; here the
-        # counters live in the flat state block and are copied out at every
-        # yield point so partially-consumed generators stay observable
-        stats.pushes = int(sc[SC_PUSHES])
-        stats.updates = int(sc[SC_UPDATES])
-        stats.skipped_updates = int(sc[SC_SKIPPED])
-        stats.pops = int(sc[SC_POPS])
-
-    pq_insert(code, bound, start, 0, key, evn, enext, eprev, bhead, btail, pos, heap, sc)
-    pops = 0
-    while sc[SC_SIZE]:
-        x = int(pq_pop(code, key, evn, enext, eprev, bhead, btail, pos, heap, sc))
-        pops += 1
-        if pops > n:
-            raise NoProgressError(
-                f"worker {report.worker_id} popped {pops} vertices from a {n}-vertex graph"
-            )
-        if T[x]:
-            dead[x] = 1
-            report.blacklisted += 1
-            sync_stats()
-            yield
-            continue
-        T[x] = 1
-        dead[x] = 1
-        alpha += int(wdeg[x]) - 2 * int(r[x])
-        scan_order.append(x)
-        report.vertices_scanned += 1
-        if report.vertices_scanned < n and (report.best_alpha is None or alpha < report.best_alpha):
-            report.best_alpha = alpha
-            best_len = len(scan_order)
-            lam_box.minimize(alpha)
-        lam = lam_box.value
-        edges, cnt = region_relax(
-            x, lam, xadj, adjncy, adjwgt, dead, r, mark_buf,
-            code, bound, key, evn, enext, eprev, bhead, btail, pos, heap, sc,
-        )
-        report.edges_scanned += int(edges)
-        for j in range(int(cnt)):
-            union(x, int(mark_buf[j]))
-        sync_stats()
-        yield
-    sync_stats()
-    report.best_prefix = scan_order[:best_len]
-
-
 _REGION_WORKERS = {
     "scalar": _region_worker_with_prefix,
     "vector": _region_worker_vector,
-    "compiled": _region_worker_compiled,
 }
 
 
@@ -435,12 +346,11 @@ def parallel_capforest(
     nothing (early termination, §3.2) — callers fall back to sequential
     CAPFOREST, as Algorithm 2 does.
 
-    ``kernel`` selects the per-worker relaxation kernel (``"scalar"``,
-    ``"vector"``, or ``"compiled"`` — registry
-    :data:`repro.kernels.KERNELS`); all produce identical results on every
-    executor.  A ``"compiled"`` request resolves through
-    :func:`repro.kernels.resolve_kernel` (falling back to ``"vector"``
-    with a ``kernel_fallback`` trace note when numba is unavailable).
+    ``kernel`` selects the per-worker relaxation kernel (``"scalar"`` or
+    ``"vector"`` — registry :data:`repro.kernels.KERNELS`); both produce
+    identical results on every executor.  A ``"compiled"`` request
+    resolves through :func:`repro.kernels.resolve_kernel` to ``"vector"``
+    with a ``kernel_fallback`` trace note.
 
     ``fixed_bound=True`` freezes the shared marking threshold at the input
     value (workers still report their scan cuts) — the configuration the
@@ -486,23 +396,13 @@ def parallel_capforest(
         _emit_pass_trace(tracer, res, "processes", pq_kind, kernel, lambda_hat)
         return res
 
-    if kernel == "compiled":
-        # the jitted region step wants numpy int64 views, not Python lists
-        graph_arrays = (
-            graph.xadj,
-            graph.adjncy,
-            graph.adjwgt,
-            graph.weighted_degrees(),
-            n,
-        )
-    else:
-        graph_arrays = (
-            graph.xadj.tolist(),
-            graph.adjncy,
-            graph.adjwgt,
-            graph.weighted_degrees().tolist(),
-            n,
-        )
+    graph_arrays = (
+        graph.xadj.tolist(),
+        graph.adjncy,
+        graph.adjwgt,
+        graph.weighted_degrees().tolist(),
+        n,
+    )
     T = bytearray(n)
     lam_box = _FrozenBound(lambda_hat) if fixed_bound else _SharedBound(lambda_hat)
     if executor == "serial":
@@ -790,21 +690,11 @@ def _round_worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
     injected ``drop_result`` fault, where the worker exits cleanly without
     one.  Any exception ends the process with a nonzero exit code, which
     the coordinator records as a crash and repairs by restarting the worker.
-    The worker also exits once the coordinator has, however it ended: its
-    task pipe alone would not tell, because under ``fork`` the worker holds
-    a copy of the pipe's sending end.
+    The worker also exits once the coordinator has, however it ended
+    (:func:`~repro.runtime.pool.next_task`).
     """
-    import multiprocessing as mp
-    from multiprocessing.connection import wait
-
-    coordinator = mp.parent_process().sentinel
     while True:
-        if coordinator in wait([tasks, coordinator]):
-            return
-        try:
-            task = tasks.recv()
-        except EOFError:
-            return  # the coordinator closed its end of the task pipe
+        task = next_task(tasks)
         if task is None:
             return
         report = _round_task(*task)
@@ -829,12 +719,9 @@ def _round_task(
     visited = SharedBytes.attach(visited_name, n)
     try:
         g = shared_graph.graph()  # arrays are views into the segment: zero-copy
-        if kernel == "compiled":
-            graph_arrays = (g.xadj, g.adjncy, g.adjwgt, g.weighted_degrees(), n)
-        else:
-            graph_arrays = (
-                g.xadj.tolist(), g.adjncy, g.adjwgt, g.weighted_degrees().tolist(), n,
-            )
+        graph_arrays = (
+            g.xadj.tolist(), g.adjncy, g.adjwgt, g.weighted_degrees().tolist(), n,
+        )
 
         # local union–find dedup: a redundant pair adds nothing to the final
         # partition (the closure of the pair multiset), so only partition-

@@ -204,7 +204,7 @@ def warm_solve(
             # old side never splits a block (blocks are co-side in every
             # minimum cut of G_old); verify cheaply anyway for safety
             if (side_h[cand] == seed_side).all():
-                h, labels = contract_by_labels(new_graph, cand, kernel=kernel)
+                h, labels = contract_by_labels(new_graph, cand)
                 seed_side_h = side_h
     info["contracted_n"] = h.n if labels is not None else None
     info["mode"] = "seeded-contracted" if labels is not None else "seeded"

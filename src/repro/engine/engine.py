@@ -559,8 +559,6 @@ class SolverEngine:
         numbers admission control upstream needs: their sum is the
         engine's total outstanding work.
         """
-        from ..kernels import compiled_status
-
         with self._lock:
             counters = dict(self._counters)
             pending = len(self._pending)
@@ -577,10 +575,6 @@ class SolverEngine:
                 "start_method": pool.start_method if pool else None,
                 "recycles": pool.recycles if pool else 0,
             },
-            # active kernel tier + fallback state (satellite of the compiled
-            # tier): pool workers warm the same registry at startup, so this
-            # snapshot describes them too
-            "kernels": compiled_status(),
         }
 
     def close(self, *, drain: bool = True) -> None:

@@ -77,7 +77,8 @@ def _pooled_error(req_id: int, payload) -> Exception:
 
 def _pool_worker_main(tasks, results) -> None:
     # pragma: no cover — exercised via subprocesses (tests/test_engine.py)
-    """One pool worker: loop over tasks until the ``None`` sentinel.
+    """One pool worker: loop over tasks until :func:`next_task` says stop
+    (the ``None`` sentinel, a closed pipe or a dead engine).
 
     Every task posts exactly one ``(req_id, status, payload)`` message on
     ``results``: ``("ok", result-tuple)`` or ``("error", (blob, repr(exc)))``
@@ -86,18 +87,10 @@ def _pool_worker_main(tasks, results) -> None:
     """
     from ..core.api import minimum_cut
     from ..graph.shm import SharedGraph
-    from ..kernels import warmup
-
-    # JIT-compile (or cache-load) the compiled kernel tier once, before the
-    # first request, so no request pays compilation latency.  No-op without
-    # numba; idempotent within the process.
-    warmup()
+    from ..runtime.pool import next_task
 
     while True:
-        try:
-            task = tasks.recv()
-        except EOFError:
-            return  # the engine closed its end of the task pipe
+        task = next_task(tasks)
         if task is None:
             return
         req_id = task["req_id"]

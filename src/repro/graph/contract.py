@@ -5,13 +5,6 @@ union–find block into one supervertex; edges between blocks merge with
 weights summed; edges inside a block vanish.  The whole operation is a
 handful of numpy passes over the arc arrays — the Python equivalent of the
 paper's hash-table contraction, with ``np.unique`` playing the hash table.
-
-When the compiled kernel tier is active (``kernel="compiled"``, see
-:mod:`repro.kernels`), the arc aggregation instead runs as one jitted pass
-(:func:`repro.kernels.contract_kernel.contract_arcs`) producing
-element-identical CSR arrays — both paths group output arcs by the
-``src * nc + dst`` key, and parallel-arc merging erases any sort-stability
-difference.
 """
 
 from __future__ import annotations
@@ -22,9 +15,7 @@ from ..datastructures.union_find import UnionFind
 from .csr import Graph
 
 
-def contract_by_labels(
-    graph: Graph, labels: np.ndarray, *, kernel: str | None = None
-) -> tuple[Graph, np.ndarray]:
+def contract_by_labels(graph: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     """Contract ``graph`` according to a dense label array.
 
     Parameters
@@ -35,10 +26,6 @@ def contract_by_labels(
         ``int64[n]`` with values in ``[0, nc)``: vertices sharing a label
         collapse into one supervertex.  Labels must be dense (every value in
         ``[0, nc)`` used); :meth:`UnionFind.labels` produces this format.
-    kernel:
-        ``"compiled"`` routes the aggregation through the jitted kernel
-        when the compiled tier is available; any other value (or ``None``)
-        uses the numpy path.  Output is identical either way.
 
     Returns
     -------
@@ -49,17 +36,6 @@ def contract_by_labels(
     if len(labels) != graph.n:
         raise ValueError("labels length must equal graph.n")
     nc = int(labels.max()) + 1 if len(labels) else 0
-
-    if kernel == "compiled" and nc:
-        from ..kernels import compiled_available
-
-        if compiled_available():
-            from ..kernels.contract_kernel import contract_arcs
-
-            xadj, heads, wgt = contract_arcs(
-                graph.xadj, graph.adjncy, graph.adjwgt, labels, nc
-            )
-            return Graph(xadj, heads, wgt), labels
 
     src = labels[graph.arc_sources()]
     dst = labels[graph.adjncy]
@@ -92,13 +68,11 @@ def contract_by_labels(
     return Graph(xadj, heads, agg_w), labels
 
 
-def contract_by_union_find(
-    graph: Graph, uf: UnionFind, *, kernel: str | None = None
-) -> tuple[Graph, np.ndarray]:
+def contract_by_union_find(graph: Graph, uf: UnionFind) -> tuple[Graph, np.ndarray]:
     """Contract the blocks of a union–find structure over the graph's vertices."""
     if uf.n != graph.n:
         raise ValueError("union-find size must equal graph.n")
-    return contract_by_labels(graph, uf.labels(), kernel=kernel)
+    return contract_by_labels(graph, uf.labels())
 
 
 def contract_edge(graph: Graph, u: int, v: int) -> tuple[Graph, np.ndarray]:

@@ -28,29 +28,19 @@ PARALLEL_CONTRACT_MIN_ARCS = 1 << 15
 
 
 def parallel_contract_by_labels(
-    graph: Graph, labels: np.ndarray, *, workers: int = 4, kernel: str | None = None
+    graph: Graph, labels: np.ndarray, *, workers: int = 4
 ) -> tuple[Graph, np.ndarray]:
     """Contract ``graph`` by dense ``labels`` using chunked worker aggregation.
 
     Semantically identical to
     :func:`~repro.graph.contract.contract_by_labels` (tests assert equality);
-    only the evaluation strategy differs.  ``kernel="compiled"`` is threaded
-    through to the sequential path (small graphs and lost-chunk fallbacks),
-    where the jitted single-pass aggregation replaces both the chunking and
-    the numpy grouping when the compiled tier is available.
+    only the evaluation strategy differs.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != graph.n:
         raise ValueError("labels length must equal graph.n")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if kernel == "compiled":
-        # one jitted pass beats chunked-numpy aggregation at every size the
-        # suite benches, so the compiled tier skips the thread fan-out
-        from ..kernels import compiled_available
-
-        if compiled_available():
-            return contract_by_labels(graph, labels, kernel=kernel)
     if workers == 1 or graph.num_arcs < PARALLEL_CONTRACT_MIN_ARCS:
         return contract_by_labels(graph, labels)
 

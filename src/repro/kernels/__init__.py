@@ -1,69 +1,29 @@
-"""Relaxation-kernel registry and the compiled execution tier.
+"""Relaxation-kernel registry.
 
 This package is the single home of the kernel registry (:data:`KERNELS`,
-:func:`check_kernel`) shared by ``capforest``, ``parallel_capforest``, the
-CLI, and the API — previously each module referenced its own copy of the
-tuple — plus the compiled tier itself:
+:func:`check_kernel`, :func:`resolve_kernel`) shared by ``capforest``,
+``parallel_capforest``, the CLI, and the API:
 
 ``"scalar"``
     Reference kernel, one Python loop iteration per arc.
 ``"vector"``
-    Numpy batch relaxation (PR 2).
+    Numpy batch relaxation.
 ``"compiled"``
-    The modules in this package: numba ``@njit(cache=True)`` functions
-    over flat int64 arrays for CAPFOREST relaxation (scalar-order
-    semantics, bit-identical events), VieCut label propagation, and graph
-    contraction, with the bucket/heap priority queues jitted alongside
-    (:mod:`.flat_pq`) so the whole inner loop stays in machine code.
-
-numba is an *optional* dependency (the ``[compiled]`` extra).  When it is
-absent — or fails to import — the registry still advertises
-``"compiled"``; :func:`resolve_kernel` degrades the request to
-``"vector"`` and reports the reason, which drivers surface as a
-``kernel_fallback`` trace event and ``kernel_fallback`` stats key.  The
-``REPRO_COMPILED_PUREPY=1`` escape hatch (see :mod:`.jit`) instead runs
-the compiled kernels as plain Python so parity is provable without the
-dependency.
-
-Per-tier batching crossovers live in :data:`KERNEL_CROSSOVERS`: the
-vector tier's numpy-call amortization thresholds make no sense for
-machine-code loops, so the compiled tier's thresholds collapse to
-"always" (see the bench record's ``batch_crossovers`` block).
+    The name of a retired JIT tier, still accepted: :func:`resolve_kernel`
+    runs it as :data:`COMPILED_FALLBACK` and reports the substitution,
+    which drivers surface as a ``kernel_fallback`` trace event and
+    ``kernel_fallback`` stats key.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any
-
-from .jit import (
-    NUMBA_AVAILABLE,
-    NUMBA_DISABLED_REASON,
-    compile_count,
-    maybe_njit,
-    pure_python_forced,
-)
-
 #: the kernel registry — the one source of truth for every ``kernel=`` arg
 KERNELS = ("scalar", "vector", "compiled")
 
-#: per-tier batching crossovers (measured on GNM instances; the bench
-#: record republishes this block as ``batch_crossovers``).  ``min_batch``
-#: is the smallest top-bucket drain worth batch bookkeeping;
-#: ``pop_vector_min_degree`` the smallest arc slice worth a vectorized
-#: single-pop relaxation.  The compiled tier relaxes arc-by-arc in machine
-#: code with no per-call overhead to amortize, so both collapse to
-#: "batching always allowed / never needed" (1 and 0).
-KERNEL_CROSSOVERS: dict[str, dict[str, int]] = {
-    "vector": {"min_batch": 16, "pop_vector_min_degree": 96},
-    "compiled": {"min_batch": 1, "pop_vector_min_degree": 0},
-}
-
-#: what a ``"compiled"`` request runs as when the tier is unavailable
+#: what a ``"compiled"`` request runs as
 COMPILED_FALLBACK = "vector"
 
-_WARMED = False
-_WARMUP_SECONDS = 0.0
+_FALLBACK_NOTE = f"compiled tier unavailable (retired); running {COMPILED_FALLBACK}"
 
 
 def check_kernel(kernel: str) -> str:
@@ -73,123 +33,27 @@ def check_kernel(kernel: str) -> str:
     return kernel
 
 
-def compiled_available() -> bool:
-    """Can ``kernel="compiled"`` actually execute the compiled code paths?
-
-    True with numba importable, or with ``REPRO_COMPILED_PUREPY=1`` forcing
-    the same kernels to run as plain Python (parity testing).
-    """
-    return NUMBA_AVAILABLE or pure_python_forced()
-
-
 def resolve_kernel(kernel: str, tracer=None) -> tuple[str, str | None]:
     """Resolve a requested kernel to the one that will run.
 
     Returns ``(resolved, fallback_reason)`` — ``fallback_reason`` is
-    ``None`` unless ``"compiled"`` was requested while unavailable, in
-    which case the request degrades to :data:`COMPILED_FALLBACK` and one
-    ``kernel_fallback`` trace event is emitted (when a tracer is given).
-    Drivers resolve once at solve start and pass the resolved name down,
-    so a multi-round solve emits at most one note.
+    ``None`` unless ``"compiled"`` was requested, in which case the request
+    runs as :data:`COMPILED_FALLBACK` and one ``kernel_fallback`` trace
+    event is emitted (when a tracer is given).  Drivers resolve once at
+    solve start and pass the resolved name down, so a multi-round solve
+    emits at most one note.
     """
     check_kernel(kernel)
-    if kernel != "compiled" or compiled_available():
+    if kernel != "compiled":
         return kernel, None
-    reason = NUMBA_DISABLED_REASON or "numba is not installed"
-    note = f"compiled tier unavailable ({reason}); running {COMPILED_FALLBACK}"
     if tracer is not None:
         tracer.emit(
             "kernel_fallback",
             requested="compiled",
             resolved=COMPILED_FALLBACK,
-            reason=note,
+            reason=_FALLBACK_NOTE,
         )
-    return COMPILED_FALLBACK, note
+    return COMPILED_FALLBACK, _FALLBACK_NOTE
 
 
-def warmup() -> float:
-    """Compile (or cache-load) every jitted kernel against a tiny graph.
-
-    Called once per pooled engine worker at startup so JIT cost is paid
-    before the first request, and idempotent: the second call in a process
-    returns immediately (the warmup test asserts :func:`compile_count`
-    stays constant across it).  A no-op-ish plain-Python run when the tier
-    is in forced pure-Python mode; returns the seconds spent.
-    """
-    global _WARMED, _WARMUP_SECONDS
-    if _WARMED:
-        return 0.0
-    if not compiled_available():
-        _WARMED = True
-        return 0.0
-    t0 = time.perf_counter()
-    import numpy as np
-
-    from .capforest_kernel import (
-        alloc_scan_state,
-        capforest_scan,
-        region_relax,
-        warmup_arrays,
-    )
-    from .contract_kernel import contract_arcs
-    from .flat_pq import PQ_CODES
-    from .lp_kernel import lp_round
-
-    xadj, adjncy, adjwgt, wdeg = warmup_arrays()
-    n = 3
-    for code in PQ_CODES.values():
-        pq_state, visited, r, scan_order, mark_u, mark_v, out = alloc_scan_state(
-            code, n, len(adjncy), 2
-        )
-        capforest_scan(
-            xadj, adjncy, adjwgt, wdeg, 2, 0, code, 2, True, False,
-            *pq_state, visited, r, scan_order, mark_u, mark_v, out,
-        )
-        pq_state2, _, r2, _, _, _, _ = alloc_scan_state(code, n, len(adjncy), 2)
-        region_relax(
-            0, 2, xadj, adjncy, adjwgt, np.zeros(n, dtype=np.uint8), r2,
-            np.empty(n, dtype=np.int64), code, 2, *pq_state2,
-        )
-    labels = np.array([0, 0, 1], dtype=np.int64)
-    lp_round(
-        xadj, adjncy, adjwgt, labels.copy(),
-        np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-        np.empty(n, dtype=np.int64),
-    )
-    contract_arcs(xadj, adjncy, adjwgt, labels, 2)
-    _WARMUP_SECONDS = time.perf_counter() - t0
-    _WARMED = True
-    return _WARMUP_SECONDS
-
-
-def compiled_status() -> dict[str, Any]:
-    """Observability snapshot of the compiled tier (surfaced by
-    ``engine.stats()["kernels"]`` and therefore ``/v1/stats``)."""
-    _, fallback = resolve_kernel("compiled")
-    return {
-        "registry": list(KERNELS),
-        "numba": NUMBA_AVAILABLE,
-        "compiled_available": compiled_available(),
-        "pure_python_forced": pure_python_forced(),
-        "fallback": fallback,
-        "warmed": _WARMED,
-        "warmup_seconds": round(_WARMUP_SECONDS, 6),
-        "compile_count": compile_count(),
-    }
-
-
-__all__ = [
-    "COMPILED_FALLBACK",
-    "KERNELS",
-    "KERNEL_CROSSOVERS",
-    "NUMBA_AVAILABLE",
-    "NUMBA_DISABLED_REASON",
-    "check_kernel",
-    "compile_count",
-    "compiled_available",
-    "compiled_status",
-    "maybe_njit",
-    "pure_python_forced",
-    "resolve_kernel",
-    "warmup",
-]
+__all__ = ["COMPILED_FALLBACK", "KERNELS", "check_kernel", "resolve_kernel"]

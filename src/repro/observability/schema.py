@@ -47,7 +47,7 @@ EVENT_KINDS = frozenset(
         "viecut_end",  # VieCut seeding done: value, levels, remnant size
         "capforest_pass",  # one *sequential* CAPFOREST pass (incl. fallbacks)
         "parallel_pass",  # one parallel CAPFOREST pass: work, λ̂, marks
-        "kernel_fallback",  # "compiled" requested but unavailable: ran vector
+        "kernel_fallback",  # "compiled" requested: ran vector
         "worker_report",  # per-worker counters from a parallel pass
         "worker_event",  # a worker was lost/crashed/timed out/corrupt
         "degradation",  # executor stepped down the ladder

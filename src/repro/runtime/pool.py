@@ -35,6 +35,26 @@ SHUTDOWN_GRACE = 2.0
 IDLE_CLOSE_S = 2.0
 
 
+def next_task(tasks):
+    """The next task on a worker's task pipe, or ``None`` once the worker
+    should exit: on the ``None`` stop message, at end-of-file, or when the
+    process that started the worker has exited, however it ended.
+
+    The pipe alone cannot tell the last case: under ``fork`` the worker
+    holds a copy of the pipe's sending end, so it never reads end-of-file.
+    """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
+    parent = mp.parent_process().sentinel
+    if parent in wait([tasks, parent]):
+        return None
+    try:
+        return tasks.recv()
+    except EOFError:
+        return None  # the owner closed its end of the task pipe
+
+
 def default_start_method() -> str:
     """``fork`` where the platform offers it, else ``spawn``.
 
@@ -60,8 +80,8 @@ class WorkerPool:
     pipe pair.
 
     ``target(tasks, results)`` is a picklable module-level function that
-    loops over ``tasks.recv()`` until it reads ``None`` (or end-of-file)
-    and posts on ``results``.  Callers keep each worker single-flight, so
+    loops over :func:`next_task` until it returns ``None`` and posts on
+    ``results``.  Callers keep each worker single-flight, so
     every message on a result pipe answers the one task in flight.
     """
 
@@ -265,4 +285,4 @@ class WorkerGroup:
             pool.shutdown()
 
 
-__all__ = ["IDLE_CLOSE_S", "WorkerGroup", "WorkerPool", "default_start_method"]
+__all__ = ["IDLE_CLOSE_S", "WorkerGroup", "WorkerPool", "default_start_method", "next_task"]

@@ -484,9 +484,9 @@ class MinCutService:
 
         In order: a JSON-object body; a many/batch item count (400/413);
         the deadline; admission or a shed; the route's parse step (an
-        :class:`HttpError` there settles the request as a 400); the job's
-        blocking work on a worker thread, under the disconnect watch; then
-        a classified failure or the 200 body.
+        :class:`HttpError` there settles the request with its status);
+        the job's blocking work on a worker thread, under the disconnect
+        watch; then a classified failure or the 200 body.
         """
         body = req.json()
         if not isinstance(body, dict):
@@ -499,8 +499,8 @@ class MinCutService:
             return shed
         try:
             job = getattr(self, route.handler)(body, ctx)
-        except HttpError:
-            self._request_done(ctx, 400)
+        except HttpError as exc:
+            self._request_done(ctx, exc.status)
             raise
         task = asyncio.create_task(asyncio.to_thread(job.work))
         task.add_done_callback(_reap_task)

@@ -20,7 +20,7 @@ import numpy as np
 from ..graph.csr import Graph
 
 #: propagation engines accepted by :func:`cluster_labels` (``method=``)
-LP_METHODS = ("async", "sync", "parallel", "compiled")
+LP_METHODS = ("async", "sync", "parallel")
 
 
 def propagate_labels(
@@ -161,51 +161,6 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def propagate_labels_compiled(
-    graph: Graph,
-    *,
-    iterations: int = 2,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Compiled asynchronous label propagation — the jitted twin of
-    :func:`propagate_labels`.
-
-    Rounds and permutations stay in Python (same ``rng.permutation`` draws,
-    same early-exit on a quiet round); each round's vertex scan runs as one
-    call into :func:`repro.kernels.lp_kernel.lp_round`, which replicates the
-    reference's gain accumulation and first-strict-maximum tie-breaking
-    exactly — the returned labels are bit-equal to ``propagate_labels`` for
-    every graph and seed (tests assert this).  Requires the compiled tier
-    (:func:`repro.kernels.compiled_available`); raises otherwise.
-    """
-    from ..kernels import compiled_available
-    from ..kernels.lp_kernel import lp_round
-
-    if not compiled_available():
-        raise RuntimeError(
-            "propagate_labels_compiled requires the compiled kernel tier "
-            "(numba, or REPRO_COMPILED_PUREPY=1)"
-        )
-    if iterations < 0:
-        raise ValueError(f"iterations must be non-negative, got {iterations}")
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    n = graph.n
-    labels = np.arange(n, dtype=np.int64)
-    if n == 0 or iterations == 0:
-        return labels
-    gain = np.zeros(n, dtype=np.int64)
-    touched = np.empty(n, dtype=np.int64)
-    for _ in range(iterations):
-        order = rng.permutation(n).astype(np.int64)
-        changed = lp_round(
-            graph.xadj, graph.adjncy, graph.adjwgt, labels, order, gain, touched
-        )
-        if changed == 0:
-            break
-    return labels
-
-
 def propagate_labels_parallel(
     graph: Graph,
     *,
@@ -310,9 +265,8 @@ def cluster_labels(
 
     ``method`` selects the propagation engine: ``"async"`` (the reference
     sequential scan), ``"sync"`` (vectorized synchronous rounds — the fast
-    path VieCut uses by default), ``"compiled"`` (jitted asynchronous scan,
-    bit-equal to ``"async"``), or ``"parallel"`` (threaded asynchronous;
-    also selected by ``workers > 1``).
+    path VieCut uses by default), or ``"parallel"`` (threaded
+    asynchronous; also selected by ``workers > 1``).
     """
     if method not in LP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {LP_METHODS}")
@@ -322,8 +276,6 @@ def cluster_labels(
         )
     elif method == "sync":
         raw = propagate_labels_sync(graph, iterations=iterations, rng=rng)
-    elif method == "compiled":
-        raw = propagate_labels_compiled(graph, iterations=iterations, rng=rng)
     else:
         raw = propagate_labels(graph, iterations=iterations, rng=rng)
     return _split_into_connected_clusters(graph, raw)

@@ -61,17 +61,14 @@ def viecut(
         :func:`~repro.viecut.label_propagation.propagate_labels_parallel`).
     lp_method:
         Label-propagation engine when ``workers == 1``: ``"sync"``
-        (vectorized, the fast default), ``"async"`` (reference scan),
-        ``"compiled"`` (jitted async twin — identical labels to
-        ``"async"`` for every graph and seed) or ``"parallel"``
-        (:data:`~repro.viecut.label_propagation.LP_METHODS`; checked on
-        entry, even when the graph is too small to cluster).  The default
-        stays ``"sync"`` regardless of ``kernel`` so a solver's clustering
-        is identical across kernel tiers.
+        (vectorized, the fast default), ``"async"`` (reference scan) or
+        ``"parallel"`` (:data:`~repro.viecut.label_propagation.LP_METHODS`;
+        checked on entry, even when the graph is too small to cluster).
+        The default stays ``"sync"`` regardless of ``kernel`` so a
+        solver's clustering is identical across kernels.
     kernel:
         Relaxation kernel for the final exact NOI solve on the remnant
-        graph and for the level contractions
-        (:data:`repro.kernels.KERNELS`; resolved through
+        graph (:data:`repro.kernels.KERNELS`; resolved through
         :func:`repro.kernels.resolve_kernel`).  Does not change the
         clustering, so the returned cut is kernel-independent.
     pr34_max_arcs:
@@ -149,7 +146,7 @@ def viecut(
         if int(clusters.max()) + 1 == g.n:
             break  # no cluster merged anything; LP has stalled
         level_n = g.n
-        g, lbl = contract_by_labels(g, clusters, kernel=kernel)
+        g, lbl = contract_by_labels(g, clusters)
         labels = compose_labels(labels, lbl)
         stats["levels"] += 1
         if tracer is not None:
@@ -172,7 +169,7 @@ def viecut(
 
             uf = pr12_marks(g, best_value)
         if uf.count < g.n:
-            g, lbl = contract_by_union_find(g, uf, kernel=kernel)
+            g, lbl = contract_by_union_find(g, uf)
             labels = compose_labels(labels, lbl)
             if g.n < 2:
                 break

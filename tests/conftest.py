@@ -7,6 +7,11 @@ implementation.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -43,6 +48,39 @@ def oracle_mincut(g: Graph) -> int:
 
     value, _ = nx.stoer_wagner(graph_to_nx(g))
     return value
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def assert_workers_exit_when_owner_is_killed(script: str, workers: int) -> None:
+    """Run ``script`` in a fresh interpreter: it starts ``workers`` worker
+    processes, prints their pids on one line and waits.  Kill it with
+    SIGKILL, so no exit handler runs, and assert that every worker exits
+    within 30 s (reads ``/proc``)."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # stderr dropped: the killed owner's resource tracker reports the
+    # shared memory it unlinks on the owner's behalf
+    owner = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL, text=True, env=env)
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+    finally:
+        owner.kill()
+        owner.wait(timeout=30)
+        owner.stdout.close()
+    assert len(pids) == workers
+    deadline = time.monotonic() + 30.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
 
 
 def random_connected_weighted(rng: np.random.Generator, n_max: int = 40, w_max: int = 10) -> Graph:

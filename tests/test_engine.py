@@ -41,6 +41,8 @@ from repro.observability import Tracer
 from repro.observability.schema import EVENT_KINDS, validate_trace_events
 from repro.runtime.errors import WorkerCrashed, WorkerTimeout
 
+from .conftest import assert_workers_exit_when_owner_is_killed
+
 
 def ring(n: int, w: int = 2):
     b = GraphBuilder(n)
@@ -255,6 +257,10 @@ class TestEngineSolving:
     ):
         for g in (dumbbell, weighted_cycle, clique6):
             assert engine.solve(g).value == minimum_cut(g).value
+        # a pool worker runs a "compiled" request as vector, like inline
+        res = engine.solve(clique6, "noi", rng=0, kernel="compiled")
+        assert res.value == minimum_cut(clique6).value
+        assert res.stats["kernel_resolved"] == "vector"
 
     def test_solve_many_mixed_item_forms(self, engine, dumbbell, weighted_cycle):
         results = engine.solve_many(
@@ -516,6 +522,25 @@ class TestEngineLifecycle:
             assert queued.result(timeout=30).value == 2
             settled = eng.stats()
             assert settled["queue_depth"] == 0 and settled["inflight"] == 0
+
+
+#: solves once on a two-worker pool, prints the worker pids, then waits to
+#: be killed
+SOLVE_AND_WAIT = """
+import time
+from repro.engine import SolverEngine
+from repro.generators import connected_gnm
+eng = SolverEngine(pool_size=2)
+eng.solve(connected_gnm(40, 100, rng=1), cache=False)
+procs, _ = eng._pool.workers(2)
+print(*(proc.pid for proc in procs), flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
+def test_pool_workers_exit_when_the_engine_is_killed():
+    assert_workers_exit_when_owner_is_killed(SOLVE_AND_WAIT, workers=2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ sequential kernel, the full NOI/ParCut drivers, and the serial-executor
 parallel pass (whose round-robin pop interleaving makes worker-level parity
 deterministic).
 
-The compiled tier is exercised *genuinely* even without numba: the autouse
-fixture sets ``REPRO_COMPILED_PUREPY=1`` so the jitted kernels run as plain
-Python instead of resolving to the vector fallback — the same code paths,
-branch for branch, that numba compiles.
+The registry's ``"compiled"`` entry runs as the vector kernel, so its
+cases repeat the vector ones through the fallback.
 """
 
 from __future__ import annotations
@@ -25,17 +23,6 @@ from repro.core.noi import noi_mincut
 from repro.core.parallel_capforest import parallel_capforest
 from repro.generators.gnm import connected_gnm, gnm
 from repro.generators.rmat import rmat
-
-
-@pytest.fixture(autouse=True)
-def _force_compiled_pure_python(monkeypatch):
-    """Run ``kernel="compiled"`` as interpreted Python so parity is provable
-    in environments without numba (the default CI jobs).  With numba present
-    the kernels run as real machine code — same assertions, harder proof."""
-    from repro.kernels import NUMBA_AVAILABLE
-
-    if not NUMBA_AVAILABLE:
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
 
 
 def _instances():

@@ -11,6 +11,9 @@
 * **untrusted inputs** — a ``/v1/batch`` item whose file cannot be read or
   parsed gets one fixed message (no file content, no OS error text), and
   ``include_side`` must be a JSON boolean on every solve route;
+* **parse-step statuses** — a ``/v1/update`` parse error that is not a
+  400 (unknown id, id taken, registry full) traces its own status on
+  ``request_done``;
 * **apply once** — an update whose cold solve crashes its worker is
   retried with an empty batch, so the edges are applied exactly once;
 * **route table** — every route answers 405 to the other method.
@@ -292,6 +295,32 @@ def test_items_do_not_inherit_include_side(dumbbell):
     plain, sided = body["results"]
     assert "side" not in plain
     assert sorted(sided["side"]) in ([0, 1, 2, 3], [4, 5, 6, 7])
+
+
+# ---------------------------------------------------------------------------
+# parse-step statuses
+# ---------------------------------------------------------------------------
+
+
+def test_update_parse_errors_trace_their_own_status(dumbbell):
+    tracer = Tracer()
+    with _service(0, tracer, max_dynamic_graphs=1) as st, ServiceClient(
+        "127.0.0.1", st.port
+    ) as client:
+        status, _h, body = client.update("a", graph=dumbbell)
+        assert status == 200, body
+        answers = [
+            client.update("nope")[0],  # unknown graph_id
+            client.update("a", graph=dumbbell)[0],  # id taken
+            client.update("b", graph=dumbbell)[0],  # registry full
+        ]
+        stats = client.stats()
+    assert answers == [404, 409, 413]
+    assert [e["status"] for e in tracer.events("request_done")] == [
+        200, 404, 409, 413,
+    ]
+    assert stats["service"]["done_error"] == 3
+    validate_trace_events(tracer.events())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from multiprocessing.connection import wait
 from multiprocessing.process import BaseProcess
 
@@ -25,6 +24,8 @@ from repro.core.noi import noi_mincut
 from repro.core.parallel_capforest import _ROUND_WORKERS, parallel_capforest
 from repro.generators import connected_gnm
 from repro.runtime import FaultPlan, WorkerFault
+
+from .conftest import assert_workers_exit_when_owner_is_killed
 
 
 def _graphs(count: int, seed: int):
@@ -211,29 +212,6 @@ time.sleep(120)
 """
 
 
-def _running(pid: int) -> bool:
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
 def test_workers_exit_when_the_coordinator_is_killed():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    coordinator = subprocess.Popen([sys.executable, "-c", SOLVE_AND_WAIT],
-                                   stdout=subprocess.PIPE, text=True, env=env)
-    try:
-        pids = [int(pid) for pid in coordinator.stdout.readline().split()]
-    finally:
-        coordinator.kill()  # no exit handler runs
-        coordinator.wait(timeout=30)
-        coordinator.stdout.close()
-    assert len(pids) == 2
-    deadline = time.monotonic() + 30.0
-    while any(map(_running, pids)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not any(map(_running, pids))
+    assert_workers_exit_when_owner_is_killed(SOLVE_AND_WAIT, workers=2)

@@ -714,20 +714,32 @@ class TestDisconnectAndDrain:
         assert kinds.index("drain_begin") < kinds.index("drain_end")
 
     def test_drain_cancels_stragglers_after_grace(self, dumbbell):
+        # the hang's deadline sits far above the grace and well inside the
+        # client's socket timeout, so the straggler's answer always arrives
+        t0 = time.monotonic()
+        errors: list[Exception] = []
+
+        def straggle() -> None:
+            try:
+                with ServiceClient("127.0.0.1", st.port) as client:
+                    client.request("POST", "/v1/solve", hang)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
         with _tight_service() as st:
-            hang = _hang_payload(dumbbell, timeout_ms=60_000)
-            t = threading.Thread(
-                target=ServiceClient("127.0.0.1", st.port).request,
-                args=("POST", "/v1/solve", hang),
-            )
+            hang = _hang_payload(dumbbell, timeout_ms=3_000)
+            t = threading.Thread(target=straggle)
             t.start()
             deadline = time.monotonic() + 5.0
             while (st.service.admission.inflight < 1
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             summary = st.drain(grace=0.3)
-            t.join()
+            t.join(timeout=15.0)
+            assert not t.is_alive()
             assert summary["cancelled"] == 1
+        assert errors == []
+        assert time.monotonic() - t0 < 15.0
 
     def test_sigterm_drain_after_clients_close_logs_no_traceback(self, dumbbell):
         # clients closing keep-alive connections just before SIGTERM used to
