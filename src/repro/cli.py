@@ -55,7 +55,6 @@ from .runtime.errors import (
     ExecutorUnavailable,
     NoProgressError,
     RuntimeFault,
-    WorkerCrashed,
     WorkerTimeout,
 )
 

@@ -51,13 +51,13 @@ from ..graph.csr import Graph
 from ..graph.parallel_contract import parallel_contract_by_labels
 from ..kernels import resolve_kernel
 from ..observability import PARCUT_PHASES, STATS_SCHEMA_VERSION, Tracer
-from ..runtime.errors import NoProgressError, RuntimeFault
+from ..runtime.errors import NoProgressError
 from ..runtime.faults import FaultPlan
 from ..runtime.supervisor import call_with_degradation, raise_for_events
 from ..utils.timers import Timer
 from .capforest import capforest, check_queue
 from .noi import _absorb
-from .parallel_capforest import parallel_capforest
+from .parallel_capforest import check_executor, parallel_capforest
 from .result import MinCutResult
 
 
@@ -177,6 +177,7 @@ def parallel_mincut(
             f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
         )
     check_queue(pq_kind)
+    check_executor(executor, workers)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")
@@ -226,26 +227,10 @@ def parallel_mincut(
     if use_viecut:
         from ..viecut.viecut import viecut
 
-        # Algorithm 2 line 1 — the paper runs VieCut with all threads
-        vc_workers = workers if executor in ("threads", "processes") else 1
+        # Algorithm 2 line 1: VieCut's synchronous LP is the same on
+        # every executor, so the seed does not depend on the executor
         with timer.phase("viecut"):
-            try:
-                seed = viecut(
-                    graph, rng=rng, workers=vc_workers, tracer=tracer, kernel=kernel
-                )
-            except RuntimeFault as exc:
-                if on_worker_failure == "fail":
-                    raise
-                stats["degradations"].append(
-                    {"stage": "viecut", "from_workers": vc_workers, "to_workers": 1,
-                     "reason": str(exc)}
-                )
-                if tracer is not None:
-                    tracer.emit(
-                        "degradation", stage="viecut", from_workers=vc_workers,
-                        to_workers=1, reason=str(exc),
-                    )
-                seed = viecut(graph, rng=rng, workers=1, tracer=tracer, kernel=kernel)
+            seed = viecut(graph, rng=rng, tracer=tracer, kernel=kernel)
         stats["viecut_value"] = seed.value
         if seed.value < best_value:
             best_value = seed.value

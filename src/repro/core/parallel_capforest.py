@@ -14,7 +14,7 @@ Each worker maintains its own ``r`` values, priority queue, and scan cut
 the graph — a real cut of G, so it may lower ``λ̂``).  Contractible edges
 are recorded as unions; depending on the executor these go to a shared
 lock-striped union–find (threads), a plain union–find (serial), or
-per-worker merge buffers replayed afterwards (processes) — all equivalent
+per-worker pair rows replayed afterwards (processes) — all equivalent
 because unions commute (Lemma 3.2(1)).
 
 Workers run the ``scalar`` relaxation kernel (one Python iteration per
@@ -324,6 +324,19 @@ _REGION_WORKERS = {
 }
 
 
+def check_executor(executor: str, workers: int) -> None:
+    """Validate a parallel pass's executor and worker count.
+
+    ``executor`` must be one of :data:`EXECUTORS` and ``workers`` at
+    least 1.  ParCut calls this on entry, before VieCut runs, so a bad
+    option fails on every graph, the tiny ones included.
+    """
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def parallel_capforest(
     graph: Graph,
     lambda_hat: int,
@@ -376,10 +389,7 @@ def parallel_capforest(
     """
     if lambda_hat < 0:
         raise ValueError(f"lambda_hat must be non-negative, got {lambda_hat}")
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_executor(executor, workers)
     kernel, _ = resolve_kernel(kernel, tracer=tracer)
     n = graph.n
     if n == 0:

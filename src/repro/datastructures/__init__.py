@@ -2,7 +2,7 @@
 
 from .binary_heap import HeapPQ
 from .bucket_pq import BQueuePQ, BStackPQ
-from .concurrent_union_find import LockStripedUnionFind, MergeBufferUnionFind
+from .concurrent_union_find import LockStripedUnionFind
 from .pq import PQ_NAMES, MaxPriorityQueue, PQStats, make_pq
 from .union_find import UnionFind
 
@@ -11,7 +11,6 @@ __all__ = [
     "BQueuePQ",
     "BStackPQ",
     "LockStripedUnionFind",
-    "MergeBufferUnionFind",
     "PQ_NAMES",
     "MaxPriorityQueue",
     "PQStats",

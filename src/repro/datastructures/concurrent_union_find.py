@@ -1,22 +1,15 @@
-"""Concurrent union–find variants for the parallel CAPFOREST workers.
+"""Concurrent union–find for the thread executor of parallel CAPFOREST.
 
 The paper uses the wait-free union–find of Anderson & Woll so that all
 workers can union into one shared structure without coordination.  CPython
-offers no compare-and-swap on arrays, so we provide two semantically
-equivalent substitutes (documented in DESIGN.md):
-
-* :class:`LockStripedUnionFind` — a shared structure whose ``union`` takes
-  one of ``k`` stripe locks (both stripes, ordered, to avoid deadlock).
-  ``find`` is lock-free: concurrent path-halving writes are benign because
-  they only ever replace a parent pointer with an ancestor.  Used by the
-  thread executor.
-
-* :class:`MergeBufferUnionFind` — workers append ``(u, v)`` pairs to a
-  private buffer; the coordinator replays all buffers into a sequential
-  :class:`~repro.datastructures.union_find.UnionFind` afterwards.  The paper
-  (Lemma 3.2(1)) notes union operations commute, so deferred replay yields
-  the same partition.  Used by the process executor, where shipping pairs
-  over a pipe is far cheaper than sharing the forest.
+offers no compare-and-swap on arrays, so :class:`LockStripedUnionFind` is
+a semantically equivalent substitute (documented in DESIGN.md): ``union``
+takes one of ``k`` stripe locks (both stripes, ordered, to avoid
+deadlock), and ``find`` is lock-free, because concurrent path-halving
+writes only ever replace a parent pointer with an ancestor.  The process
+executor shares no forest: its workers' marks come back as pair rows of
+the shared-memory plane, which the coordinator replays into a sequential
+union–find.
 """
 
 from __future__ import annotations
@@ -94,28 +87,3 @@ class LockStripedUnionFind:
     def labels(self) -> np.ndarray:
         return self.to_sequential().labels()
 
-
-class MergeBufferUnionFind:
-    """Per-worker append-only union buffer, replayed by the coordinator.
-
-    Each worker gets its own instance (no sharing, no locks).  The
-    coordinator calls :meth:`replay_into` with all buffers.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self) -> None:
-        self.pairs: list[tuple[int, int]] = []
-
-    def union(self, x: int, y: int) -> bool:
-        self.pairs.append((x, y))
-        return True  # optimistic; definitive answer only after replay
-
-    @staticmethod
-    def replay_into(uf: UnionFind, buffers: "list[MergeBufferUnionFind] | list[list[tuple[int, int]]]") -> UnionFind:
-        """Apply every buffered pair to ``uf``; order is irrelevant."""
-        for buf in buffers:
-            pairs = buf.pairs if isinstance(buf, MergeBufferUnionFind) else buf
-            for x, y in pairs:
-                uf.union(x, y)
-        return uf

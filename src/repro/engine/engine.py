@@ -377,7 +377,9 @@ class SolverEngine:
         are evicted by lineage (:meth:`ResultCache.invalidate_digest` —
         other graphs' entries survive).  Then the cheapest exact path wins:
 
-        1. **cache** — an identical request on the post-update graph;
+        1. **cache** — an identical request on the post-update graph; a
+           cached exact result with a side also seeds the warm state, as
+           a cold solve does, unless the state already holds this graph;
         2. **fast path** — the carried λ̂ bounds meet across the batch and
            the re-priced old side (or a touched trivial cut) is *proven*
            minimum without solving (:mod:`repro.dynamic.warm`);
@@ -428,23 +430,32 @@ class SolverEngine:
                 apply_seconds=round(time.monotonic() - t0, 6),
             )
             key = request_key(delta.new_digest, algorithm, kwargs, options)
+            kernel = kwargs.get("kernel", "scalar")
+            state = dynamic.warm
             if cache:
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._emit("cache_hit", digest=delta.new_digest,
                                source="update")
+                    # seed the warm state as a cold solve does; keep a state
+                    # already on this digest (make_warm_state runs a CAPFOREST
+                    # pass, and every update-stream read lands here)
+                    if ((state is None or state.digest != delta.new_digest)
+                            and algorithm in EXACT_ALGORITHMS
+                            and cached.side is not None):
+                        dynamic.warm = make_warm_state(
+                            graph, delta.new_digest, cached, kernel=kernel
+                        )
                     with self._lock:
                         self._counters["updates"] += 1
                         self._counters["cache_invalidated"] += invalidated
                     return cached
 
-            state = dynamic.warm
             out = None
             if state is not None and state.digest == old_digest:
                 out = warm_solve(
                     graph, state, delta, algorithm=algorithm, kwargs=kwargs
                 )
-            kernel = kwargs.get("kernel", "scalar")
             if out is not None:
                 result, info = out
                 if options["all_cuts"]:

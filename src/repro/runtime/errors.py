@@ -1,7 +1,7 @@
 """Structured failure taxonomy for the supervised execution runtime.
 
 Every parallel code path in this package (parallel CAPFOREST, parallel
-contraction, VieCut label propagation, parallel Matula) reports failures
+contraction, parallel Matula) reports failures
 through these types instead of hanging or raising bare ``ValueError``s.
 The hierarchy is deliberately shallow:
 

@@ -7,6 +7,11 @@ fixed number of rounds the vertices are visited in random order and each
 adopts the label with the largest total incident edge weight among its
 neighbours.  Sequential running time is O(n + m) per round.
 
+VieCut runs :func:`propagate_labels_sync` on every executor.  Each of its
+half-rounds reads only labels fixed before the half-round starts, so it is
+the paper's shared-memory parallel label propagation without the races:
+the same clustering for a given seed, whatever the executor.
+
 Cluster contraction must only merge *connected* vertex sets, so
 :func:`cluster_labels` finalizes by unioning the endpoints of every edge
 whose endpoints share a label — any same-label vertices that are not
@@ -20,7 +25,7 @@ import numpy as np
 from ..graph.csr import Graph
 
 #: propagation engines accepted by :func:`cluster_labels` (``method=``)
-LP_METHODS = ("async", "sync", "parallel")
+LP_METHODS = ("async", "sync")
 
 
 def propagate_labels(
@@ -161,100 +166,11 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def propagate_labels_parallel(
-    graph: Graph,
-    *,
-    iterations: int = 2,
-    workers: int = 4,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Shared-memory parallel label propagation (the VieCut configuration).
-
-    The permutation of each round is split into per-worker chunks processed
-    by real threads over one shared label array.  Reads of neighbours'
-    labels race with writes by other workers — the classic benign race of
-    parallel label propagation (Raghavan et al. [29]): a stale label only
-    means a vertex acts on slightly older information, which the next round
-    repairs; clustering quality is statistically unchanged.  Matches the
-    paper's description of VieCut as "a shared-memory parallel
-    implementation of the label propagation algorithm".
-
-    Under CPython the GIL serializes the chunk loops (wall-clock parity,
-    not speedup — DESIGN.md §2); the *structure* (shared array, chunked
-    permutation, racy reads) is the paper's.
-    """
-    import threading
-
-    if iterations < 0:
-        raise ValueError(f"iterations must be non-negative, got {iterations}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    n = graph.n
-    labels = list(range(n))
-    xadj = graph.xadj.tolist()
-    adjncy = graph.adjncy
-    adjwgt = graph.adjwgt
-
-    def work(chunk: list[int]) -> None:
-        for v in chunk:
-            lo, hi = xadj[v], xadj[v + 1]
-            if lo == hi:
-                continue
-            gain: dict[int, int] = {}
-            for u, w in zip(adjncy[lo:hi].tolist(), adjwgt[lo:hi].tolist()):
-                lab = labels[u]
-                gain[lab] = gain.get(lab, 0) + w
-            own = labels[v]
-            best_label, best_gain = own, gain.get(own, 0)
-            for lab, g in gain.items():
-                if g > best_gain:
-                    best_label, best_gain = lab, g
-            if best_label != own:
-                labels[v] = best_label
-
-    for _ in range(iterations):
-        order = rng.permutation(n).tolist()
-        p = min(workers, max(1, n))
-        chunk_size = (n + p - 1) // p
-        chunks = [order[i : i + chunk_size] for i in range(0, n, chunk_size)]
-        failures: list[tuple[int, Exception]] = []
-
-        def guarded(idx: int, chunk: list[int]) -> None:
-            try:
-                work(chunk)
-            except Exception as exc:  # noqa: BLE001 - worker death must surface
-                failures.append((idx, exc))
-
-        threads = [
-            threading.Thread(target=guarded, args=(i, c)) for i, c in enumerate(chunks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            # a dead chunk worker means this round's labels are only
-            # partially propagated — surface it so callers can degrade to
-            # the sequential engine instead of silently clustering worse
-            from ..runtime.errors import ExecutorUnavailable
-            from ..runtime.supervisor import worker_event
-
-            raise ExecutorUnavailable(
-                "threads",
-                "label-propagation chunk worker died",
-                [worker_event(i, "crashed", detail=str(e)) for i, e in failures],
-            )
-    return np.array(labels, dtype=np.int64)
-
-
 def cluster_labels(
     graph: Graph,
     *,
     iterations: int = 2,
     rng: np.random.Generator | int | None = None,
-    workers: int = 1,
     method: str = "async",
 ) -> np.ndarray:
     """Dense, connectivity-respecting cluster labels in ``[0, nc)``.
@@ -264,17 +180,12 @@ def cluster_labels(
     VieCut contracts.
 
     ``method`` selects the propagation engine: ``"async"`` (the reference
-    sequential scan), ``"sync"`` (vectorized synchronous rounds — the fast
-    path VieCut uses by default), or ``"parallel"`` (threaded
-    asynchronous; also selected by ``workers > 1``).
+    sequential scan) or ``"sync"`` (vectorized synchronous rounds — the
+    path VieCut uses by default, on every ParCut executor).
     """
     if method not in LP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {LP_METHODS}")
-    if workers > 1 or method == "parallel":
-        raw = propagate_labels_parallel(
-            graph, iterations=iterations, workers=max(workers, 2), rng=rng
-        )
-    elif method == "sync":
+    if method == "sync":
         raw = propagate_labels_sync(graph, iterations=iterations, rng=rng)
     else:
         raw = propagate_labels(graph, iterations=iterations, rng=rng)

@@ -22,7 +22,6 @@ from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_labels, contract_by_union_find
 from ..graph.csr import Graph
 from ..core.result import MinCutResult
-from ..runtime.errors import RuntimeFault
 from .label_propagation import LP_METHODS, cluster_labels
 from .padberg_rinaldi import padberg_rinaldi_marks
 
@@ -34,7 +33,6 @@ def viecut(
     small_threshold: int = 64,
     max_rounds: int = 32,
     rng: np.random.Generator | int | None = None,
-    workers: int = 1,
     lp_method: str = "sync",
     kernel: str = "scalar",
     pr34_max_arcs: int = 1 << 16,
@@ -55,17 +53,14 @@ def viecut(
         and may stall; a stalled round falls through to the exact solve).
     rng:
         Seed or generator.
-    workers:
-        ``> 1`` runs the label-propagation rounds with shared-memory
-        threads (the paper's parallel VieCut; see
-        :func:`~repro.viecut.label_propagation.propagate_labels_parallel`).
     lp_method:
-        Label-propagation engine when ``workers == 1``: ``"sync"``
-        (vectorized, the fast default), ``"async"`` (reference scan) or
-        ``"parallel"`` (:data:`~repro.viecut.label_propagation.LP_METHODS`;
-        checked on entry, even when the graph is too small to cluster).
-        The default stays ``"sync"`` regardless of ``kernel`` so a
-        solver's clustering is identical across kernels.
+        Label-propagation engine
+        (:data:`~repro.viecut.label_propagation.LP_METHODS`): ``"sync"``
+        (synchronous half-rounds as array passes, the default) or
+        ``"async"`` (the reference sequential scan).  Checked on entry,
+        even when the graph is too small to cluster.  The default stays
+        ``"sync"`` regardless of ``kernel`` so a solver's clustering is
+        identical across kernels.
     kernel:
         Relaxation kernel for the final exact NOI solve on the remnant
         graph (:data:`repro.kernels.KERNELS`; resolved through
@@ -108,7 +103,7 @@ def viecut(
         "kernel_fallback": kernel_fb,
     }
     if tracer is not None:
-        tracer.emit("viecut_start", n=n, m=graph.m, workers=workers, lp_method=lp_method)
+        tracer.emit("viecut_start", n=n, m=graph.m, lp_method=lp_method)
 
     ncomp, comp_labels = connected_components(graph)
     if ncomp > 1:
@@ -126,23 +121,8 @@ def viecut(
     for _ in range(max_rounds):
         if g.n <= small_threshold:
             break
-        # level: label propagation clustering + contraction.  A parallel LP
-        # whose chunk workers die degrades (stickily) to the sequential
-        # engine — clustering is a heuristic, so swapping engines never
-        # affects the upper-bound contract, only speed.
-        try:
-            clusters = cluster_labels(
-                g, iterations=lp_iterations, rng=rng, workers=workers, method=lp_method
-            )
-        except RuntimeFault as exc:
-            stats["lp_degradations"] = stats.get("lp_degradations", 0) + 1
-            stats["lp_degradation_reason"] = str(exc)
-            workers = 1
-            if lp_method == "parallel":
-                lp_method = "sync"
-            clusters = cluster_labels(
-                g, iterations=lp_iterations, rng=rng, workers=1, method=lp_method
-            )
+        # level: label propagation clustering + contraction
+        clusters = cluster_labels(g, iterations=lp_iterations, rng=rng, method=lp_method)
         if int(clusters.max()) + 1 == g.n:
             break  # no cluster merged anything; LP has stalled
         level_n = g.n

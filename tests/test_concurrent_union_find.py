@@ -4,9 +4,8 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.datastructures import LockStripedUnionFind, MergeBufferUnionFind, UnionFind
+from repro.datastructures import LockStripedUnionFind, UnionFind
 
 
 class TestLockStriped:
@@ -63,46 +62,3 @@ class TestLockStriped:
         for x in range(n):
             for y in (0, n // 2, n - 1):
                 assert uf.same(x, y) == ref.same(x, y)
-
-
-class TestMergeBuffer:
-    def test_buffers_replay(self):
-        buffers = [MergeBufferUnionFind(), MergeBufferUnionFind()]
-        buffers[0].union(0, 1)
-        buffers[1].union(2, 3)
-        buffers[1].union(1, 2)
-        uf = MergeBufferUnionFind.replay_into(UnionFind(5), buffers)
-        assert uf.same(0, 3)
-        assert not uf.same(0, 4)
-
-    def test_raw_pair_lists_accepted(self):
-        uf = MergeBufferUnionFind.replay_into(UnionFind(4), [[(0, 1)], [(2, 3)]])
-        assert uf.same(0, 1) and uf.same(2, 3)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(1, 40),
-        data=st.data(),
-    )
-    def test_property_order_independent(self, n, data):
-        """Unions commute: any buffer split/permutation yields one partition
-        (paper Lemma 3.2(1))."""
-        pairs = data.draw(
-            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
-        )
-        perm = data.draw(st.permutations(pairs))
-        split = data.draw(st.integers(0, len(pairs)))
-        direct = UnionFind(n)
-        for a, b in pairs:
-            direct.union(a, b)
-        buffered = MergeBufferUnionFind.replay_into(
-            UnionFind(n), [list(perm[:split]), list(perm[split:])]
-        )
-        # same partition: label values may differ (roots depend on order),
-        # the induced equivalence must not
-        la, lb = direct.labels(), buffered.labels()
-        mapping: dict[int, int] = {}
-        reverse: dict[int, int] = {}
-        for a, b in zip(la.tolist(), lb.tolist()):
-            assert mapping.setdefault(a, b) == b
-            assert reverse.setdefault(b, a) == a

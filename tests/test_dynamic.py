@@ -27,6 +27,7 @@ from repro.dynamic import (
     warm_solve,
 )
 from repro.engine import ResultCache, SolverEngine, graph_digest, request_key
+from repro.generators import connected_gnm
 from repro.graph import from_edges
 from repro.observability import Tracer
 from repro.observability.schema import validate_trace_events
@@ -298,6 +299,25 @@ class TestEngineUpdateStreams:
             res = inline_engine.update(dyn, inserts, (), rng=0)
             edges = _apply_to_dict(edges, inserts, ())
             assert res.value == oracle_mincut(_rebuild(n, edges))
+
+    def test_cache_hit_seeds_warm_state(self, inline_engine):
+        g = connected_gnm(200, 800, rng=3, weights=(1, 5))
+        batch = [(0, 199, 1)]
+        inline_engine.solve(g, rng=0)
+        dyn = DynamicGraph(g)
+        inline_engine.update(dyn, rng=0)  # registration served from the cache
+        assert dyn.warm is not None and dyn.warm.digest == dyn.digest
+        state = dyn.warm
+        inline_engine.update(dyn, rng=0)  # a read keeps the state it has
+        assert dyn.warm is state
+        res = inline_engine.update(dyn, inserts=batch, rng=0)
+        assert res.stats["warm"]["mode"] == "fast-path"
+        assert res.value == oracle_mincut(dyn.graph)
+        # a batch that lands on a cached graph moves the state to that graph
+        other = DynamicGraph(g)
+        inline_engine.update(other, rng=0)
+        inline_engine.update(other, inserts=batch, rng=0)  # cache hit
+        assert other.warm.digest == other.digest
 
     def test_update_counters_and_cache_lineage(self, dumbbell):
         with SolverEngine(pool_size=0) as eng:

@@ -175,30 +175,3 @@ class TestMatulaFaults:
         # approximation guarantee must hold even after degradation
         assert truth <= res.value <= (2 + 0.5) * truth
         assert res.stats["degradations"]
-
-
-class TestViecutDegradation:
-    def test_lp_failure_falls_back_to_sequential(self, fault_graph, monkeypatch):
-        """A dead label-propagation chunk worker must not sink the seed."""
-        import importlib
-
-        vc_mod = importlib.import_module("repro.viecut.viecut")
-        viecut = vc_mod.viecut
-
-        def boom(graph, *, iterations, rng, workers, method):
-            if workers > 1 or method == "parallel":
-                raise ExecutorUnavailable(
-                    "threads", "label-propagation chunk worker died"
-                )
-            return real_cluster_labels(
-                graph, iterations=iterations, rng=rng, workers=workers, method=method
-            )
-
-        real_cluster_labels = vc_mod.cluster_labels
-        monkeypatch.setattr(vc_mod, "cluster_labels", boom)
-        g, truth = fault_graph
-        res = viecut(g, rng=0, workers=4, small_threshold=8)
-        # viecut is inexact but always returns a *valid* cut
-        assert res.value >= truth
-        assert res.stats["lp_degradations"] >= 1
-        assert "chunk worker died" in res.stats["lp_degradation_reason"]

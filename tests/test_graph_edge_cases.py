@@ -8,7 +8,6 @@ from repro.generators import gnm
 from repro.graph import (
     Graph,
     check_graph,
-    connected_components,
     from_edges,
     induced_subgraph,
     largest_component,

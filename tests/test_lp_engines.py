@@ -1,15 +1,11 @@
-"""Tests for the three label-propagation engines and their agreement."""
+"""Tests for the two label-propagation engines and their agreement."""
 
 import numpy as np
 import pytest
 
 from repro.generators import chung_lu, connected_gnm
 from repro.viecut import cluster_labels
-from repro.viecut.label_propagation import (
-    propagate_labels,
-    propagate_labels_parallel,
-    propagate_labels_sync,
-)
+from repro.viecut.label_propagation import propagate_labels_sync
 
 
 class TestSyncEngine:
@@ -65,22 +61,20 @@ class TestEngineAgreement:
     """The engines are different heuristics; they must agree on *structure*
     (cluster quality on community graphs), not on exact labels."""
 
-    @pytest.mark.parametrize("method", ["async", "sync", "parallel"])
+    @pytest.mark.parametrize("method", ["async", "sync"])
     def test_community_graph_coarsens(self, method):
         g = chung_lu(600, 14, gamma=2.5, communities=6, mu=0.8, rng=2)
-        kwargs = {"workers": 3} if method == "parallel" else {}
-        labels = cluster_labels(g, iterations=3, rng=0, method=method, **kwargs)
+        labels = cluster_labels(g, iterations=3, rng=0, method=method)
         nc = labels.max() + 1
         assert 2 <= nc <= g.n // 3, f"{method}: {nc} clusters"
 
-    @pytest.mark.parametrize("method", ["async", "sync", "parallel"])
+    @pytest.mark.parametrize("method", ["async", "sync"])
     def test_clusters_connected(self, method):
         from repro.graph.components import connected_components_bfs, induced_subgraph
 
         rng = np.random.default_rng(4)
         g = connected_gnm(40, 90, rng=rng)
-        kwargs = {"workers": 2} if method == "parallel" else {}
-        labels = cluster_labels(g, iterations=2, rng=1, method=method, **kwargs)
+        labels = cluster_labels(g, iterations=2, rng=1, method=method)
         for c in range(labels.max() + 1):
             sub, _ = induced_subgraph(g, np.flatnonzero(labels == c))
             ncomp, _ = connected_components_bfs(sub)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mincut import parallel_mincut
-from repro.generators import connected_gnm
-from repro.graph import from_edges
+from repro.generators import chung_lu, connected_gnm
+from repro.graph import from_edges, largest_component
+from repro.observability import Tracer
 
 from .conftest import oracle_mincut
 
@@ -107,3 +108,18 @@ def test_processes_executor_exact():
         res = parallel_mincut(g, workers=3, executor="processes", rng=rng)
         assert res.value == oracle_mincut(g)
         assert res.verify(g)
+
+
+def test_viecut_seed_does_not_depend_on_executor():
+    """Every executor seeds λ̂ with the same synchronous label propagation,
+    so one rng gives one VieCut clustering and one seed value."""
+    g, _ = largest_component(chung_lu(600, 12, gamma=2.5, communities=6, mu=0.7, rng=2))
+    seeds = {}
+    for executor in ("serial", "threads", "processes"):
+        tracer = Tracer()
+        res = parallel_mincut(g, workers=2, executor=executor, rng=5, tracer=tracer)
+        levels = [(ev["n_before"], ev["n_after"]) for ev in tracer.events("viecut_level")]
+        seeds[executor] = (levels, res.stats["viecut_value"])
+        assert res.value == oracle_mincut(g)
+    assert seeds["threads"] == seeds["serial"]
+    assert seeds["processes"] == seeds["serial"]

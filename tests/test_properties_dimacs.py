@@ -123,30 +123,3 @@ class TestDimacs:
         bad.write_text("p cut 4 4\na 1 2 1\n")
         with pytest.raises(ValueError, match="declares"):
             read_dimacs(bad)
-
-
-class TestParallelLabelPropagation:
-    def test_parallel_matches_quality(self, dumbbell):
-        from repro.viecut import cluster_labels
-
-        labels = cluster_labels(dumbbell, iterations=3, rng=0, workers=3)
-        left = {labels[i] for i in range(4)}
-        right = {labels[i] for i in range(4, 8)}
-        assert len(left) == 1 and len(right) == 1 and left != right
-
-    def test_parallel_viecut_still_valid(self):
-        from repro.generators import connected_gnm
-        from repro.viecut import viecut
-
-        rng = np.random.default_rng(3)
-        g = connected_gnm(120, 420, rng=rng, weights=(1, 5))
-        res = viecut(g, rng=1, workers=4)
-        assert res.verify(g)
-
-    def test_invalid_workers(self, dumbbell):
-        from repro.viecut import propagate_labels_parallel
-
-        with pytest.raises(ValueError):
-            propagate_labels_parallel(dumbbell, workers=0)
-        with pytest.raises(ValueError):
-            propagate_labels_parallel(dumbbell, iterations=-1)

@@ -182,7 +182,7 @@ class TestNoProgressWatchdog:
         monkeypatch.setattr(
             mincut_mod,
             "parallel_contract_by_labels",
-            lambda g, labels, workers=4, kernel=None: (g, np.arange(g.n, dtype=np.int64)),
+            lambda g, labels, workers=4: (g, np.arange(g.n, dtype=np.int64)),
         )
         g = connected_gnm(20, 40, rng=np.random.default_rng(0), weights=(1, 4))
         with pytest.raises(NoProgressError):

@@ -1,8 +1,9 @@
 """Solver options are checked on entry, and NOI reports its phase times.
 
-An invalid queue or label-propagation option used to surface only on the
-path that consumed it: a two-vertex or disconnected graph returned a value
-where a triangle raised.  Every solver now rejects it before any work.
+An invalid queue, executor, worker-count or label-propagation option used
+to surface only on the path that consumed it: a two-vertex or disconnected
+graph returned a value where a triangle raised.  Every solver now rejects
+it before any work.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ class TestOptionsCheckedOnEntry:
             minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, bounded=False,
                         pq_kind=pq_kind)
 
+    @pytest.mark.parametrize("option, match", [
+        ({"executor": "bogus"}, "unknown executor 'bogus'"),
+        ({"workers": 0}, "workers must be >= 1"),
+    ], ids=["executor", "workers"])
+    def test_bad_executor_option(self, name, option, match):
+        with pytest.raises(ValueError, match=match):
+            minimum_cut(SMALL_GRAPHS[name], algorithm="parcut", **option)
+
     def test_unknown_lp_method(self, name):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             viecut(SMALL_GRAPHS[name], lp_method="bogus")
@@ -65,6 +74,22 @@ def test_noi_viecut_fails_before_viecut(monkeypatch):
         minimum_cut(g, algorithm="noi-viecut", pq_kind="bogus")
     with pytest.raises(ValueError, match="requires the heap queue"):
         minimum_cut(g, algorithm="noi-viecut", bounded=False, pq_kind="bqueue")
+
+
+def test_parcut_fails_before_viecut(monkeypatch):
+    vc_mod = importlib.import_module("repro.viecut.viecut")
+
+    def boom(*args, **kwargs):
+        raise AssertionError("VieCut ran before the options were checked")
+
+    monkeypatch.setattr(vc_mod, "viecut", boom)
+    g = connected_gnm(80, 240, rng=3)
+    with pytest.raises(ValueError, match="unknown priority queue kind"):
+        parallel_mincut(g, pq_kind="bogus")
+    with pytest.raises(ValueError, match="unknown executor"):
+        parallel_mincut(g, executor="bogus")
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        parallel_mincut(g, workers=0, executor="processes")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.generators import connected_gnm
 from repro.graph import from_edges
 from repro.viecut import (
     cluster_labels,
-    padberg_rinaldi_marks,
     pr12_marks,
     pr34_marks,
     propagate_labels,
