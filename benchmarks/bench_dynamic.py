@@ -96,6 +96,8 @@ def test_record_dynamic_update_throughput():
 
             # speed may never buy a wrong answer
             assert warm.value == cold.value
+            # the update path reads the same default kernel as a cold solve
+            kernel = cold.stats["kernel_resolved"]
             mode = warm.stats["warm"]["mode"]
             modes[mode] = modes.get(mode, 0) + 1
             warm_walls.append(warm_wall)
@@ -107,7 +109,7 @@ def test_record_dynamic_update_throughput():
         {
             "variant": "cold-resolve",
             "graph": GRAPH_NAME,
-            "kernel": "scalar",
+            "kernel": kernel,
             "executor": "inline",
             "wall_s": round(sum(cold_walls), 6),
             "batches": BATCHES,
@@ -116,7 +118,7 @@ def test_record_dynamic_update_throughput():
         {
             "variant": "engine-warm-update",
             "graph": GRAPH_NAME,
-            "kernel": "scalar",
+            "kernel": kernel,
             "executor": "inline",
             "wall_s": round(sum(warm_walls), 6),
             "batches": BATCHES,

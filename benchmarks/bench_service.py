@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.capforest import DEFAULT_KERNEL
 from repro.generators.gnm import connected_gnm
 from repro.observability import BENCH_SCHEMA_VERSION, validate_bench_payload
 from repro.service import ServiceConfig, fire_concurrent, graph_payload
@@ -95,13 +96,13 @@ def _run_mix(port: int, requests: list[dict], *, concurrency: int):
     return wall, records
 
 
-def _record(variant: str, wall: float, records: list[dict], *,
+def _record(variant: str, wall: float, records: list[dict], *, kernel: str,
             executor: str, extra: dict | None = None) -> dict:
     ok = [r for r in records if r["status"] == 200]
     entry = {
         "variant": variant,
         "graph": GRAPH_NAME,
-        "kernel": "scalar",
+        "kernel": kernel,
         "executor": executor,
         "wall_s": round(wall, 6),
         "requests": len(records),
@@ -152,14 +153,16 @@ def test_record_service_load():
                 assert rec["body"]["value"] == direct.value
             ratios.append(direct_walls[-1] / wall)
 
+        # every solve of this engine runs its default algorithm's kernel
+        kernel = direct_results[0].stats["kernel_resolved"]
         records_out.append(_record(
             "steady-uncached", min(service_walls), last_records,
-            executor="http-pool",
+            kernel=kernel, executor="http-pool",
         ))
         records_out.append({
             "variant": "direct-engine-uncached",
             "graph": GRAPH_NAME,
-            "kernel": "scalar",
+            "kernel": kernel,
             "executor": "engine-pool",
             "wall_s": round(min(direct_walls), 6),
             "requests": SOLVES,
@@ -174,14 +177,14 @@ def test_record_service_load():
             assert rec["status"] == 200
             assert rec["body"]["value"] == expected[rec["body"]["n"]]
         records_out.append(_record("steady-hot", hot_wall, hot_recs,
-                                   executor="http-pool"))
+                                   kernel=kernel, executor="http-pool"))
 
         # -- heavy: few huge graphs, low concurrency -----------------------
         heavy_reqs = _solve_requests(heavy, cache=False, repeat=len(heavy) * 2)
         heavy_wall, heavy_recs = _run_mix(st.port, heavy_reqs, concurrency=2)
         assert all(r["status"] == 200 for r in heavy_recs)
         records_out.append(_record("heavy", heavy_wall, heavy_recs,
-                                   executor="http-pool"))
+                                   kernel=kernel, executor="http-pool"))
 
     # -- overload: a tiny budget, pre-occupied, then a burst ---------------
     with ServiceThread(
@@ -229,7 +232,8 @@ def test_record_service_load():
             assert "queue_depth" in rec["body"]
         shed_rate = len(shed) / len(burst_recs)
         records_out.append(_record(
-            "overload", burst_wall, burst_recs, executor="http-pool",
+            "overload", burst_wall, burst_recs, kernel=DEFAULT_KERNEL,
+            executor="http-pool",
             extra={"shed": len(shed), "shed_rate": round(shed_rate, 4)},
         ))
 

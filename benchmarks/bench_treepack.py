@@ -78,12 +78,15 @@ def test_record_treepack_crossover():
         ratios.append(rung_ratio)
         crossover.append({"n": spec["n"], "m": spec["m"],
                           "noi_over_treepack": round(rung_ratio, 4)})
-        for variant, walls in (("noi-viecut", noi_walls),
-                               ("karger-nlt", tp_walls)):
+        # karger-nlt runs no CAPFOREST: its loops are plain Python
+        for variant, walls, kernel in (
+            ("noi-viecut", noi_walls, noi.stats["kernel_resolved"]),
+            ("karger-nlt", tp_walls, "scalar"),
+        ):
             records.append({
                 "variant": variant,
                 "graph": f"gnm-{spec['n']}-{spec['m']}",
-                "kernel": "scalar",
+                "kernel": kernel,
                 "executor": "serial",
                 "wall_s": round(min(walls), 6),
                 "n": spec["n"],

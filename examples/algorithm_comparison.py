@@ -20,7 +20,8 @@ print(f"instance: RHG  n={graph.n} m={graph.m} "
       f"min_degree={int(graph.weighted_degrees().min())}")
 
 ALGOS = [
-    ("noi-viecut", dict()),          # NOIλ̂-Heap-VieCut — the paper's champion
+    ("noi-viecut", dict()),          # NOIλ̂-BQueue-VieCut — the default
+    ("noi-viecut", dict(pq_kind="heap")),  # NOIλ̂-Heap-VieCut — the paper's champion
     ("noi", dict(pq_kind="bstack")),  # NOIλ̂-BStack
     ("noi", dict(pq_kind="bqueue")),  # NOIλ̂-BQueue
     ("noi", dict(pq_kind="heap")),    # NOIλ̂-Heap

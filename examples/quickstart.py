@@ -19,8 +19,9 @@ graph = builder.build()
 
 print(f"graph: {graph}")
 
-# The default algorithm is the paper's fastest sequential configuration:
-# VieCut seed + NOI with a bounded heap queue (NOIλ̂-Heap-VieCut).
+# The default algorithm is VieCut seed + NOI with a bounded BQueue on the
+# vector kernel (NOIλ̂-BQueue-VieCut); pq_kind="heap" selects the paper's
+# fastest sequential configuration, NOIλ̂-Heap-VieCut.
 result = minimum_cut(graph, rng=0)
 
 print(f"minimum cut value : {result.value}")

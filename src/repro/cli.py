@@ -117,14 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=sorted(ALGORITHMS),
         default="noi-viecut",
-        help="solver (default: noi-viecut, the paper's fastest sequential)",
+        help="solver (default: noi-viecut, NOIλ̂-BQueue-VieCut)",
     )
     ap.add_argument("--pq", choices=("bstack", "bqueue", "heap"), default=None,
-                    help="priority queue for noi/parcut variants")
+                    help="priority queue for noi/parcut variants "
+                    "(default: bqueue; heap when unbounded)")
     ap.add_argument("--kernel", choices=KERNELS, default=None,
                     help="CAPFOREST relaxation kernel for noi/parcut variants "
                     "(identical results; vector batches relaxations via numpy, "
-                    "compiled runs as vector)")
+                    "compiled runs as vector; default: vector, scalar for parcut)")
     ap.add_argument("--workers", type=int, default=None, help="parallel workers (parcut)")
     ap.add_argument(
         "--executor",

@@ -11,11 +11,16 @@ evaluates against — is reachable through one entry point::
 Algorithm names (paper variant in brackets):
 
 =================  ==========================================================
-``"noi"``          NOI with bounded heap queue [NOIλ̂-Heap]; kwargs:
-                   ``pq_kind``, ``bounded``, ``initial_bound``, ``kernel``
+``"noi"``          NOI with bounded BQueue on the ``vector`` kernel
+                   [NOIλ̂-BQueue]; kwargs: ``pq_kind``, ``bounded``,
+                   ``initial_bound``, ``kernel``
 ``"noi-hnss"``     NOI, unbounded heap [NOI-HNSS baseline]
-``"noi-viecut"``   VieCut seed + bounded NOI [NOIλ̂-Heap-VieCut] — the
-                   paper's fastest sequential configuration and the default
+``"noi-viecut"``   VieCut seed + bounded NOI [NOIλ̂-BQueue-VieCut] — the
+                   default; the paper's fastest sequential configuration
+                   is NOIλ̂-Heap-VieCut (``pq_kind="heap"``), but here only
+                   the BQueue's at-the-clamp drains batch in numpy.  Graphs
+                   of at most 64 vertices skip the VieCut seed, which
+                   would be an exact NOI solve of the same graph
 ``"parcut"``       Parallel system, Algorithm 2 [ParCutλ̂-BQueue]; kwargs:
                    ``workers``, ``executor``, ``pq_kind``, ``kernel``,
                    ``use_viecut``, ``start_method``, plus the
@@ -68,29 +73,35 @@ def _noi_hnss(graph: Graph, **kw) -> MinCutResult:
 def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
     from ..kernels import resolve_kernel
     from ..utils.timers import Timer
-    from ..viecut.viecut import viecut
-    from .capforest import check_queue
+    from ..viecut.viecut import SMALL_THRESHOLD, viecut
+    from .capforest import DEFAULT_KERNEL, check_queue
     from .noi import noi_mincut
 
-    # fail on a bad queue before VieCut runs (noi_mincut's own defaults)
-    check_queue(kw.get("pq_kind", "heap"), kw.get("bounded", True))
+    # fail on a bad queue before VieCut runs (noi_mincut's own rule)
+    check_queue(kw.get("pq_kind"), kw.get("bounded", True))
     rng = kw.pop("rng", None)
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
     compute_side = kw.get("compute_side", True)
     # noi_mincut resolves the kernel again and reports any fallback, once
-    kernel, _ = resolve_kernel(kw.get("kernel", "scalar"))
+    kernel, _ = resolve_kernel(kw.get("kernel", DEFAULT_KERNEL))
     timer = Timer()
-    with timer.phase("viecut"):
-        seed = viecut(graph, rng=rng, tracer=kw.get("tracer"), kernel=kernel)
+    seed = None
+    # VieCut clusters nothing on a graph this small: its seed would be an
+    # exact NOI solve of the very graph NOI is about to solve
+    if graph.n > SMALL_THRESHOLD:
+        with timer.phase("viecut"):
+            seed = viecut(graph, rng=rng, tracer=kw.get("tracer"), kernel=kernel)
     res = noi_mincut(
         graph,
-        initial_bound=seed.value,
-        initial_side=seed.side if compute_side else None,
+        initial_bound=None if seed is None else seed.value,
+        initial_side=seed.side if seed is not None and compute_side else None,
         rng=rng,
         **kw,
     )
-    res.stats["viecut_value"] = seed.value
+    if seed is None:
+        res.algorithm += "-viecut"  # the same variant, without its seed pass
+    res.stats["viecut_value"] = None if seed is None else seed.value
     res.stats["phase_seconds"] = {
         "viecut": round(timer.total("viecut"), 6), **res.stats["phase_seconds"]
     }
@@ -199,8 +210,12 @@ def minimum_cut(
         graphs return a cut of value 0.
     algorithm:
         Registry name (see module docstring).  The default,
-        ``"noi-viecut"``, is the configuration the paper finds fastest
-        sequentially on almost all instances.
+        ``"noi-viecut"``, runs NOIλ̂-BQueue-VieCut: VieCut's seed and
+        bounded NOI on the BQueue with the ``vector`` kernel.  The paper
+        finds NOIλ̂-Heap-VieCut fastest sequentially on almost all
+        instances (``pq_kind="heap"`` selects it); in this port only the
+        BQueue's at-the-clamp drains batch in numpy, which makes the
+        BQueue the faster default.
     engine:
         Optional :class:`repro.engine.SolverEngine`.  When given, the solve
         is routed through the engine — served from its result cache when

@@ -43,9 +43,12 @@ Two interchangeable kernels drive the scan, selected by ``kernel=``
     queue (to its final bucket) while the operation counters still account
     for every elided intermediate event.  Outside the batchable regime
     (other queue kinds, top bucket below the clamp, ``bounded=False``) the
-    vector kernel runs the scalar relaxation step, so results — λ̂, marks,
-    scan order, ``pq_stats`` — are bit-identical to ``kernel="scalar"``
-    for every configuration.
+    vector kernel runs the scalar relaxation step, reading and writing its
+    state arrays through memoryviews, so results — λ̂, marks, scan
+    order, ``pq_stats`` — are bit-identical to ``kernel="scalar"`` for
+    every configuration.  On a BQueue scan of fewer than
+    :data:`MIN_VECTOR_N` vertices, where too few drains pay for their
+    array set-up, ``kernel="vector"`` runs the scalar kernel itself.
 
 The registry also accepts ``"compiled"``, the name of a retired JIT tier:
 it resolves to ``"vector"`` with a ``kernel_fallback`` note
@@ -80,10 +83,23 @@ MAX_BUCKET_BOUND = 1 << 22
 #: ``batch_crossovers``)
 MIN_BATCH = 16
 
+#: below this many vertices a BQueue scan runs ``_capforest_scalar`` under
+#: ``kernel="vector"``: its at-the-clamp drains are too few and too short
+#: to pay for the vector kernel's array set-up (the kernels' crossover on
+#: the suite graphs, measured as IMPLEMENTATION_NOTES §11 describes)
+MIN_VECTOR_N = 160
+
 #: minimum arc-slice length before a *single* pop relaxes its slice with
 #: array expressions — below this the fixed per-call numpy overhead loses
 #: to the plain Python loop (measured on GNM instances)
 POP_VECTOR_MIN_DEGREE = 96
+
+#: the exact solvers' CAPFOREST configuration when a request names none:
+#: NOIλ̂-BQueue on the vector kernel (``noi``, ``noi-viecut``, the warm
+#: update path and the engine read these; a bare :func:`capforest` call
+#: keeps the paper's reference Heap and the scalar kernel)
+DEFAULT_PQ_KIND = "bqueue"
+DEFAULT_KERNEL = "vector"
 
 
 @dataclass
@@ -124,16 +140,22 @@ class CapforestResult:
         return mask
 
 
-def check_queue(pq_kind: str, bounded: bool = True) -> None:
-    """Validate a CAPFOREST queue configuration (the rule every solver shares).
+def check_queue(pq_kind: str | None = None, bounded: bool = True) -> str:
+    """Resolve and validate a CAPFOREST queue (the rule every solver shares).
 
+    ``pq_kind=None`` names no queue: a bounded scan then runs on
+    :data:`DEFAULT_PQ_KIND` and an unbounded one on the heap.  A named
     ``pq_kind`` must be one of :data:`~repro.datastructures.pq.PQ_NAMES`,
     and an unbounded scan must use the heap: a bucket queue needs a bound.
+    Returns the queue kind that runs.
     """
+    if pq_kind is None:
+        return DEFAULT_PQ_KIND if bounded else "heap"
     if pq_kind not in PQ_NAMES:
         raise ValueError(f"unknown priority queue kind {pq_kind!r}; expected one of {PQ_NAMES}")
     if not bounded and pq_kind != "heap":
         raise ValueError("unbounded CAPFOREST requires the heap queue (bucket queues need a bound)")
+    return pq_kind
 
 
 def capforest(
@@ -184,14 +206,16 @@ def capforest(
         still tracked in ``min_alpha`` since each α is a real cut.
     kernel:
         ``"scalar"`` (reference, one Python iteration per arc),
-        ``"vector"`` (batched numpy relaxation), or ``"compiled"``
-        (runs as ``"vector"``) — identical results either way, see module
-        docstring.
+        ``"vector"`` (batched numpy relaxation; the scalar kernel on a
+        BQueue scan below :data:`MIN_VECTOR_N` vertices), or
+        ``"compiled"`` (runs as ``"vector"``) — identical results either
+        way, see module docstring.
     tracer:
         Optional :class:`repro.observability.Tracer`.  One
         ``capforest_pass`` event is emitted per call — *pass* granularity,
         after the scan completes, so the relaxation hot loop never sees
         the tracer and a ``tracer=None`` run does zero added per-edge work.
+        Its ``kernel`` field names the kernel that ran the scan.
 
     Notes
     -----
@@ -201,7 +225,7 @@ def capforest(
     """
     if lambda_hat < 0:
         raise ValueError(f"lambda_hat must be non-negative, got {lambda_hat}")
-    check_queue(pq_kind, bounded)
+    pq_kind = check_queue(pq_kind, bounded)
     kernel, _ = resolve_kernel(kernel, tracer=tracer)
     n = graph.n
     uf = UnionFind(n)
@@ -218,6 +242,8 @@ def capforest(
         effective_kind = pq_kind if lambda_hat <= MAX_BUCKET_BOUND else "heap"
     else:
         effective_kind = "heap"
+    if kernel == "vector" and effective_kind == "bqueue" and n < MIN_VECTOR_N:
+        kernel = "scalar"  # the small-scan crossover (see MIN_VECTOR_N)
 
     pq = make_pq(
         effective_kind,
@@ -382,7 +408,9 @@ def _capforest_vector(
     drained and its concatenated arc slices are relaxed with array
     expressions.  All other pops fall through to the scalar relaxation step
     on the same state, so every observable output matches the scalar kernel
-    exactly.
+    exactly; that step indexes memoryviews of the two arrays, whose
+    items are plain ints (a numpy scalar read and compare costs several
+    times more, and the per-pop step runs once per arc).
     """
     n = graph.n
     xadj_np = graph.xadj
@@ -394,6 +422,8 @@ def _capforest_vector(
 
     pop_time = np.full(n, n, dtype=np.int64)
     r = np.zeros(n, dtype=np.int64)
+    pop_time_v = memoryview(pop_time)  # the per-pop step's views
+    r_v = memoryview(r)
     # per-batch weight sums stay exact in float64 (bincount) iff they stay
     # under 2**53; fall back to the slower exact integer scatter-add else
     small_weights = graph.total_weight() < (1 << 52)
@@ -426,13 +456,14 @@ def _capforest_vector(
     mark_vs: list = []
     scalar_marks: list[tuple[int, int]] = []
 
-    pq.insert_or_raise(start, 0)
+    insert = pq.insert_or_raise
+    insert(start, 0)
     next_restart = 0
     while True:
         if not len(pq):
             if not scan_all:
                 break
-            while next_restart < n and pop_time[next_restart] < n:
+            while next_restart < n and pop_time_v[next_restart] < n:
                 next_restart += 1
             if next_restart == n:
                 break
@@ -441,7 +472,7 @@ def _capforest_vector(
                 best_prefix = len(scan_order)
                 if not fixed_bound:
                     lam = 0
-            pq.insert_or_raise(next_restart, 0)
+            insert(next_restart, 0)
 
         # ---- batched path: drain the whole at-the-clamp top bucket --------
         # (top_bucket_len is an upper bound on the drain size; small top
@@ -626,9 +657,9 @@ def _capforest_vector(
             from ..runtime.errors import NoProgressError
 
             raise NoProgressError(f"scan popped more than {n} vertices")
-        rx = int(r[x])
+        rx = r_v[x]
         alpha += wdeg[x] - 2 * rx
-        pop_time[x] = len(scan_order)
+        pop_time_v[x] = len(scan_order)
         scan_order.append(x)
         if len(scan_order) < n and (min_alpha is None or alpha < min_alpha):
             min_alpha = alpha
@@ -660,10 +691,10 @@ def _capforest_vector(
                 pq.insert_many(ys, q)
             continue
         for y, w in zip(adjncy[lo:hi].tolist(), adjwgt[lo:hi].tolist()):
-            if pop_time[y] < n:
+            if pop_time_v[y] < n:
                 continue
             edges_scanned += 1
-            ry = int(r[y])
+            ry = r_v[y]
             q = ry + w
             if ry < lam <= q:
                 scalar_marks.append((x, y))
@@ -672,8 +703,8 @@ def _capforest_vector(
                     certificates.append((x, y, q, lam, True))
             elif record_certificates:
                 certificates.append((x, y, q, lam, False))
-            r[y] = q
-            pq.insert_or_raise(y, q)
+            r_v[y] = q
+            insert(y, q)
 
     if scalar_marks:
         pairs = np.asarray(scalar_marks, dtype=np.int64)

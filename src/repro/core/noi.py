@@ -14,6 +14,11 @@ Variants (the paper's experimental section):
   **NOIλ̂-BStack / NOIλ̂-BQueue / NOIλ̂-Heap** (§3.1.2–3.1.3)
 * pass ``initial_bound``/``initial_side`` from VieCut  →  **NOI-…-VieCut**
 
+Without a named queue or kernel a bounded solve runs NOIλ̂-BQueue on the
+``vector`` kernel (:data:`~repro.core.capforest.DEFAULT_PQ_KIND`,
+:data:`~repro.core.capforest.DEFAULT_KERNEL`) and an unbounded one runs on
+the heap (:func:`~repro.core.capforest.check_queue`).
+
 Progress guarantee: a *complete* CAPFOREST pass usually marks at least one
 edge, but with an externally supplied λ̂ this can fail; the driver then
 falls back to one maximum-adjacency phase and contracts the last two
@@ -32,7 +37,7 @@ from ..graph.contract import compose_labels, contract_by_union_find
 from ..graph.csr import Graph
 from ..kernels import resolve_kernel
 from ..utils.timers import Timer
-from .capforest import capforest, check_queue
+from .capforest import DEFAULT_KERNEL, capforest, check_queue
 from .result import MinCutResult
 
 #: phases timed in ``stats["phase_seconds"]`` (ParCut's names for the same work)
@@ -42,9 +47,9 @@ NOI_PHASES = ("capforest", "contract")
 def noi_mincut(
     graph: Graph,
     *,
-    pq_kind: str = "heap",
+    pq_kind: str | None = None,
     bounded: bool = True,
-    kernel: str = "scalar",
+    kernel: str = DEFAULT_KERNEL,
     initial_bound: int | None = None,
     initial_side: np.ndarray | None = None,
     rng: np.random.Generator | int | None = None,
@@ -61,14 +66,15 @@ def noi_mincut(
         Weighted undirected graph with ``n >= 2``.
     pq_kind, bounded:
         CAPFOREST configuration (see module docstring for the paper's
-        variant names).
+        variant names).  ``pq_kind=None`` runs the BQueue when bounded
+        and the heap when not.
     kernel:
-        CAPFOREST relaxation kernel, ``"scalar"``, ``"vector"`` or
-        ``"compiled"`` (:data:`repro.kernels.KERNELS`).  Results are
-        identical; only the speed differs.  A ``"compiled"`` request runs
-        as ``"vector"`` — the stats record the requested name under
-        ``"kernel"``, the one that ran under ``"kernel_resolved"``, and the
-        reason (or ``None``) under ``"kernel_fallback"``.
+        CAPFOREST relaxation kernel, ``"scalar"``, ``"vector"`` (the
+        default) or ``"compiled"`` (:data:`repro.kernels.KERNELS`).
+        Results are identical; only the speed differs.  A ``"compiled"``
+        request runs as ``"vector"`` — the stats record the requested name
+        under ``"kernel"``, the one that ran under ``"kernel_resolved"``,
+        and the reason (or ``None``) under ``"kernel_fallback"``.
     initial_bound, initial_side:
         An externally known cut (value and optional side mask), e.g. from
         VieCut.  Must be the capacity of a real cut (any valid upper bound
@@ -102,7 +108,7 @@ def noi_mincut(
         ran): the CAPFOREST scans, Stoer–Wagner fallback scans included,
         and the contractions.
     """
-    check_queue(pq_kind, bounded)
+    pq_kind = check_queue(pq_kind, bounded)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")

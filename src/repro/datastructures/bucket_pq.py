@@ -141,18 +141,14 @@ class _BucketPQBase:
         raised several times in one batch is appended once, to its final
         bucket) — so its counters stay identical to the scalar kernel's.
         """
-        key = self._key
         buckets = self._buckets
         vs = np.asarray(vs, dtype=np.int64)
         new_keys = np.asarray(new_keys, dtype=np.int64)
-        vs_l = vs.tolist()
-        nk_l = new_keys.tolist()
-        # bulk scatter into the key list at C speed (consume the map fully)
-        deque(map(key.__setitem__, vs_l, nk_l), maxlen=0)
+        self._set_keys(vs, new_keys)
         if n_pushes is None:
             n_pushes = int((np.asarray(old_keys) < 0).sum())
         self._size += n_pushes
-        if not vs_l:
+        if not len(vs):
             return
         lo_k = int(new_keys.min())
         hi_k = int(new_keys.max())
@@ -162,7 +158,7 @@ class _BucketPQBase:
             dq = buckets[hi_k]
             if dq is None:
                 dq = buckets[hi_k] = deque()
-            dq.extend(vs_l)
+            dq.extend(vs.tolist())
         else:
             # group appends by destination bucket; the stable sort preserves
             # event order within each bucket, so FIFO/LIFO order is exact
@@ -201,7 +197,7 @@ class _BucketPQBase:
         if vs.size == 0:
             return
         bound = self._bound
-        cur = np.fromiter(map(self._key.__getitem__, vs.tolist()), dtype=np.int64, count=len(vs))
+        cur = self._get_keys(vs)
         new = np.minimum(priorities, bound)
         push = cur == _ABSENT
         skip = (~push) & (cur >= bound)
@@ -217,6 +213,14 @@ class _BucketPQBase:
 
     # paper-facing alias: CAPFOREST priorities only ever increase
     increase_many = insert_many
+
+    def _set_keys(self, vs: np.ndarray, new_keys: np.ndarray) -> None:
+        # bulk scatter into the key list at C speed (consume the map fully)
+        deque(map(self._key.__setitem__, vs.tolist(), new_keys.tolist()), maxlen=0)
+
+    def _get_keys(self, vs: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(self._key.__getitem__, vs.tolist()), dtype=np.int64,
+                           count=len(vs))
 
     def __len__(self) -> int:
         return self._size
@@ -357,162 +361,53 @@ class BQueuePQ(_BucketPQBase):
             else:
                 b -= 1
         self._top = b
-        # the filter drops stale entries; the C-level map marks the live
-        # ones popped in bulk
-        out = [v for v in dq if key[v] == b]
-        deque(map(key.__setitem__, out, repeat(_ABSENT)), maxlen=0)
+        out = self._take_live(dq, b)
         dq.clear()
         self._size -= len(out)
         self.stats.pops += len(out)
+        return out
+
+    def _take_live(self, dq: deque, b: int) -> list[int]:
+        """The entries of bucket ``b`` still keyed ``b``, marked popped."""
+        # the filter drops stale entries; the C-level map marks the live
+        # ones popped in bulk
+        key = self._key
+        out = [v for v in dq if key[v] == b]
+        deque(map(key.__setitem__, out, repeat(_ABSENT)), maxlen=0)
         return out
 
 
 class BQueueArrayPQ(BQueuePQ):
     """BQueue with the per-vertex key table in an int64 numpy array.
 
-    Scalar operations behave identically to :class:`BQueuePQ` (reads become
-    numpy scalar lookups, a few tens of nanoseconds slower per call), but
-    every batch operation touches the key table in single vectorized passes:
-    :meth:`apply_relaxations` scatters all key updates at once and
+    Every batch operation touches the key table in single vectorized
+    passes: :meth:`apply_relaxations` scatters all key updates at once and
     :meth:`drain_top_bucket` filters staleness with one gather + compare.
-    This is the backing the vector CAPFOREST kernel selects — its pops are
-    overwhelmingly batched, so it trades the scalar-read penalty (paid a few
-    thousand times) for array-speed batches (covering nearly every vertex).
-    The scalar kernel keeps the plain-list variant, whose per-call costs are
-    lower on its all-scalar operation mix.
+    The inherited scalar operations index a ``memoryview`` of the same
+    buffer, whose items are plain ints, so they run the list-backed code
+    of :class:`BQueuePQ` unchanged at close to its speed (a numpy scalar
+    read and compare costs several times more).  This is the backing the
+    vector CAPFOREST kernel selects; the scalar kernel keeps the
+    plain-list variant, whose per-call costs are lowest on its all-scalar
+    operation mix.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key_arr",)
 
     def __init__(self, n: int, bound: int) -> None:
         super().__init__(n, bound)
-        self._key = np.full(n, _ABSENT, dtype=np.int64)
+        self._key_arr = np.full(n, _ABSENT, dtype=np.int64)
+        self._key = memoryview(self._key_arr)
 
-    def key_of(self, v: int) -> int:
-        k = self._key[v]
-        if k == _ABSENT:
-            raise KeyError(v)
-        return int(k)
+    def _set_keys(self, vs: np.ndarray, new_keys: np.ndarray) -> None:
+        self._key_arr[vs] = new_keys  # one scatter replaces the per-vertex write loop
 
-    def insert_or_raise(self, v: int, priority: int) -> None:
-        # same logic as the base method, but the key is materialised as a
-        # Python int once — every later comparison then runs on C ints
-        # instead of numpy scalars (~3x cheaper per call on this path)
-        if priority < 0:
-            raise ValueError(f"priority must be non-negative, got {priority}")
-        bound = self._bound
-        cur = int(self._key[v])
-        new = priority if priority < bound else bound
-        if cur == _ABSENT:
-            self._key[v] = new
-            dq = self._buckets[new]
-            if dq is None:
-                dq = self._buckets[new] = deque()
-            dq.append(v)
-            self._size += 1
-            if new > self._top:
-                self._top = new
-            self.stats.pushes += 1
-            return
-        if cur >= bound:
-            self.stats.skipped_updates += 1
-            return
-        if new <= cur:
-            return
-        self._key[v] = new
-        dq = self._buckets[new]
-        if dq is None:
-            dq = self._buckets[new] = deque()
-        dq.append(v)
-        if new > self._top:
-            self._top = new
-        self.stats.updates += 1
+    def _get_keys(self, vs: np.ndarray) -> np.ndarray:
+        return self._key_arr[vs]  # one gather replaces the per-vertex read loop
 
-    def apply_relaxations(
-        self,
-        vs: np.ndarray,
-        old_keys: np.ndarray | None,
-        new_keys: np.ndarray,
-        *,
-        n_pushes: int | None = None,
-    ) -> None:
-        vs = np.asarray(vs, dtype=np.int64)
-        new_keys = np.asarray(new_keys, dtype=np.int64)
-        key = self._key
-        key[vs] = new_keys  # one scatter replaces the per-vertex write loop
-        if n_pushes is None:
-            n_pushes = int((np.asarray(old_keys) < 0).sum())
-        self._size += n_pushes
-        if not len(vs):
-            return
-        buckets = self._buckets
-        lo_k = int(new_keys.min())
-        hi_k = int(new_keys.max())
-        if lo_k == hi_k:
-            dq = buckets[hi_k]
-            if dq is None:
-                dq = buckets[hi_k] = deque()
-            dq.extend(vs.tolist())
-        else:
-            sort_keys = new_keys
-            if self._bound <= 32767:
-                sort_keys = new_keys.astype(np.int16, copy=False)
-            order = np.argsort(sort_keys, kind="stable")
-            nk_s = new_keys[order]
-            vs_l = vs[order].tolist()
-            starts = np.flatnonzero(np.diff(nk_s)) + 1
-            bounds = [0, *starts.tolist(), len(vs_l)]
-            group_keys = nk_s[np.concatenate(([0], starts))].tolist()
-            for i, b in enumerate(group_keys):
-                dq = buckets[b]
-                if dq is None:
-                    dq = buckets[b] = deque()
-                dq.extend(vs_l[bounds[i] : bounds[i + 1]])
-        if hi_k > self._top:
-            self._top = hi_k
-
-    def insert_many(self, vs: np.ndarray, priorities: np.ndarray) -> None:
-        vs = np.asarray(vs, dtype=np.int64)
-        priorities = np.asarray(priorities, dtype=np.int64)
-        if vs.size == 0:
-            return
-        bound = self._bound
-        cur = self._key[vs]  # one gather replaces the per-vertex read loop
-        new = np.minimum(priorities, bound)
-        push = cur == _ABSENT
-        skip = (~push) & (cur >= bound)
-        raise_ = (~push) & (~skip) & (new > cur)
-        st = self.stats
-        st.pushes += int(push.sum())
-        st.skipped_updates += int(skip.sum())
-        st.updates += int(raise_.sum())
-        moved = push | raise_
-        if moved.any():
-            old = np.where(push, -1, cur)
-            self.apply_relaxations(vs[moved], old[moved], new[moved])
-
-    increase_many = insert_many
-
-    def drain_top_bucket(self) -> list[int]:
-        if self._size == 0:
-            raise IndexError("pop from empty priority queue")
-        key = self._key
-        buckets = self._buckets
-        b = self._top
-        while True:
-            dq = buckets[b]
-            if dq:
-                if key[dq[0]] == b:
-                    break
-                dq.popleft()
-            else:
-                b -= 1
-        self._top = b
+    def _take_live(self, dq: deque, b: int) -> list[int]:
         arr = np.array(dq, dtype=np.int64)
+        key = self._key_arr
         live = arr[key[arr] == b]
         key[live] = _ABSENT  # marks popped and drops stale entries in bulk
-        out = live.tolist()
-        dq.clear()
-        self._size -= len(out)
-        self.stats.pops += len(out)
-        return out
+        return live.tolist()

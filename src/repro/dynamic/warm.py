@@ -47,7 +47,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..core.capforest import capforest
+from ..core.capforest import DEFAULT_KERNEL, DEFAULT_PQ_KIND, capforest
 from ..core.noi import noi_mincut
 from ..core.result import MinCutResult
 from ..graph.contract import contract_by_labels
@@ -58,10 +58,12 @@ __all__ = ["WarmState", "make_warm_state", "warm_solve", "WARMABLE_ALGORITHMS"]
 
 #: algorithms the warm path can re-solve with a seeded NOI run; anything else
 #: falls back to a cold solve (and still benefits from digest-lineage cache
-#: invalidation).  Maps registry name -> NOI configuration.
+#: invalidation).  Maps registry name -> NOI configuration; ``pq_kind=None``
+#: is the queue :func:`~repro.core.capforest.check_queue` resolves (the
+#: default solve's BQueue when bounded, the heap when not).
 WARMABLE_ALGORITHMS: dict[str, dict] = {
-    "noi": {"pq_kind": "heap", "bounded": True},
-    "noi-viecut": {"pq_kind": "heap", "bounded": True},
+    "noi": {"pq_kind": None, "bounded": True},
+    "noi-viecut": {"pq_kind": None, "bounded": True},
     "noi-hnss": {"pq_kind": "heap", "bounded": False},
 }
 
@@ -89,20 +91,21 @@ def make_warm_state(
     result: MinCutResult,
     *,
     certify: bool = True,
-    kernel: str = "scalar",
+    kernel: str = DEFAULT_KERNEL,
 ) -> WarmState:
     """Build the carry-forward state from a fresh exact solve.
 
     The certificate is one strict CAPFOREST pass at fixed bound
-    ``λ + 1`` (the same pass :mod:`repro.cactus.build` uses): every union
-    merges endpoints with ``q(e) ≥ λ + 1``, hence connectivity ``≥ λ + 1``.
+    ``λ + 1`` (the same pass :mod:`repro.cactus.build` uses), on the
+    default solve's queue and kernel: every union merges endpoints with
+    ``q(e) ≥ λ + 1``, hence connectivity ``≥ λ + 1``.
     """
     side = None if result.side is None else np.asarray(result.side, dtype=bool).copy()
     state = WarmState(digest=digest, value=int(result.value), side=side)
     if certify and result.value > 0 and graph.n > 2:
         res = capforest(
-            graph, int(result.value) + 1, fixed_bound=True, start=0, rng=0,
-            kernel=kernel,
+            graph, int(result.value) + 1, pq_kind=DEFAULT_PQ_KIND,
+            fixed_bound=True, start=0, rng=0, kernel=kernel,
         )
         labels = res.uf.labels()
         if int(labels.max()) + 1 < graph.n:  # at least one merge happened
@@ -156,7 +159,7 @@ def warm_solve(
     if config is None or state.side is None:
         return None
     kwargs = dict(kwargs or {})
-    kernel = kwargs.get("kernel", "scalar")
+    kernel = kwargs.get("kernel", DEFAULT_KERNEL)
     t0 = perf_counter()
 
     lower = max(0, state.value - delta.deleted_weight)

@@ -399,6 +399,7 @@ class SolverEngine:
         ``result.stats["warm"]`` records which path ran.
         """
         from ..core.api import EXACT_ALGORITHMS, attach_cactus
+        from ..core.capforest import DEFAULT_KERNEL
         from ..dynamic import make_warm_state, warm_solve
 
         algorithm, options = self._check_request(
@@ -430,7 +431,7 @@ class SolverEngine:
                 apply_seconds=round(time.monotonic() - t0, 6),
             )
             key = request_key(delta.new_digest, algorithm, kwargs, options)
-            kernel = kwargs.get("kernel", "scalar")
+            kernel = kwargs.get("kernel", DEFAULT_KERNEL)
             state = dynamic.warm
             if cache:
                 cached = self._cache.get(key)

@@ -3,7 +3,7 @@
 The paper's Table 1 lists, per base graph and per chosen k: the original
 size, the k-core size, the core's minimum cut λ and its minimum degree δ.
 This script regenerates the same table over the synthetic suite, computing
-λ exactly (NOIλ̂-Heap-VieCut) — and flags the cores where λ < δ, the
+λ exactly (the default ``noi-viecut``) — and flags the cores where λ < δ, the
 paper's selection criterion ("cores in which the minimum cut is not equal
 to the minimum degree").
 

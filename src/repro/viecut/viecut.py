@@ -25,12 +25,16 @@ from ..core.result import MinCutResult
 from .label_propagation import LP_METHODS, cluster_labels
 from .padberg_rinaldi import padberg_rinaldi_marks
 
+#: default ``small_threshold``: graphs of at most this many vertices are
+#: not clustered, VieCut solves them exactly with NOI straight away
+SMALL_THRESHOLD = 64
+
 
 def viecut(
     graph: Graph,
     *,
     lp_iterations: int = 2,
-    small_threshold: int = 64,
+    small_threshold: int = SMALL_THRESHOLD,
     max_rounds: int = 32,
     rng: np.random.Generator | int | None = None,
     lp_method: str = "sync",

@@ -17,12 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.capforest import KERNELS, capforest, check_kernel
+from repro.core.capforest import KERNELS, MIN_VECTOR_N, capforest, check_kernel
 from repro.core.mincut import parallel_mincut
 from repro.core.noi import noi_mincut
 from repro.core.parallel_capforest import parallel_capforest
 from repro.generators.gnm import connected_gnm, gnm
 from repro.generators.rmat import rmat
+from repro.observability import Tracer
 
 
 def _instances():
@@ -33,6 +34,10 @@ def _instances():
         yield f"gnm-{seed}", gnm(n, m, rng=seed, weights=None if seed % 2 else (1, 9))
     yield "rmat", rmat(8, 1500, rng=3)
     yield "gnm-dense", connected_gnm(150, 2000, rng=9, weights=(1, 100))
+    # above the small-scan crossover, where kernel="vector" batches on a BQueue
+    yield "gnm-large", connected_gnm(2 * MIN_VECTOR_N, 12 * MIN_VECTOR_N, rng=10,
+                                     weights=(1, 9))
+    yield "rmat-large", rmat(9, 3000, rng=5)
 
 
 def test_kernel_registry():
@@ -78,6 +83,22 @@ def test_sequential_kernels_identical_fixed_bound():
         assert a.scan_order == b.scan_order, kern
         assert a.pq_stats.as_dict() == b.pq_stats.as_dict(), kern
         assert np.array_equal(a.uf.labels(), b.uf.labels()), kern
+
+
+@pytest.mark.parametrize("n", [MIN_VECTOR_N - 1, MIN_VECTOR_N])
+def test_small_scan_crossover(n):
+    """Below MIN_VECTOR_N a vector BQueue scan runs the scalar kernel (the
+    trace names the kernel that ran); the result is the same either way."""
+    g = connected_gnm(n, 4 * n, rng=n, weights=(1, 9))
+    lam = g.min_weighted_degree()[1]
+    tr = Tracer()
+    a = capforest(g, lam, pq_kind="bqueue", rng=1, kernel="scalar")
+    b = capforest(g, lam, pq_kind="bqueue", rng=1, kernel="vector", tracer=tr)
+    ran = tr.events("capforest_pass")[0]["kernel"]
+    assert ran == ("scalar" if n < MIN_VECTOR_N else "vector")
+    assert a.scan_order == b.scan_order
+    assert a.pq_stats.as_dict() == b.pq_stats.as_dict()
+    assert np.array_equal(a.uf.labels(), b.uf.labels())
 
 
 @pytest.mark.parametrize("pq_kind", ["bqueue", "bstack"])

@@ -107,14 +107,14 @@ class TestOutputs:
         assert res.stats["edges_scanned"] > 0
 
     def test_algorithm_names(self, dumbbell):
-        assert noi_mincut(dumbbell, rng=0).algorithm == "noi-lambda-heap"
+        assert noi_mincut(dumbbell, rng=0).algorithm == "noi-lambda-bqueue"
         assert noi_mincut(dumbbell, rng=0, bounded=False).algorithm == "noi-hnss"
         assert (
             noi_mincut(dumbbell, rng=0, pq_kind="bstack").algorithm == "noi-lambda-bstack"
         )
         assert (
             noi_mincut(dumbbell, rng=0, initial_bound=2).algorithm
-            == "noi-lambda-heap-viecut"
+            == "noi-lambda-bqueue-viecut"
         )
 
     def test_rng_seed_reproducible(self, dumbbell):

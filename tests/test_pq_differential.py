@@ -4,7 +4,8 @@ A randomized CAPFOREST-like operation stream (interleaved raises and pops,
 priorities clamped at a bound) is replayed against a lazy heapq-based
 reference; every pop must return a maximal-key vertex.  Complements the
 model check in test_priority_queues.py with much longer streams and a
-second, independently written reference.
+second, independently written reference.  ``"bqueue-array"`` is the
+array-keyed BQueue the vector CAPFOREST kernel runs on.
 """
 
 import heapq
@@ -13,6 +14,14 @@ import random
 import pytest
 
 from repro.datastructures import make_pq
+
+KINDS = ["bstack", "bqueue", "heap", "bqueue-array"]
+
+
+def _make(kind, n, bound):
+    if kind == "bqueue-array":
+        return make_pq("bqueue", n, bound=bound, array_keys=True)
+    return make_pq(kind, n, bound=bound)
 
 
 class HeapqReference:
@@ -53,12 +62,12 @@ class HeapqReference:
         return self._size
 
 
-@pytest.mark.parametrize("kind", ["bstack", "bqueue", "heap"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_long_stream_differential(kind, seed):
     rnd = random.Random(seed)
     n, bound = 400, 50
-    pq = make_pq(kind, n, bound=bound)
+    pq = _make(kind, n, bound)
     ref = HeapqReference(n, bound)
     for step in range(20_000):
         if len(pq) and (rnd.random() < 0.35 or len(pq) == n):
@@ -92,10 +101,10 @@ def test_long_stream_differential(kind, seed):
     assert ours == theirs
 
 
-@pytest.mark.parametrize("kind", ["bstack", "bqueue", "heap"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_monotone_drain_is_sorted(kind):
     rnd = random.Random(42)
-    pq = make_pq(kind, 1000, bound=200)
+    pq = _make(kind, 1000, 200)
     for v in range(1000):
         pq.insert_or_raise(v, rnd.randrange(0, 300))
     keys = [pq.pop_max()[1] for _ in range(1000)]
@@ -103,11 +112,11 @@ def test_monotone_drain_is_sorted(kind):
     assert max(keys) <= 200  # clamp respected
 
 
-@pytest.mark.parametrize("kind", ["bstack", "bqueue", "heap"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_interleaved_reinsertion_cycles(kind):
     """Vertices cycle in and out of the queue many times (as they do across
     CAPFOREST rounds on contracted graphs)."""
-    pq = make_pq(kind, 8, bound=10)
+    pq = _make(kind, 8, 10)
     for cycle in range(50):
         for v in range(8):
             pq.insert_or_raise(v, (v + cycle) % 11)

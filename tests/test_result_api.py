@@ -5,9 +5,30 @@ import pytest
 
 from repro import minimum_cut
 from repro.core import ALGORITHMS, EXACT_ALGORITHMS, MinCutResult
+from repro.core.capforest import MAX_BUCKET_BOUND, MIN_VECTOR_N
 from repro.generators import connected_gnm
+from repro.graph import from_edges
+from repro.viecut.viecut import SMALL_THRESHOLD
 
 from .conftest import oracle_mincut
+
+#: inputs on either side of every switch of the default solve: the VieCut
+#: skip (n <= SMALL_THRESHOLD), the vector kernel's small-scan crossover
+#: (MIN_VECTOR_N), a λ̂ above MAX_BUCKET_BOUND (the BQueue request runs on
+#: the heap), and the disconnected and two-vertex early exits
+DEFAULT_PATH_GRAPHS = {
+    "n63": connected_gnm(63, 190, rng=1, weights=(1, 5)),
+    "n64": connected_gnm(64, 192, rng=2, weights=(1, 5)),
+    "n65": connected_gnm(65, 195, rng=3, weights=(1, 5)),
+    "below-crossover": connected_gnm(MIN_VECTOR_N - 1, 4 * MIN_VECTOR_N, rng=4,
+                                     weights=(1, 5)),
+    "at-crossover": connected_gnm(MIN_VECTOR_N, 4 * MIN_VECTOR_N, rng=5, weights=(1, 5)),
+    "above-bucket-bound": connected_gnm(
+        80, 240, rng=6, weights=(MAX_BUCKET_BOUND + 1, 2 * MAX_BUCKET_BOUND)
+    ),
+    "disconnected": from_edges(6, [0, 1, 3, 4], [1, 2, 4, 5]),
+    "two-vertices": from_edges(2, [0], [1], [5]),
+}
 
 
 class TestMinCutResult:
@@ -48,7 +69,20 @@ class TestFacade:
     def test_default_algorithm(self, dumbbell):
         res = minimum_cut(dumbbell, rng=0)
         assert res.value == 1
-        assert res.algorithm == "noi-lambda-heap-viecut"
+        assert res.algorithm == "noi-lambda-bqueue-viecut"
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_PATH_GRAPHS))
+    def test_default_solve_matches_oracle(self, name):
+        g = DEFAULT_PATH_GRAPHS[name]
+        res = minimum_cut(g, rng=0)
+        assert res.value == (0 if name == "disconnected" else oracle_mincut(g))
+        assert res.verify(g)
+        assert res.algorithm == "noi-lambda-bqueue-viecut"
+        assert res.stats["kernel_resolved"] == "vector"
+        skipped = g.n <= SMALL_THRESHOLD
+        assert (res.stats["viecut_value"] is None) == skipped
+        if skipped:
+            assert res.stats["phase_seconds"]["viecut"] == 0.0
 
     def test_unknown_algorithm(self, dumbbell):
         with pytest.raises(ValueError, match="unknown algorithm"):
