@@ -3,8 +3,9 @@
 Entry points:
 
 * :class:`DynamicGraph` — a handle over a CSR graph lineage; applies
-  insert/delete edge batches by merging them into the sorted arc arrays
-  (``O(m + b log b)`` per batch) instead of rebuilding from the edge list.
+  insert/delete edge batches by splicing them into the sorted arc arrays
+  (O(b log b) work plus one copy of the arrays per batch) instead of
+  rebuilding from the edge list.
 * :func:`repro.engine.SolverEngine.update` — applies a batch through the
   engine and re-solves *warm*: the previous solve's λ̂, side, and strict
   CAPFOREST certificate seed the next solve (see :mod:`repro.dynamic.warm`

@@ -1,13 +1,15 @@
 """Dynamic graph handle: incremental CSR maintenance under edge updates.
 
 Production traffic mutates graphs.  Rebuilding CSR from the full edge list
-on every batch costs ``O(m log m)``; this module instead *merges* a sorted
-update batch into the existing arc arrays in ``O(m + b log b)`` — the arc
-arrays produced by :mod:`repro.graph.builder` (and by contraction) are
-globally sorted by the ``tail * n + head`` key, so a batch of ``b`` edge
-insertions/deletions is a classic sorted-merge: ``np.searchsorted`` finds
-every touched arc position, weight bumps edit in place on a copy, removals
-drop by mask, and brand-new arcs splice in with one ``np.insert``.
+on every batch costs ``O(m log m)``; this module instead *splices* a batch
+of ``b`` edge insertions/deletions into the existing arc arrays.  The
+arrays produced by :mod:`repro.graph.builder` (and by contraction) list
+each row's heads in ascending order, so the batch's arcs are found by
+searching only the rows they touch (``O(b log b)`` plus those rows), and
+each new array is one concatenation of the old array's O(b) untouched runs
+with the new arcs between them.  Weight bumps land on the copy, and
+``xadj`` follows from the per-row count changes.  What stays ``O(m)`` is
+one pass that checks the rows are sorted and the memory copy itself.
 
 The handle also records an :class:`UpdateDelta` per batch — exactly the
 information the warm-solve path (:mod:`repro.dynamic.warm`) needs to reseed
@@ -181,6 +183,79 @@ def _locate(sorted_keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.
     return pos, found
 
 
+def _check_sorted_rows(graph: Graph) -> None:
+    """Raise unless every adjacency row lists its heads strictly ascending,
+    the order the builder and contraction produce and the splice assumes."""
+    adjncy = graph.adjncy
+    rising = adjncy[1:] > adjncy[:-1]
+    # a row's first arc may sit below the previous row's last
+    firsts = graph.xadj[1:-1]
+    rising[firsts[(firsts > 0) & (firsts < len(adjncy))] - 1] = True
+    if not rising.all():
+        raise EdgeUpdateError(
+            "graph arc arrays are not in canonical sorted order; rebuild the "
+            "graph through repro.graph.builder before attaching a DynamicGraph"
+        )
+
+
+def _row_arcs(
+    graph: Graph, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(arcs, lengths, shift)``: the arc positions of ``rows``, row after
+    row, each row's length, and each row's arc-array start minus its start
+    in ``arcs``."""
+    starts = graph.xadj[rows]
+    lengths = graph.xadj[rows + 1] - starts
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return np.repeat(shift, lengths) + np.arange(int(lengths.sum())), lengths, shift
+
+
+def _find_arcs(
+    graph: Graph, tails: np.ndarray, heads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arc-array position of each arc ``tails[i] -> heads[i]`` (where it
+    sits, or where it would be spliced in) and whether it exists.  Reads
+    only the rows of ``tails``."""
+    n = np.int64(graph.n)
+    rows = np.unique(tails)
+    arcs, lengths, shift = _row_arcs(graph, rows)
+    keys = np.repeat(rows, lengths) * n + graph.adjncy[arcs]
+    at, found = _locate(keys, tails * n + heads)
+    return shift[np.searchsorted(rows, tails)] + at, found
+
+
+def row_weights(graph: Graph, rows: np.ndarray) -> np.ndarray:
+    """Weighted degrees of ``rows`` alone, in O(their arcs) rather than the
+    O(m) of :meth:`Graph.weighted_degrees`."""
+    arcs, lengths, _ = _row_arcs(graph, rows)
+    csum = np.concatenate(([0], np.cumsum(graph.adjwgt[arcs])))
+    ends = np.cumsum(lengths)
+    return csum[ends] - csum[ends - lengths]
+
+
+def _splice(drop: np.ndarray, at: np.ndarray, pairs) -> list[np.ndarray]:
+    """For each ``(arr, values)`` of ``pairs``, a new array: ``arr`` without
+    its elements at ``drop``, with ``values[i]`` placed before old element
+    ``at[i]`` (``at`` ascending).  One concatenation of O(batch) slices per
+    array."""
+    cuts = np.concatenate((at, drop))
+    order = np.argsort(cuts, kind="stable").tolist()  # at a tie, values first
+    cuts, k = cuts.tolist(), len(at)
+    out = []
+    for arr, values in pairs:
+        pieces, start = [], 0
+        for e in order:
+            pieces.append(arr[start:cuts[e]])
+            if e < k:
+                pieces.append(values[e:e + 1])
+                start = cuts[e]
+            else:
+                start = cuts[e] + 1
+        pieces.append(arr[start:])
+        out.append(np.concatenate(pieces))
+    return out
+
+
 def apply_updates(
     graph: Graph, inserts=(), deletes=()
 ) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -206,61 +281,37 @@ def apply_updates(
     if not len(ins_keys) and not len(del_keys):
         empty = np.empty(0, dtype=np.int64)
         return graph, ins_lo, ins_hi, ins_w, del_lo, del_hi, empty
+    _check_sorted_rows(graph)
 
-    # Arc-level keys of the current CSR.  Builder- and contraction-produced
-    # graphs are globally sorted by tail*n+head (each adjacency slice sorted
-    # by head); verify cheaply and fall back to an explicit sort order for
-    # hand-rolled arrays.
-    tails = graph.arc_sources()
-    arc_keys = tails * np.int64(n) + graph.adjncy
-    if len(arc_keys) > 1 and not (arc_keys[1:] > arc_keys[:-1]).all():
+    # Both arc directions of every delete, then of every insert.
+    nd = 2 * len(del_lo)
+    tails = np.concatenate((del_lo, del_hi, ins_lo, ins_hi))
+    heads = np.concatenate((del_hi, del_lo, ins_hi, ins_lo))
+    pos, found = _find_arcs(graph, tails, heads)
+    if not found[:nd].all():
+        miss = int(np.flatnonzero(~found[:nd])[0]) % len(del_lo)
         raise EdgeUpdateError(
-            "graph arc arrays are not in canonical sorted order; rebuild the "
-            "graph through repro.graph.builder before attaching a DynamicGraph"
+            f"delete of absent edge ({int(del_lo[miss])}, {int(del_hi[miss])})"
         )
+    del_w = graph.adjwgt[pos[: len(del_lo)]]
+    drop = np.sort(pos[:nd])
 
-    adjwgt = graph.adjwgt.copy()
+    # Inserts: arcs that exist get a weight bump, the rest are spliced in
+    # (in arc-key order, so their positions ascend).
+    wgts = np.concatenate((ins_w, ins_w))
+    bump = np.flatnonzero(found[nd:]) + nd
+    new = np.flatnonzero(~found[nd:]) + nd
+    new = new[np.argsort(tails[new] * np.int64(n) + heads[new])]
+    at = pos[new]
+    adjncy, adjwgt = _splice(drop, at, ((graph.adjncy, heads[new]),
+                                        (graph.adjwgt, wgts[new - nd])))
+    old = pos[bump]  # positions before the splice moved them
+    adjwgt[old - np.searchsorted(drop, old)
+           + np.searchsorted(at, old, side="right")] += wgts[bump - nd]
 
-    # Deletes: both arc directions must exist.
-    del_w = np.empty(len(del_keys), dtype=np.int64)
-    keep = np.ones(len(arc_keys), dtype=bool)
-    if len(del_keys):
-        for dir_keys in (del_keys, del_hi * np.int64(n) + del_lo):
-            pos, ok = _locate(arc_keys, dir_keys)
-            if not ok.all():
-                miss = int(np.flatnonzero(~ok)[0])
-                raise EdgeUpdateError(
-                    f"delete of absent edge ({int(del_lo[miss])}, {int(del_hi[miss])})"
-                )
-            keep[pos] = False
-        del_w = graph.adjwgt[np.searchsorted(arc_keys, del_keys)]
-
-    # Inserts: weight-bump arcs that already exist, splice in the rest.
-    new_arc_keys = np.empty(0, dtype=np.int64)
-    new_arc_wgts = np.empty(0, dtype=np.int64)
-    if len(ins_keys):
-        both_keys = np.concatenate((ins_keys, ins_hi * np.int64(n) + ins_lo))
-        both_wgts = np.concatenate((ins_w, ins_w))
-        pos, exists = _locate(arc_keys, both_keys)
-        np.add.at(adjwgt, pos[exists], both_wgts[exists])
-        order = np.argsort(both_keys[~exists])
-        new_arc_keys = both_keys[~exists][order]
-        new_arc_wgts = both_wgts[~exists][order]
-
-    kept_keys = arc_keys[keep]
-    kept_heads = graph.adjncy[keep]
-    kept_wgts = adjwgt[keep]
-    if len(new_arc_keys):
-        splice = np.searchsorted(kept_keys, new_arc_keys)
-        final_keys = np.insert(kept_keys, splice, new_arc_keys)
-        final_heads = np.insert(kept_heads, splice, new_arc_keys % n)
-        final_wgts = np.insert(kept_wgts, splice, new_arc_wgts)
-    else:
-        final_keys, final_heads, final_wgts = kept_keys, kept_heads, kept_wgts
-
-    counts = np.bincount(final_keys // n, minlength=n).astype(np.int64)
-    xadj = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    new_graph = Graph(xadj, final_heads, final_wgts)
+    rows = np.bincount(tails[new], minlength=n) - np.bincount(tails[:nd], minlength=n)
+    xadj = graph.xadj + np.concatenate(([0], np.cumsum(rows)))
+    new_graph = Graph(xadj, adjncy, adjwgt)
     return new_graph, ins_lo, ins_hi, ins_w, del_lo, del_hi, del_w
 
 

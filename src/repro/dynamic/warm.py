@@ -38,6 +38,17 @@ returns.  The seed side must not split a kept block (the old side never
 does — blocks are ``> λ_old``-connected, so they sit on one side of every
 minimum cut of ``G_old``); if a trivial-cut candidate would, contraction is
 skipped for that update.
+
+**Certificate on first use.** The pass is a full CAPFOREST scan of the
+solved graph, and many seeded updates cannot use it: a delete batch
+heavier than the margin ``cert_bound − λ̂_seed`` voids it.  So a solve
+stores the solved graph ``G_solve`` (by reference) and ``λ_solve``, and
+:func:`warm_solve` runs the pass only once the decayed bound clears the
+seed, under the handle's lock.  It always runs at ``λ_solve + 1`` on
+``G_solve``, the graph and bound the decay is counted from; a pass at the
+decayed bound would certify blocks only that well connected on ``G_solve``
+and then be decayed a second time, which is unsound.  The labels equal the
+ones an eager pass would have stored, so results do not change.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from ..core.noi import noi_mincut
 from ..core.result import MinCutResult
 from ..graph.contract import contract_by_labels
 from ..graph.csr import Graph
-from .graph import UpdateDelta
+from .graph import UpdateDelta, row_weights
 
 __all__ = ["WarmState", "make_warm_state", "warm_solve", "WARMABLE_ALGORITHMS"]
 
@@ -72,17 +83,47 @@ WARMABLE_ALGORITHMS: dict[str, dict] = {
 class WarmState:
     """Solver state carried across updates of one :class:`DynamicGraph`.
 
-    ``cert_labels``/``cert_bound`` certify that vertices sharing a label had
-    pairwise connectivity ``≥ cert_bound`` when the certificate was computed;
-    ``cert_bound`` is decayed by ``W_D`` on every applied batch so the claim
-    stays valid on the current graph without recomputation.
+    The strict certificate of the last solve: until its first use,
+    ``cert_graph`` holds the solved graph and ``cert_value`` its λ; then
+    :meth:`certificate` runs the pass and keeps its labels in
+    ``cert_labels`` (``None`` when it merged nothing).  Vertices sharing a
+    label are ``≥ cert_bound`` connected on the current graph:
+    ``cert_bound`` starts at ``cert_value + 1`` and :meth:`advance` decays
+    it by ``W_D`` on every applied batch.
     """
 
     digest: str
     value: int
     side: np.ndarray | None = field(repr=False)
+    cert_graph: Graph | None = field(default=None, repr=False)
+    cert_value: int = 0
     cert_labels: np.ndarray | None = field(default=None, repr=False)
     cert_bound: int = 0
+
+    def certificate(self, kernel: str = DEFAULT_KERNEL) -> np.ndarray | None:
+        """The certificate's labels, from one strict CAPFOREST pass at
+        ``cert_value + 1`` on ``cert_graph`` the first time they are asked
+        for; ``None`` when there is no certificate or the pass merged
+        nothing."""
+        if self.cert_graph is not None:
+            res = capforest(
+                self.cert_graph, self.cert_value + 1, pq_kind=DEFAULT_PQ_KIND,
+                fixed_bound=True, start=0, rng=0, kernel=kernel,
+            )
+            labels = res.uf.labels()
+            if int(labels.max()) + 1 < len(labels):  # at least one merge
+                self.cert_labels = labels
+            self.cert_graph = None
+        return self.cert_labels
+
+    def advance(self, delta: UpdateDelta, result: MinCutResult) -> None:
+        """Carry the state across a batch that ``result`` answered without a
+        solve: the certificate stays, its bound decays by the deleted
+        weight."""
+        self.digest = delta.new_digest
+        self.value = int(result.value)
+        self.side = result.side
+        self.cert_bound -= delta.deleted_weight
 
 
 def make_warm_state(
@@ -91,26 +132,22 @@ def make_warm_state(
     result: MinCutResult,
     *,
     certify: bool = True,
-    kernel: str = DEFAULT_KERNEL,
 ) -> WarmState:
-    """Build the carry-forward state from a fresh exact solve.
+    """Build the carry-forward state from a fresh exact solve of ``graph``.
 
     The certificate is one strict CAPFOREST pass at fixed bound
     ``λ + 1`` (the same pass :mod:`repro.cactus.build` uses), on the
-    default solve's queue and kernel: every union merges endpoints with
-    ``q(e) ≥ λ + 1``, hence connectivity ``≥ λ + 1``.
+    default solve's queue: every union merges endpoints with
+    ``q(e) ≥ λ + 1``, hence connectivity ``≥ λ + 1``.  The state keeps
+    ``graph`` and ``λ`` for it; :meth:`WarmState.certificate` runs the pass
+    on first use.
     """
     side = None if result.side is None else np.asarray(result.side, dtype=bool).copy()
     state = WarmState(digest=digest, value=int(result.value), side=side)
     if certify and result.value > 0 and graph.n > 2:
-        res = capforest(
-            graph, int(result.value) + 1, pq_kind=DEFAULT_PQ_KIND,
-            fixed_bound=True, start=0, rng=0, kernel=kernel,
-        )
-        labels = res.uf.labels()
-        if int(labels.max()) + 1 < graph.n:  # at least one merge happened
-            state.cert_labels = labels
-            state.cert_bound = int(result.value) + 1
+        state.cert_graph = graph
+        state.cert_value = int(result.value)
+        state.cert_bound = int(result.value) + 1
     return state
 
 
@@ -128,7 +165,7 @@ def _candidate_seed(
     best_side = state.side
     trivial = False
     if len(delta.touched):
-        wdeg = new_graph.weighted_degrees()[delta.touched]
+        wdeg = row_weights(new_graph, delta.touched)
         i = int(np.argmin(wdeg))
         if int(wdeg[i]) < best:
             best = int(wdeg[i])
@@ -151,9 +188,10 @@ def warm_solve(
     Returns ``(result, info)`` — ``info`` feeds the ``warm_solve`` trace
     event and ``result.stats["warm"]`` — or ``None`` when this algorithm
     (or a side-less state) cannot be warmed and the caller must solve cold.
-    The caller is responsible for refreshing the warm state afterwards
-    (:func:`make_warm_state`), and for decaying ``state.cert_bound`` by
-    ``delta.deleted_weight`` if it keeps the old certificate.
+    A seeded solve may compute ``state``'s certificate, so call this under
+    the handle's lock.  The caller refreshes the warm state afterwards:
+    :meth:`WarmState.advance` after the fast path, :func:`make_warm_state`
+    after a solve.
     """
     config = WARMABLE_ALGORITHMS.get(algorithm)
     if config is None or state.side is None:
@@ -194,12 +232,10 @@ def warm_solve(
     labels = None
     seed_side_h = None
     surviving_bound = state.cert_bound - delta.deleted_weight
-    if (
-        state.cert_labels is not None
-        and surviving_bound >= seed_value
-        and not seed_trivial
-    ):
-        cand = state.cert_labels
+    cand = None
+    if surviving_bound >= seed_value and not seed_trivial:
+        cand = state.certificate(kernel)
+    if cand is not None:
         nc = int(cand.max()) + 1
         if 2 <= nc < new_graph.n:
             side_h = np.zeros(nc, dtype=bool)

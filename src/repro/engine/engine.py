@@ -307,11 +307,18 @@ class SolverEngine:
         algorithm, options = self._check_request(
             algorithm, all_cuts, most_balanced, kwargs, deadline
         )
+        return self._submit(graph, graph_digest(graph), algorithm, options,
+                            kwargs, deadline, cache)
+
+    def _submit(self, graph, digest: str, algorithm: str, options: dict,
+                kwargs: dict, deadline: float | None,
+                cache: bool) -> EngineFuture:
+        """:meth:`submit` past its request check, for a graph whose digest
+        is known (:meth:`update` has its handle's)."""
         # pooled workers are daemonic and may not fork grandchildren; the
         # pool already provides cross-request process parallelism
         if self._pool is not None and kwargs.get("executor") == "processes":
             kwargs = dict(kwargs, executor="threads")
-        digest = graph_digest(graph)
         key = request_key(digest, algorithm, kwargs, options)
         with self._lock:
             if self._closing or self._closed:
@@ -386,8 +393,9 @@ class SolverEngine:
         3. **seeded solve** — NOI seeded with the certified post-update
            bound and side, on the certificate-contracted graph when the
            strict certificate survives the batch;
-        4. **cold solve** — through :meth:`submit` (non-warmable algorithm,
-           no prior state, or a side-less previous result).
+        4. **cold solve** — queued as :meth:`submit` queues it, on the
+           handle's digest (non-warmable algorithm, no prior state, or a
+           side-less previous result).
 
         Warm results are exact: the value always equals a cold re-solve's;
         the side is a certified minimum cut (when several minimum cuts
@@ -399,7 +407,6 @@ class SolverEngine:
         ``result.stats["warm"]`` records which path ran.
         """
         from ..core.api import EXACT_ALGORITHMS, attach_cactus
-        from ..core.capforest import DEFAULT_KERNEL
         from ..dynamic import make_warm_state, warm_solve
 
         algorithm, options = self._check_request(
@@ -431,7 +438,6 @@ class SolverEngine:
                 apply_seconds=round(time.monotonic() - t0, 6),
             )
             key = request_key(delta.new_digest, algorithm, kwargs, options)
-            kernel = kwargs.get("kernel", DEFAULT_KERNEL)
             state = dynamic.warm
             if cache:
                 cached = self._cache.get(key)
@@ -439,14 +445,12 @@ class SolverEngine:
                     self._emit("cache_hit", digest=delta.new_digest,
                                source="update")
                     # seed the warm state as a cold solve does; keep a state
-                    # already on this digest (make_warm_state runs a CAPFOREST
-                    # pass, and every update-stream read lands here)
+                    # already on this digest (and the certificate it may
+                    # have computed: every update-stream read lands here)
                     if ((state is None or state.digest != delta.new_digest)
                             and algorithm in EXACT_ALGORITHMS
                             and cached.side is not None):
-                        dynamic.warm = make_warm_state(
-                            graph, delta.new_digest, cached, kernel=kernel
-                        )
+                        dynamic.warm = make_warm_state(graph, delta.new_digest, cached)
                     with self._lock:
                         self._counters["updates"] += 1
                         self._counters["cache_invalidated"] += invalidated
@@ -463,26 +467,17 @@ class SolverEngine:
                     attach_cactus(graph, result, most_balanced=most_balanced)
                 if info["mode"] == "fast-path":
                     counter = "updates_fast_path"
-                    # carry the state forward: the certificate's connectivity
-                    # claim decays by the deleted weight, nothing else changes
-                    state.digest = delta.new_digest
-                    state.value = int(result.value)
-                    state.side = result.side
-                    if state.cert_labels is not None:
-                        state.cert_bound -= delta.deleted_weight
+                    state.advance(delta, result)
                 else:
                     counter = "updates_seeded"
-                    dynamic.warm = make_warm_state(
-                        graph, delta.new_digest, result, kernel=kernel
-                    )
+                    dynamic.warm = make_warm_state(graph, delta.new_digest, result)
                 if cache:
                     self._cache.put(key, result)
             else:
-                fut = self.submit(
-                    graph, algorithm, deadline=deadline, cache=cache,
-                    **options, **kwargs,
-                )
-                result = fut.result()
+                result = self._submit(
+                    graph, delta.new_digest, algorithm, options, kwargs,
+                    deadline, cache,
+                ).result()
                 info = {
                     "mode": "cold", "seed_value": None, "lower_bound": None,
                     "previous_value": None if state is None else state.value,
@@ -492,9 +487,7 @@ class SolverEngine:
                 }
                 counter = "updates_cold"
                 if algorithm in EXACT_ALGORITHMS and result.side is not None:
-                    dynamic.warm = make_warm_state(
-                        graph, delta.new_digest, result, kernel=kernel
-                    )
+                    dynamic.warm = make_warm_state(graph, delta.new_digest, result)
                 else:
                     dynamic.warm = None
             result.stats.setdefault("warm", info)

@@ -662,11 +662,11 @@ class MinCutService:
             )
         self._counters["updates"] += 1
 
-        def reply(result) -> dict:
+        def reply(out) -> dict:
+            result, snapshot = out
             return {**self._result_body(result, spec, ctx),
-                    "graph_id": graph_id, "version": handle.version,
-                    "digest": handle.digest, "n": handle.graph.n,
-                    "m": handle.graph.m, "warm": result.stats.get("warm")}
+                    "graph_id": graph_id, **snapshot,
+                    "warm": result.stats.get("warm")}
 
         def unregister() -> None:
             if registers:
@@ -794,15 +794,21 @@ class MinCutService:
                          spec: dict):
         """Apply + re-solve one update, under :meth:`_with_retries`.  The
         batch is applied once: a retry after a cold-path worker crash
-        re-enters :meth:`SolverEngine.update` with empty batches."""
+        re-enters :meth:`SolverEngine.update` with empty batches.  Returns
+        the result and the version, digest and size the batch produced,
+        read under the handle's lock, before a concurrent batch moves it."""
 
         def attempt(remaining: float):
-            return self._engine.update(
-                handle, inserts, deletes, algorithm=spec["algorithm"],
-                deadline=remaining, cache=spec["cache"],
-                all_cuts=spec["all_cuts"],
-                most_balanced=spec["most_balanced"], **spec["kwargs"],
-            )
+            with handle.lock:
+                result = self._engine.update(
+                    handle, inserts, deletes, algorithm=spec["algorithm"],
+                    deadline=remaining, cache=spec["cache"],
+                    all_cuts=spec["all_cuts"],
+                    most_balanced=spec["most_balanced"], **spec["kwargs"],
+                )
+                return result, {"version": handle.version,
+                                "digest": handle.digest,
+                                "n": handle.graph.n, "m": handle.graph.m}
 
         def applied() -> None:
             nonlocal inserts, deletes

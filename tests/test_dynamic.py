@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import minimum_cut
+from repro.core.capforest import DEFAULT_PQ_KIND, capforest
 from repro.dynamic import (
     DynamicGraph,
     EdgeUpdateError,
@@ -26,9 +27,10 @@ from repro.dynamic import (
     make_warm_state,
     warm_solve,
 )
+from repro.dynamic.graph import row_weights
 from repro.engine import ResultCache, SolverEngine, graph_digest, request_key
 from repro.generators import connected_gnm
-from repro.graph import from_edges
+from repro.graph import Graph, from_edges
 from repro.observability import Tracer
 from repro.observability.schema import validate_trace_events
 
@@ -77,6 +79,54 @@ def _random_batch(rng, n: int, edges: dict, *, p_insert: float = 0.6,
                 continue
             deletes.append(key)
             deleted.add(key)
+    return inserts, deletes
+
+
+def _shaped_batch(rng, n: int, edges: dict, shape: int):
+    """A well-formed batch of a shape that stresses the merge's row
+    boundaries: 0 empties a row, 1 fills an empty row, 2 hits one row many
+    times, 3 bumps weights beside new arcs, 4 touches vertices 0 and n-1,
+    5 is a larger random batch."""
+    def pair(u, v):
+        return (min(u, v), max(u, v))
+
+    def weight():
+        return int(rng.integers(1, 9))
+
+    v = int(rng.choice([0, n - 1, int(rng.integers(0, n))]))
+    if shape == 1:  # a vertex whose row is empty, else empty v's row
+        ends = {u for key in edges for u in key}
+        v = next((u for u in (v, *rng.permutation(n).tolist())
+                  if u not in ends), v)
+    adjacent = [key for key in edges if v in key]
+    inserts: list[tuple[int, int, int]] = []
+    deletes: list[tuple[int, int]] = []
+    if shape == 0 or (shape == 1 and adjacent):
+        deletes = adjacent
+    elif shape == 1:
+        inserts = [(v, u, weight()) for u in range(n) if u != v]
+    elif shape == 2:
+        deletes = [key for key in adjacent if rng.random() < 0.5]
+        for _ in range(int(rng.integers(1, 40))):
+            u = int(rng.integers(0, n))
+            if u != v and pair(u, v) not in deletes:
+                inserts.append((u, v, weight()))
+    elif shape == 3:
+        keys = list(edges)
+        for i in rng.permutation(len(keys))[:8]:
+            u, w = keys[i]
+            inserts.append((w, u, 1))  # bump u -> w, then new arcs beside it
+            for x in (w - 1, w + 1):
+                if 0 <= x < n and x != u and pair(u, x) not in edges:
+                    inserts.append((u, x, weight()))
+    elif shape == 4:
+        for key in sorted({pair(0, n - 1), pair(0, 1), pair(n - 2, n - 1)}):
+            if key in edges and rng.random() < 0.5:
+                deletes.append(key)
+            else:
+                inserts.append((key[1], key[0], weight()))
+    else:
+        return _random_batch(rng, n, edges, max_ops=60)
     return inserts, deletes
 
 
@@ -130,6 +180,43 @@ class TestApplyUpdates:
                 edges = _apply_to_dict(edges, inserts, deletes)
                 assert graph_digest(graph) == graph_digest(_rebuild(n, edges))
 
+    def test_fuzz_merge_arrays_equal_rebuild(self):
+        # the arrays themselves, element by element, not their digest
+        rng = np.random.default_rng(20)
+        for _ in range(12):
+            n = int(rng.integers(2, 400))
+            m = int(rng.integers(0, min(n * (n - 1) // 2, 6 * n) + 1))
+            us, vs = rng.integers(0, n, m), rng.integers(0, n, m)
+            edges = {}
+            for u, v in zip(us.tolist(), vs.tolist()):
+                if u != v:
+                    edges[(min(u, v), max(u, v))] = int(rng.integers(1, 9))
+            graph = _rebuild(n, edges)
+            for shape in rng.permutation(np.repeat(np.arange(6), 2)):
+                inserts, deletes = _shaped_batch(rng, n, edges, int(shape))
+                graph, *_ = apply_updates(graph, inserts, deletes)
+                edges = _apply_to_dict(edges, inserts, deletes)
+                expect = _rebuild(n, edges)
+                for name in ("xadj", "adjncy", "adjwgt"):
+                    np.testing.assert_array_equal(
+                        getattr(graph, name), getattr(expect, name), err_msg=name
+                    )
+                np.testing.assert_array_equal(  # the warm path's trivial cuts
+                    row_weights(graph, np.arange(n)), expect.weighted_degrees()
+                )
+
+    def test_unsorted_row_raises(self, weighted_cycle):
+        xadj = weighted_cycle.xadj
+        adjncy = weighted_cycle.adjncy.copy()
+        adjwgt = weighted_cycle.adjwgt.copy()
+        row = slice(xadj[1], xadj[2])  # vertex 1's heads 0, 2 become 2, 0
+        adjncy[row], adjwgt[row] = adjncy[row][::-1].copy(), adjwgt[row][::-1].copy()
+        unsorted = Graph(xadj, adjncy, adjwgt)
+        with pytest.raises(EdgeUpdateError, match="canonical sorted order"):
+            apply_updates(unsorted, [(0, 2, 1)], ())
+        with pytest.raises(EdgeUpdateError, match="canonical sorted order"):
+            DynamicGraph(unsorted).apply(deletes=[(0, 1)])
+
     @pytest.mark.parametrize(
         "inserts, deletes, match",
         [
@@ -181,6 +268,18 @@ class TestDynamicGraph:
 # warm-solve unit behavior (direct, engine-free)
 # ---------------------------------------------------------------------------
 
+#: λ = 3, and the cold solve (rng=0) cuts edge (0, 1).  Deleting it is a
+#: fast path that decays the certificate's bound from 4 to 3; the insert of
+#: (0, 10) then crosses the carried cut, and its seeded solve is the
+#: certificate's first use.  λ stays 2 after it through another minimum
+#: cut, which a certificate pass at the decayed bound contracts away.
+_CERT_EDGES = {
+    (0, 1): 1, (0, 5): 2, (1, 10): 2, (2, 5): 2, (2, 6): 1, (2, 8): 6,
+    (2, 10): 2, (3, 4): 3, (3, 5): 1, (3, 10): 3, (4, 6): 3, (4, 7): 3,
+    (4, 8): 2, (6, 10): 2, (7, 9): 3, (7, 10): 2,
+}
+_CERT_STREAM = [((), [(0, 1)]), ([(0, 10, 1)], ())]
+
 
 class TestWarmSolve:
     def test_fast_path_on_intra_side_insert(self, dumbbell):
@@ -194,6 +293,37 @@ class TestWarmSolve:
         result, info = out
         assert info["mode"] == "fast-path" and result.value == 1
         assert result.verify(dyn.graph)
+
+    def test_certificate_runs_on_first_use_at_solve_bound(self, monkeypatch):
+        g0 = _rebuild(11, _CERT_EDGES)
+        res0 = minimum_cut(g0, algorithm="noi-viecut", rng=0)
+        calls = []
+
+        def recording(graph, bound, **kwargs):
+            calls.append((graph, bound))
+            return capforest(graph, bound, **kwargs)
+
+        monkeypatch.setattr("repro.dynamic.warm.capforest", recording)
+        state = make_warm_state(g0, graph_digest(g0), res0)
+        dyn = DynamicGraph(g0)
+        modes = []
+        for inserts, deletes in _CERT_STREAM:
+            delta = dyn.apply(inserts, deletes)
+            result, info = warm_solve(dyn.graph, state, delta,
+                                      algorithm="noi-viecut")
+            modes.append(info["mode"])
+            if info["mode"] == "fast-path":
+                assert calls == []  # neither the solve nor the fast path pays
+                state.advance(delta, result)
+        assert modes == ["fast-path", "seeded-contracted"]
+        # one pass, on the solved graph at λ_solve + 1, not the decayed bound
+        assert [(graph is g0, bound) for graph, bound in calls] == [
+            (True, res0.value + 1)
+        ]
+        expect = capforest(g0, res0.value + 1, pq_kind=DEFAULT_PQ_KIND,
+                           fixed_bound=True, start=0, rng=0).uf.labels()
+        np.testing.assert_array_equal(state.certificate(), expect)
+        assert len(calls) == 1
 
     def test_non_warmable_algorithm_returns_none(self, dumbbell):
         digest = graph_digest(dumbbell)
@@ -287,6 +417,22 @@ class TestEngineUpdateStreams:
         dyn = _stream_check(inline_engine, edges, 8, batches)
         assert dyn.version == 3
 
+    def test_decayed_certificate_stream_reaches_seeded_contracted(
+        self, inline_engine
+    ):
+        edges = dict(_CERT_EDGES)
+        dyn = DynamicGraph(_rebuild(11, edges))
+        inline_engine.update(dyn, rng=0)
+        modes = []
+        for inserts, deletes in _CERT_STREAM:
+            warm = inline_engine.update(dyn, inserts, deletes, rng=0)
+            edges = _apply_to_dict(edges, inserts, deletes)
+            cold = minimum_cut(_rebuild(11, edges), algorithm="noi-viecut", rng=0)
+            assert warm.value == cold.value == oracle_mincut(dyn.graph)
+            assert warm.verify(dyn.graph)
+            modes.append(warm.stats["warm"]["mode"])
+        assert modes == ["fast-path", "seeded-contracted"]
+
     def test_oracle_agreement_on_connected_steps(self, inline_engine):
         rng = np.random.default_rng(3)
         n = 10
@@ -318,6 +464,22 @@ class TestEngineUpdateStreams:
         inline_engine.update(other, rng=0)
         inline_engine.update(other, inserts=batch, rng=0)  # cache hit
         assert other.warm.digest == other.digest
+
+    def test_cold_registration_digests_its_graph_once(
+        self, inline_engine, dumbbell, monkeypatch
+    ):
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return graph_digest(graph)
+
+        monkeypatch.setattr("repro.engine.engine.graph_digest", counting)
+        monkeypatch.setattr("repro.dynamic.graph.graph_digest", counting)
+        dyn = DynamicGraph(dumbbell)
+        res = inline_engine.update(dyn, rng=0)
+        assert res.stats["warm"]["mode"] == "cold"
+        assert calls == [dumbbell]  # the handle's digest keys the cold solve
 
     def test_update_counters_and_cache_lineage(self, dumbbell):
         with SolverEngine(pool_size=0) as eng:

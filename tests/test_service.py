@@ -820,6 +820,29 @@ class TestServiceTracing:
 
 
 class TestConcurrentLoad:
+    def test_concurrent_updates_report_their_own_version(self, dumbbell):
+        # 4 clients send 60 single-edge inserts each to one graph: every
+        # batch bumps the version once, and each reply names the version,
+        # digest and size its own batch produced
+        pairs = [(u, v) for u in range(8) for v in range(8) if u != v]
+        reqs = [{"path": "/v1/update",
+                 "payload": {"graph_id": "race",
+                             "inserts": [[*pairs[i % len(pairs)], 1]]}}
+                for i in range(240)]
+        with ServiceThread(
+            engine_kwargs={"pool_size": 0},
+            config=ServiceConfig(max_inflight=8, per_client_inflight=8),
+        ) as st:
+            with ServiceClient("127.0.0.1", st.port) as client:
+                assert client.update("race", graph=dumbbell)[0] == 200
+            records = fire_concurrent("127.0.0.1", st.port, reqs,
+                                      concurrency=4)
+        assert [r["status"] for r in records] == [200] * 240
+        bodies = [r["body"] for r in records]
+        assert sorted(b["version"] for b in bodies) == list(range(1, 241))
+        # each insert adds weight, so every version is a distinct graph
+        assert len({b["digest"] for b in bodies}) == 240
+
     def test_mixed_load_all_accounted(self, dumbbell, weighted_cycle):
         with ServiceThread(
             engine_kwargs={"pool_size": 2},
