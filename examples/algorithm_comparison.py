@@ -21,7 +21,7 @@ print(f"instance: RHG  n={graph.n} m={graph.m} "
 
 ALGOS = [
     ("noi-viecut", dict()),          # NOIλ̂-BQueue-VieCut — the default
-    ("noi-viecut", dict(pq_kind="heap")),  # NOIλ̂-Heap-VieCut — the paper's champion
+    ("noi-viecut", dict(pq_kind="heap")),  # the paper's champion queue (NOIλ̂-Heap-VieCut)
     ("noi", dict(pq_kind="bstack")),  # NOIλ̂-BStack
     ("noi", dict(pq_kind="bqueue")),  # NOIλ̂-BQueue
     ("noi", dict(pq_kind="heap")),    # NOIλ̂-Heap

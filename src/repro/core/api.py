@@ -15,12 +15,13 @@ Algorithm names (paper variant in brackets):
                    [NOIλ̂-BQueue]; kwargs: ``pq_kind``, ``bounded``,
                    ``initial_bound``, ``kernel``
 ``"noi-hnss"``     NOI, unbounded heap [NOI-HNSS baseline]
-``"noi-viecut"``   VieCut seed + bounded NOI [NOIλ̂-BQueue-VieCut] — the
+``"noi-viecut"``   bounded NOI + VieCut seed [NOIλ̂-BQueue-VieCut] — the
                    default; the paper's fastest sequential configuration
-                   is NOIλ̂-Heap-VieCut (``pq_kind="heap"``), but here only
-                   the BQueue's at-the-clamp drains batch in numpy.  Graphs
-                   of at most 64 vertices skip the VieCut seed, which
-                   would be an exact NOI solve of the same graph
+                   is NOIλ̂-Heap-VieCut (``pq_kind="heap"`` selects its
+                   queue), but here only the BQueue's at-the-clamp drains
+                   batch in numpy.  The seed runs after the first pass,
+                   on the contracted graph, and only if it kept more
+                   than 64 vertices
 ``"parcut"``       Parallel system, Algorithm 2 [ParCutλ̂-BQueue]; kwargs:
                    ``workers``, ``executor``, ``pq_kind``, ``kernel``,
                    ``use_viecut``, ``start_method``, plus the
@@ -73,35 +74,36 @@ def _noi_hnss(graph: Graph, **kw) -> MinCutResult:
 def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
     from ..kernels import resolve_kernel
     from ..utils.timers import Timer
-    from ..viecut.viecut import SMALL_THRESHOLD, viecut
-    from .capforest import DEFAULT_KERNEL, check_queue
+    from ..viecut.viecut import SMALL_THRESHOLD
+    from .capforest import DEFAULT_KERNEL
     from .noi import noi_mincut
 
-    # fail on a bad queue before VieCut runs (noi_mincut's own rule)
-    check_queue(kw.get("pq_kind"), kw.get("bounded", True))
+    for key in ("initial_bound", "initial_side"):
+        if key in kw:  # the seed is this entry's own
+            raise TypeError(f"noi-viecut got an unexpected keyword argument {key!r}")
     rng = kw.pop("rng", None)
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
-    compute_side = kw.get("compute_side", True)
     # noi_mincut resolves the kernel again and reports any fallback, once
     kernel, _ = resolve_kernel(kw.get("kernel", DEFAULT_KERNEL))
     timer = Timer()
-    seed = None
-    # VieCut clusters nothing on a graph this small: its seed would be an
-    # exact NOI solve of the very graph NOI is about to solve
-    if graph.n > SMALL_THRESHOLD:
+    seed_value = None
+
+    def seed(contracted: Graph) -> MinCutResult | None:
+        # the first pass's scan cuts usually close λ̂ already; on a graph
+        # this small VieCut clusters nothing and would be an exact NOI solve
+        nonlocal seed_value
+        if contracted.n <= SMALL_THRESHOLD:
+            return None
+        from ..viecut.viecut import viecut  # looked up per call
+
         with timer.phase("viecut"):
-            seed = viecut(graph, rng=rng, tracer=kw.get("tracer"), kernel=kernel)
-    res = noi_mincut(
-        graph,
-        initial_bound=None if seed is None else seed.value,
-        initial_side=seed.side if seed is not None and compute_side else None,
-        rng=rng,
-        **kw,
-    )
-    if seed is None:
-        res.algorithm += "-viecut"  # the same variant, without its seed pass
-    res.stats["viecut_value"] = None if seed is None else seed.value
+            cut = viecut(contracted, rng=rng, tracer=kw.get("tracer"), kernel=kernel)
+        seed_value = cut.value
+        return cut
+
+    res = noi_mincut(graph, rng=rng, _seed_hook=seed, **kw)
+    res.stats["viecut_value"] = seed_value
     res.stats["phase_seconds"] = {
         "viecut": round(timer.total("viecut"), 6), **res.stats["phase_seconds"]
     }
@@ -210,12 +212,18 @@ def minimum_cut(
         graphs return a cut of value 0.
     algorithm:
         Registry name (see module docstring).  The default,
-        ``"noi-viecut"``, runs NOIλ̂-BQueue-VieCut: VieCut's seed and
-        bounded NOI on the BQueue with the ``vector`` kernel.  The paper
-        finds NOIλ̂-Heap-VieCut fastest sequentially on almost all
-        instances (``pq_kind="heap"`` selects it); in this port only the
-        BQueue's at-the-clamp drains batch in numpy, which makes the
-        BQueue the faster default.
+        ``"noi-viecut"``, runs NOIλ̂-BQueue-VieCut: bounded NOI on the
+        BQueue with the ``vector`` kernel, seeded by VieCut.  The paper
+        seeds before the first CAPFOREST pass; here the first pass runs
+        at the min-degree bound and contracts, and VieCut then seeds the
+        contracted graph only if more than ``viecut.SMALL_THRESHOLD``
+        (64) vertices remain, which is rare.  A cut of the contracted
+        graph is a cut of the input, so the solve stays exact.
+        ``stats["viecut_value"]`` is ``None`` when the seed did not run.
+        The paper finds NOIλ̂-Heap-VieCut fastest sequentially on almost
+        all instances (``pq_kind="heap"`` selects its queue); in this
+        port only the BQueue's at-the-clamp drains batch in numpy, which
+        makes the BQueue the faster default.
     engine:
         Optional :class:`repro.engine.SolverEngine`.  When given, the solve
         is routed through the engine — served from its result cache when

@@ -13,6 +13,8 @@ Variants (the paper's experimental section):
 * ``bounded=True``, ``pq_kind ∈ {"bstack", "bqueue", "heap"}``  →
   **NOIλ̂-BStack / NOIλ̂-BQueue / NOIλ̂-Heap** (§3.1.2–3.1.3)
 * pass ``initial_bound``/``initial_side`` from VieCut  →  **NOI-…-VieCut**
+  (the paper's order; the ``noi-viecut`` registry entry instead seeds the
+  graph that the first pass left, see :func:`repro.core.api.minimum_cut`)
 
 Without a named queue or kernel a bounded solve runs NOIλ̂-BQueue on the
 ``vector`` kernel (:data:`~repro.core.capforest.DEFAULT_PQ_KIND`,
@@ -29,6 +31,8 @@ pair's connectivity is ≥ λ̂).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -57,6 +61,7 @@ def noi_mincut(
     sparsify: bool = False,
     trace: bool = False,
     tracer=None,
+    _seed_hook: Callable[[Graph], MinCutResult | None] | None = None,
 ) -> MinCutResult:
     """Exact minimum cut of ``graph``.
 
@@ -98,6 +103,10 @@ def noi_mincut(
         round / λ̂-provenance events (round granularity; ``None`` adds no
         per-edge work).  Orthogonal to ``trace``, which keeps its
         in-stats round log for backwards compatibility.
+    _seed_hook:
+        Private to the ``noi-viecut`` entry: called once, with the graph
+        the first round left, it returns a cut of that graph (VieCut's)
+        or ``None``; a smaller value becomes λ̂.
 
     Returns
     -------
@@ -134,7 +143,8 @@ def noi_mincut(
         "phase_seconds": {},
     }
     timer = Timer()
-    algo = _variant_name(pq_kind, bounded, initial_bound is not None)
+    seeded = initial_bound is not None or _seed_hook is not None
+    algo = _variant_name(pq_kind, bounded, seeded)
     if tracer is not None:
         tracer.emit(
             "solve_start", algorithm=algo, n=n, m=graph.m,
@@ -263,6 +273,16 @@ def noi_mincut(
             if tracer is not None:
                 tracer.lambda_update(best_value, "min-degree", vertex=int(v))
         lam = min(lam, d)
+        if _seed_hook is not None and stats["rounds"] == 1:
+            # a cut of the contracted graph is a cut of the input, so its
+            # value is a valid λ̂ (Lemma 3.1) and its side maps back
+            seed = _seed_hook(g)
+            if seed is not None and seed.value < best_value:
+                best_value = lam = seed.value
+                if compute_side:
+                    best_side = seed.side[labels]
+                if tracer is not None:
+                    tracer.lambda_update(best_value, "viecut")
 
     if tracer is not None:
         tracer.emit("solve_end", value=best_value, rounds=stats["rounds"])

@@ -152,7 +152,12 @@ def make_engine_variants(
     live tracer objects — trace at the engine level instead.
     ``Engine-NOIlam-Heap-VieCut`` pins the heap and the scalar kernel, the
     paper's configuration its name promises, which the default solve no
-    longer runs; ``solve_kwargs`` override the pin.
+    longer runs; ``solve_kwargs`` override the pin.  It runs
+    ``noi-viecut``, so it follows that entry's seeding rule: VieCut seeds
+    the graph the first CAPFOREST pass left, and only if that graph kept
+    more than 64 vertices, where the paper (and the
+    ``*-VieCut`` variants of :func:`make_sequential_variants`) seed
+    before the first pass.
     """
     if algorithms is None:
         algorithms = {

@@ -100,10 +100,14 @@ class Graph:
     def weighted_degrees(self) -> np.ndarray:
         """Weighted degree of every vertex (cached, ``int64[n]``)."""
         if self._wdeg is None:
-            # prefix sums handle empty adjacency slices (isolated vertices)
-            # uniformly, unlike np.add.reduceat
-            csum = np.concatenate(([0], np.cumsum(self.adjwgt, dtype=np.int64)))
-            self._wdeg = csum[self.xadj[1:]] - csum[self.xadj[:-1]]
+            # reduceat over the non-empty rows only: an empty slice would
+            # yield the element at its offset, and an offset at the array
+            # end is rejected, so isolated vertices keep their zero
+            wdeg = np.zeros(self.n, dtype=np.int64)
+            starts = self.xadj[:-1]
+            rows = starts < self.xadj[1:]
+            wdeg[rows] = np.add.reduceat(self.adjwgt, starts[rows])
+            self._wdeg = wdeg
         return self._wdeg
 
     def xadj_list(self) -> list[int]:

@@ -109,6 +109,20 @@ class TestQueries:
         assert g.weighted_degree(1) == 3
         assert g.weighted_degree(2) == 5
 
+    @pytest.mark.parametrize("n, us, vs, ws", [
+        (7, [1, 2, 5], [2, 5, 1], [4, 6, 9]),  # 0 leading, 3-4 interior, 6 trailing
+        (3, [], [], []),  # edgeless
+        (4, [0, 1, 2], [1, 2, 3], [2, 3, 4]),  # no isolated vertex
+    ], ids=["isolated", "edgeless", "path"])
+    def test_weighted_degrees_with_isolated_vertices(self, n, us, vs, ws):
+        g = from_edges(n, us, vs, ws)
+        expected = np.zeros(n, dtype=np.int64)
+        np.add.at(expected, us, ws)
+        np.add.at(expected, vs, ws)
+        wdeg = g.weighted_degrees()
+        assert wdeg.dtype == np.int64
+        assert wdeg.tolist() == expected.tolist()
+
     def test_min_weighted_degree(self):
         g = triangle()
         v, d = g.min_weighted_degree()

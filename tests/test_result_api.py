@@ -13,7 +13,8 @@ from repro.viecut.viecut import SMALL_THRESHOLD
 from .conftest import oracle_mincut
 
 #: inputs on either side of every switch of the default solve: the VieCut
-#: skip (n <= SMALL_THRESHOLD), the vector kernel's small-scan crossover
+#: seed (run after the first pass only if it left more than SMALL_THRESHOLD
+#: vertices), the vector kernel's small-scan crossover
 #: (MIN_VECTOR_N), a λ̂ above MAX_BUCKET_BOUND (the BQueue request runs on
 #: the heap), and the disconnected and two-vertex early exits
 DEFAULT_PATH_GRAPHS = {
@@ -74,14 +75,15 @@ class TestFacade:
     @pytest.mark.parametrize("name", sorted(DEFAULT_PATH_GRAPHS))
     def test_default_solve_matches_oracle(self, name):
         g = DEFAULT_PATH_GRAPHS[name]
-        res = minimum_cut(g, rng=0)
+        res = minimum_cut(g, rng=0, trace=True)
         assert res.value == (0 if name == "disconnected" else oracle_mincut(g))
         assert res.verify(g)
         assert res.algorithm == "noi-lambda-bqueue-viecut"
         assert res.stats["kernel_resolved"] == "vector"
-        skipped = g.n <= SMALL_THRESHOLD
-        assert (res.stats["viecut_value"] is None) == skipped
-        if skipped:
+        rounds = res.stats.get("trace", [])  # none on the disconnected exit
+        ran = bool(rounds) and rounds[0]["n"] - rounds[0]["marks"] > SMALL_THRESHOLD
+        assert (res.stats["viecut_value"] is not None) == ran
+        if not ran:
             assert res.stats["phase_seconds"]["viecut"] == 0.0
 
     def test_unknown_algorithm(self, dumbbell):

@@ -16,9 +16,10 @@ import pytest
 from repro import minimum_cut
 from repro.core.mincut import parallel_mincut
 from repro.core.noi import NOI_PHASES, noi_mincut
-from repro.generators import connected_gnm
+from repro.generators import connected_gnm, rhg
 from repro.graph import from_edges
 from repro.viecut import viecut
+from repro.viecut.viecut import SMALL_THRESHOLD
 
 SMALL_GRAPHS = {
     "two-vertices": from_edges(2, [0], [1], [5]),
@@ -132,11 +133,18 @@ def test_phase_keys_on_every_path(path, algorithm, phases):
 
 
 def test_phases_that_ran_are_timed():
-    g = connected_gnm(300, 1200, rng=5, weights=(1, 6))
-    res, wall = _timed("noi-viecut", g)
-    phases = res.stats["phase_seconds"]
-    assert res.stats["rounds"] > 0
-    assert phases["viecut"] > 0.0 and phases["capforest"] > 0.0 and phases["contract"] > 0.0
-    assert sum(phases.values()) <= wall
-    plain = noi_mincut(g, rng=0, sparsify=True)
-    assert plain.stats["phase_seconds"]["capforest"] > 0.0
+    ran = []
+    # the first pass leaves 18 vertices of the gnm graph and 182 of the rhg
+    for g in (connected_gnm(300, 1200, rng=5, weights=(1, 6)), rhg(256, 32, rng=1)):
+        res, wall = _timed("noi-viecut", g, trace=True)
+        phases = res.stats["phase_seconds"]
+        assert res.stats["rounds"] > 0
+        assert phases["capforest"] > 0.0 and phases["contract"] > 0.0
+        # VieCut seeds the graph the first pass left, if it kept > 64 vertices
+        first = res.stats["trace"][0]
+        ran.append(phases["viecut"] > 0.0)
+        assert ran[-1] == (first["n"] - first["marks"] > SMALL_THRESHOLD)
+        assert sum(phases.values()) <= wall
+        plain = noi_mincut(g, rng=0, sparsify=True)
+        assert plain.stats["phase_seconds"]["capforest"] > 0.0
+    assert ran == [False, True]
