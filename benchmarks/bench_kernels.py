@@ -1,9 +1,11 @@
 """CAPFOREST kernel benchmarks: scalar reference vs vector kernel.
 
 Two jobs in one file.  The ``benchmark``-fixture tests feed the ordinary
-pytest-benchmark tables (``--benchmark-only``), one group per executor.  On
-top of that, ``test_record_kernel_trajectory`` measures the kernels in
-*interleaved pairs* — scalar then vector per round, with per-round
+pytest-benchmark tables (``--benchmark-only``): the sequential pass per
+kernel, and one ``processes`` pass, whose region workers run the scalar
+loop whatever the kernel.  On top of that,
+``test_record_kernel_trajectory`` measures the kernels in *interleaved
+pairs* — scalar then vector per round, with per-round
 throughput ratios and the median taken across rounds — and writes the
 result to ``BENCH_parcut.json`` at the repository root.  Interleaving is
 deliberate: wall-clock noise on shared machines dwarfs the effect size, but
@@ -60,11 +62,9 @@ def _run_sequential(g, kernel, lam=None):
     return capforest(g, lam, pq_kind="bqueue", rng=0, kernel=kernel)
 
 
-def _run_processes(g, kernel):
+def _run_processes(g):
     lam = g.min_weighted_degree()[1]
-    return parallel_capforest(
-        g, lam, workers=4, executor="processes", rng=0, kernel=kernel, timeout=120.0
-    )
+    return parallel_capforest(g, lam, workers=4, executor="processes", rng=0, timeout=120.0)
 
 
 @pytest.mark.parametrize("kernel", TIMED_KERNELS)
@@ -78,13 +78,9 @@ def test_sequential_pass(benchmark, kernel_graph, kernel):
     benchmark.extra_info["edges_scanned"] = res.edges_scanned
 
 
-@pytest.mark.parametrize("kernel", TIMED_KERNELS)
-def test_processes_pass(benchmark, kernel_graph, kernel):
-    res = benchmark.pedantic(
-        lambda: _run_processes(kernel_graph, kernel), rounds=2, iterations=1
-    )
+def test_processes_pass(benchmark, kernel_graph):
+    res = benchmark.pedantic(lambda: _run_processes(kernel_graph), rounds=2, iterations=1)
     benchmark.group = "capforest-kernel-processes"
-    benchmark.extra_info["kernel"] = kernel
     benchmark.extra_info["start_method"] = res.start_method
 
 

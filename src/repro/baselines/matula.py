@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.capforest import capforest
+from ..core.parallel_capforest import check_executor, parallel_capforest
 from ..core.result import MinCutResult
 from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_union_find
@@ -66,11 +67,12 @@ def matula_approx(
         meaning to :func:`~repro.core.mincut.parallel_mincut`'s: lost
         workers are tolerated (their marks drop, the certificates of the
         survivors still hold), a fully failed executor degrades
-        ``processes → threads → serial``, and every event lands in
+        ``processes → serial``, and every event lands in
         ``stats["worker_events"]`` / ``stats["degradations"]``.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    check_executor(executor, workers)
     if on_worker_failure not in ("degrade", "fail"):
         raise ValueError(
             f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
@@ -103,8 +105,6 @@ def matula_approx(
             break
         threshold = max(1, int(np.ceil(delta / (2 + eps))))
         if workers > 1:
-            from ..core.parallel_capforest import parallel_capforest
-
             def run_pass(exe, _g=g, _threshold=threshold):
                 return parallel_capforest(
                     _g,

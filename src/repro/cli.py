@@ -49,6 +49,7 @@ import sys
 import time
 
 from .core.api import ALGORITHMS, TRACEABLE_ALGORITHMS, minimum_cut
+from .core.parallel_capforest import EXECUTORS
 from .graph.io import read_edge_list, read_metis
 from .kernels import KERNELS
 from .runtime.errors import (
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--workers", type=int, default=None, help="parallel workers (parcut)")
     ap.add_argument(
         "--executor",
-        choices=("serial", "threads", "processes"),
+        choices=EXECUTORS,
         default=None,
         help="parallel executor (parcut)",
     )
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("degrade", "fail"),
         default=None,
         help="degrade: tolerate lost workers and fall back "
-        "processes→threads→serial (default); fail: abort on the first "
+        "processes→serial (default); fail: abort on the first "
         "worker loss with a distinct exit code",
     )
     ap.add_argument("--print-side", action="store_true", help="print the smaller cut side")

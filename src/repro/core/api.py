@@ -255,7 +255,7 @@ def minimum_cut(
         ``on_worker_failure="degrade"|"fail"``).  Solvers with parallel
         executors never hang on worker failure: lost workers are recorded
         in ``result.stats["worker_events"]`` and a failed executor
-        degrades ``processes → threads → serial``
+        degrades ``processes → serial``
         (``stats["degradations"]``) unless ``on_worker_failure="fail"``,
         in which case a :class:`repro.runtime.RuntimeFault` subclass is
         raised.  Algorithms in :data:`TRACEABLE_ALGORITHMS` additionally

@@ -22,8 +22,8 @@ Failure model
 The round loop runs under the supervised execution runtime
 (:mod:`~repro.runtime`).  Lost workers within a round are tolerated
 outright — the survivors' marks remain exact (Lemma 3.2(1)) — and an
-executor that loses *all* its workers degrades ``processes → threads →
-serial`` (sticky for the rest of the solve), with every event recorded in
+executor that loses *all* its workers degrades ``processes → serial``
+(sticky for the rest of the solve), with every event recorded in
 ``stats["worker_events"]`` / ``stats["degradations"]``.  A round that
 fails to shrink the contracted graph raises
 :class:`~repro.runtime.NoProgressError` instead of looping forever.
@@ -139,13 +139,13 @@ def parallel_mincut(
     pq_kind:
         Worker priority queue; the paper finds ``"bqueue"`` best in parallel.
     executor:
-        ``"serial"`` (deterministic round-robin), ``"threads"`` or
-        ``"processes"`` — see :mod:`~repro.core.parallel_capforest`.
+        ``"serial"`` (deterministic round-robin) or ``"processes"`` — see
+        :mod:`~repro.core.parallel_capforest`.
     kernel:
         CAPFOREST relaxation kernel (``"scalar"``, ``"vector"`` or
-        ``"compiled"`` — :data:`repro.kernels.KERNELS`), used by the
-        parallel workers, both sequential fallbacks and the VieCut seed
-        alike.  ``"compiled"`` resolves through
+        ``"compiled"`` — :data:`repro.kernels.KERNELS`) of the VieCut seed
+        and both sequential fallbacks; the parallel region workers always
+        run the scalar loop.  ``"compiled"`` resolves through
         :func:`repro.kernels.resolve_kernel` and runs as ``"vector"``,
         with the requested name in ``stats["kernel"]``, the executed one
         in ``stats["kernel_resolved"]``, and the reason in
@@ -260,8 +260,8 @@ def parallel_mincut(
         def run_pass(exe, _g=g, _lam=lam):
             return parallel_capforest(
                 _g, _lam, workers=workers, pq_kind=pq_kind, executor=exe, rng=rng,
-                kernel=kernel, start_method=start_method,
-                timeout=timeout, fault_plan=fault_plan, tracer=tracer,
+                start_method=start_method, timeout=timeout, fault_plan=fault_plan,
+                tracer=tracer,
             )
 
         def record_degradation(src, dst, exc):

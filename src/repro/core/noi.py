@@ -142,6 +142,8 @@ def noi_mincut(
         "kernel_fallback": kernel_fb,
         "phase_seconds": {},
     }
+    if trace:
+        stats["trace"] = []  # on every return path, the early exits included
     timer = Timer()
     seeded = initial_bound is not None or _seed_hook is not None
     algo = _variant_name(pq_kind, bounded, seeded)
@@ -190,9 +192,6 @@ def noi_mincut(
         # the minimum cut (<= λ̂ by definition of the bound) survives intact
         g = sparse_certificate(g, lam + 1, start=int(rng.integers(n)))
         stats["sparsified_m"] = g.m
-
-    if trace:
-        stats["trace"] = []
 
     while g.n > 2 and lam > 0:
         round_n, round_m, lam_in = g.n, g.m, lam

@@ -12,19 +12,12 @@ costs time, never correctness).
 Each worker maintains its own ``r`` values, priority queue, and scan cut
 ``α`` (the capacity of the cut between its scanned region and the rest of
 the graph — a real cut of G, so it may lower ``λ̂``).  Contractible edges
-are recorded as unions; depending on the executor these go to a shared
-lock-striped union–find (threads), a plain union–find (serial), or
-per-worker pair rows replayed afterwards (processes) — all equivalent
-because unions commute (Lemma 3.2(1)).
+are recorded as unions; the serial executor applies them to one
+union–find, the process executor replays per-worker pair rows afterwards —
+equivalent because unions commute (Lemma 3.2(1)).
 
-Workers run the ``scalar`` relaxation kernel (one Python iteration per
-arc — the reference) or the ``vector`` kernel (each popped vertex's whole
-arc slice relaxed with numpy array expressions); a ``compiled`` request
-runs as ``vector`` (:func:`repro.kernels.resolve_kernel`).  The vector
-worker stays *per-pop* — it never batches across pops the way the
-sequential vector kernel does — so the pop/claim interleaving, and with
-it the round-robin semantics of the serial executor, is identical between
-kernels.
+Workers run the scalar relaxation loop (one Python iteration per arc),
+whatever kernel the caller's sequential passes use.
 
 Executors
 ---------
@@ -33,11 +26,6 @@ Executors
     thread.  Deterministic given the seed; the reference semantics used by
     most tests, and the work counters it produces drive the *modeled*
     speedups of the Figure 5 experiment.
-``threads``
-    Real ``threading`` workers sharing ``T`` (a ``bytearray``; single-byte
-    writes are atomic under the GIL).  Faithful structure, but CPython's
-    GIL serializes the scan loops, so wall-clock scaling is limited — this
-    is the documented Python-vs-C++ substitution (DESIGN.md §2).
 ``processes``
     Process workers over a zero-copy shared-memory plane
     (:mod:`repro.graph.shm`): the CSR graph is exported once per pass into
@@ -59,23 +47,21 @@ Executors
     method used is surfaced on the result.  True parallelism for
     wall-clock scaling experiments.
 
-All three executors run under the supervised execution runtime
+Both executors run under the supervised execution runtime
 (:mod:`~repro.runtime`): the process executor collects results through a
 bounded supervisor (crashed, wedged, or silent workers become structured
-events instead of a hung coordinator), thread workers have their uncaught
-exceptions captured, and a deterministic :class:`~repro.runtime.FaultPlan`
-can be injected on any executor for testing.  Losing a worker only drops
-its contraction marks, which Lemma 3.2(1) shows is always safe — the
-survivors' merged result stays exact.  Shared-memory segments are owned by
-the coordinator and unlinked in a ``finally`` block, so even a round whose
-workers were all killed leaves nothing behind in ``/dev/shm``; every
-worker a pass cannot vouch for is restarted before the next pass, so no
-state outlives a pass.
+events instead of a hung coordinator), and a deterministic
+:class:`~repro.runtime.FaultPlan` can be injected on either executor for
+testing.  Losing a worker only drops its contraction marks, which Lemma
+3.2(1) shows is always safe — the survivors' merged result stays exact.
+Shared-memory segments are owned by the coordinator and unlinked in a
+``finally`` block, so even a round whose workers were all killed leaves
+nothing behind in ``/dev/shm``; every worker a pass cannot vouch for is
+restarted before the next pass, so no state outlives a pass.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,13 +69,13 @@ import numpy as np
 from ..datastructures.pq import PQStats, make_pq
 from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
-from ..runtime.errors import ExecutorUnavailable, NoProgressError, WorkerCrashed
+from ..runtime.errors import ExecutorUnavailable, NoProgressError
 from ..runtime.faults import FaultClock, FaultPlan
 from ..runtime.pool import WorkerGroup, default_start_method, next_task
 from ..runtime.supervisor import supervise_processes, worker_event
-from .capforest import MAX_BUCKET_BOUND, resolve_kernel
+from .capforest import MAX_BUCKET_BOUND
 
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
 
 @dataclass
@@ -140,19 +126,16 @@ class ParallelCapforestResult:
 
 
 class _SharedBound:
-    """Monotonically decreasing shared λ̂ with a lock only on updates."""
+    """Monotonically decreasing λ̂ shared by the serial executor's workers."""
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value",)
 
     def __init__(self, value: int) -> None:
         self.value = value
-        self._lock = threading.Lock()
 
     def minimize(self, candidate: int) -> None:
         if candidate < self.value:
-            with self._lock:
-                if candidate < self.value:
-                    self.value = candidate
+            self.value = candidate
 
 
 class _FrozenBound:
@@ -169,17 +152,6 @@ class _FrozenBound:
 
     def minimize(self, candidate: int) -> None:  # noqa: ARG002 - by design
         return
-
-
-def _make_worker(graph_arrays, worker_id, start, pq_kind, bound, T, lam_box, union, kernel):
-    """Build (generator, report) for one worker over prepared graph arrays."""
-    xadj, adjncy, adjwgt, wdeg, n = graph_arrays
-    report = WorkerReport(worker_id=worker_id, start_vertex=start)
-    region = _REGION_WORKERS.get(kernel, _region_worker_with_prefix)
-    gen = region(
-        xadj, adjncy, adjwgt, wdeg, n, T, lam_box, union, start, pq_kind, bound, report
-    )
-    return gen, report
 
 
 def _region_worker_with_prefix(
@@ -246,84 +218,6 @@ def _region_worker_with_prefix(
     report.best_prefix = scan_order[:best_len]
 
 
-def _region_worker_vector(
-    xadj, adjncy, adjwgt, wdeg, n, T, lam_box, union, start, pq_kind, bound, report
-):
-    """Vector-kernel twin of :func:`_region_worker_with_prefix`.
-
-    Relaxes each popped vertex's arc slice with array expressions — the
-    dead-neighbour filter, ``q = r + w``, the mark test, and the queue
-    updates (:meth:`increase_many`, which preserves per-event
-    classification, statistics, and FIFO order) are all vectorized.
-    Deliberately per-pop: yielding after every pop and claiming ``T``
-    one vertex at a time keeps the interleaving identical to the scalar
-    worker, so the serial executor produces bit-identical results under
-    either kernel.  Graphs are simple by invariant (``validate.py``), so
-    an arc slice never names a neighbour twice and ``r`` reads within one
-    slice cannot go stale.
-    """
-    pq = make_pq(
-        pq_kind if bound <= MAX_BUCKET_BOUND else "heap", n, bound=bound,
-        array_keys=True,
-    )
-    report.pq_stats = pq.stats
-    dead = np.zeros(n, dtype=bool)  # blacklisted-or-locally-visited, merged
-    r = np.zeros(n, dtype=np.int64)
-    alpha = 0
-    scan_order: list[int] = []
-    best_len = 0
-
-    pq.insert_or_raise(start, 0)
-    pops = 0
-    while len(pq):
-        x, _ = pq.pop_max()
-        pops += 1
-        if pops > n:
-            raise NoProgressError(
-                f"worker {report.worker_id} popped {pops} vertices from a {n}-vertex graph"
-            )
-        if T[x]:
-            dead[x] = True
-            report.blacklisted += 1
-            yield
-            continue
-        T[x] = 1
-        dead[x] = True
-        alpha += wdeg[x] - 2 * int(r[x])
-        scan_order.append(x)
-        report.vertices_scanned += 1
-        if report.vertices_scanned < n and (report.best_alpha is None or alpha < report.best_alpha):
-            report.best_alpha = alpha
-            best_len = len(scan_order)
-            lam_box.minimize(alpha)
-        lam = lam_box.value
-        lo, hi = xadj[x], xadj[x + 1]
-        ys = adjncy[lo:hi]
-        keep = np.flatnonzero(~dead[ys])
-        m = len(keep)
-        report.edges_scanned += m
-        if m:
-            ys = ys[keep]
-            ry = r[ys]
-            q = ry + adjwgt[lo:hi][keep]
-            marks = np.flatnonzero((ry < lam) & (lam <= q))
-            if len(marks):
-                # scalar union calls, in arc order, so a shared union–find
-                # sees the same sequence the scalar worker would produce
-                for y in ys[marks].tolist():
-                    union(x, y)
-            r[ys] = q
-            pq.increase_many(ys, q)
-        yield
-    report.best_prefix = scan_order[:best_len]
-
-
-_REGION_WORKERS = {
-    "scalar": _region_worker_with_prefix,
-    "vector": _region_worker_vector,
-}
-
-
 def check_executor(executor: str, workers: int) -> None:
     """Validate a parallel pass's executor and worker count.
 
@@ -344,7 +238,6 @@ def parallel_capforest(
     workers: int = 4,
     pq_kind: str = "bqueue",
     executor: str = "serial",
-    kernel: str = "scalar",
     rng: np.random.Generator | int | None = None,
     fixed_bound: bool = False,
     start_method: str | None = None,
@@ -358,12 +251,6 @@ def parallel_capforest(
     bound, the best scan-cut side, and per-worker work reports.  May mark
     nothing (early termination, §3.2) — callers fall back to sequential
     CAPFOREST, as Algorithm 2 does.
-
-    ``kernel`` selects the per-worker relaxation kernel (``"scalar"`` or
-    ``"vector"`` — registry :data:`repro.kernels.KERNELS`); both produce
-    identical results on every executor.  A ``"compiled"`` request
-    resolves through :func:`repro.kernels.resolve_kernel` to ``"vector"``
-    with a ``kernel_fallback`` trace note.
 
     ``fixed_bound=True`` freezes the shared marking threshold at the input
     value (workers still report their scan cuts) — the configuration the
@@ -390,7 +277,6 @@ def parallel_capforest(
     if lambda_hat < 0:
         raise ValueError(f"lambda_hat must be non-negative, got {lambda_hat}")
     check_executor(executor, workers)
-    kernel, _ = resolve_kernel(kernel, tracer=tracer)
     n = graph.n
     if n == 0:
         return ParallelCapforestResult(UnionFind(0), 0, lambda_hat, [], None)
@@ -401,11 +287,19 @@ def parallel_capforest(
     starts = rng.choice(n, size=p, replace=False).tolist()
 
     if executor == "processes":
-        res = _run_processes(graph, lambda_hat, starts, pq_kind, fixed_bound, kernel,
-                             start_method, timeout=timeout, fault_plan=fault_plan)
-        _emit_pass_trace(tracer, res, "processes", pq_kind, kernel, lambda_hat)
-        return res
+        res = _run_processes(graph, lambda_hat, starts, pq_kind, fixed_bound, start_method,
+                             timeout=timeout, fault_plan=fault_plan)
+    else:
+        res = _run_serial(graph, lambda_hat, starts, pq_kind, fixed_bound, fault_plan)
+    _emit_pass_trace(tracer, res, executor, pq_kind, lambda_hat)
+    return res
 
+
+def _run_serial(
+    graph: Graph, lambda_hat, starts, pq_kind, fixed_bound, fault_plan: FaultPlan | None
+) -> ParallelCapforestResult:
+    """Round-robin executor: one pop per worker per turn, on one thread."""
+    n = graph.n
     graph_arrays = (
         graph.xadj.tolist(),
         graph.adjncy,
@@ -415,70 +309,44 @@ def parallel_capforest(
     )
     T = bytearray(n)
     lam_box = _FrozenBound(lambda_hat) if fixed_bound else _SharedBound(lambda_hat)
-    if executor == "serial":
-        uf = UnionFind(n)
-        union = uf.union
-    else:
-        from ..datastructures.concurrent_union_find import LockStripedUnionFind
-
-        striped = LockStripedUnionFind(n)
-        union = striped.union
-
-    gens_reports = [
-        _make_worker(graph_arrays, i, s, pq_kind, lambda_hat, T, lam_box, union, kernel)
-        for i, s in enumerate(starts)
+    uf = UnionFind(n)
+    reports = [WorkerReport(worker_id=i, start_vertex=s) for i, s in enumerate(starts)]
+    live = [
+        (rep.worker_id, _region_worker_with_prefix(
+            *graph_arrays, T, lam_box, uf.union, rep.start_vertex, pq_kind, lambda_hat, rep
+        ))
+        for rep in reports
     ]
-    reports = [rep for _, rep in gens_reports]
+    clocks = {i: FaultClock(fault_plan.for_worker(i, "serial") if fault_plan else None)
+              for i, _ in live}
     events: list[dict] = []
-
-    if executor == "serial":
-        live = [(i, gen) for i, (gen, _) in enumerate(gens_reports)]
-        clocks = {i: FaultClock(fault_plan.for_worker(i, "serial") if fault_plan else None)
-                  for i, _ in live}
-        while live:
-            nxt = []
-            for i, gen in live:
-                fault = clocks[i].tick()
-                if fault is not None and fault.kind == "crash":
-                    # abandon this worker's scan; marks so far stay (safe)
+    while live:
+        nxt = []
+        for i, gen in live:
+            fault = clocks[i].tick()
+            if fault is not None and fault.kind == "crash":
+                # abandon this worker's scan; marks so far stay (safe)
+                events.append(worker_event(i, "crashed", detail="injected"))
+                continue
+            try:
+                next(gen)
+                nxt.append((i, gen))
+            except StopIteration:
+                clock = clocks[i]
+                if clock.fault is not None and clock.fault.kind == "crash" and not clock.fired:
+                    # scan ended before the pop trigger: fire anyway
+                    # (the completed scan's marks stay — still safe)
                     events.append(worker_event(i, "crashed", detail="injected"))
-                    continue
-                try:
-                    next(gen)
-                    nxt.append((i, gen))
-                except StopIteration:
-                    clock = clocks[i]
-                    if clock.fault is not None and clock.fault.kind == "crash" and not clock.fired:
-                        # scan ended before the pop trigger: fire anyway
-                        # (the completed scan's marks stay — still safe)
-                        events.append(worker_event(i, "crashed", detail="injected"))
-            live = nxt
-    else:
-        threads = [
-            threading.Thread(
-                target=_drain,
-                args=(gen, i, fault_plan, events),
-                daemon=True,
-            )
-            for i, (gen, _) in enumerate(gens_reports)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        uf = striped.to_sequential()
-        if len(events) == len(threads) and threads:
-            raise ExecutorUnavailable("threads", "every thread worker crashed", events)
+        live = nxt
 
-    if executor == "serial" and events and len(events) == len(gens_reports):
+    if events and len(events) == len(reports):
         raise ExecutorUnavailable("serial", "every worker crashed", events)
     res = _finalize(uf, lambda_hat, lam_box.value, reports, n)
     res.events = events
-    _emit_pass_trace(tracer, res, executor, pq_kind, kernel, lambda_hat)
     return res
 
 
-def _emit_pass_trace(tracer, res, executor, pq_kind, kernel, lambda_in) -> None:
+def _emit_pass_trace(tracer, res, executor, pq_kind, lambda_in) -> None:
     """Emit the pass summary, per-worker reports, and worker-loss events.
 
     Runs on the coordinator after the pass completes — pass granularity,
@@ -506,7 +374,7 @@ def _emit_pass_trace(tracer, res, executor, pq_kind, kernel, lambda_in) -> None:
         "parallel_pass",
         executor=executor,
         pq_kind=pq_kind,
-        kernel=kernel,
+        kernel="scalar",
         workers=len(res.workers),
         lambda_in=int(lambda_in),
         lambda_out=int(res.lambda_hat),
@@ -515,28 +383,6 @@ def _emit_pass_trace(tracer, res, executor, pq_kind, kernel, lambda_in) -> None:
         makespan_work=res.makespan_work,
         start_method=res.start_method,
     )
-
-
-def _drain(gen, worker_id: int, fault_plan: FaultPlan | None, events: list) -> None:
-    """Exhaust one thread worker, capturing crashes as structured events.
-
-    Appends to ``events`` instead of raising: a dead thread's marks are
-    already in the shared union–find and remain safe (Lemma 3.2(1)), so
-    the coordinator keeps the survivors and records the loss.  ``events``
-    appends are atomic under the GIL.
-    """
-    clock = FaultClock(fault_plan.for_worker(worker_id, "threads") if fault_plan else None)
-    try:
-        for _ in gen:
-            fault = clock.tick()
-            if fault is not None and fault.kind == "crash":
-                raise WorkerCrashed(worker_id, detail="injected")
-        if clock.fault is not None and clock.fault.kind == "crash" and not clock.fired:
-            # fire even if the scan ended before the pop trigger (see
-            # _process_worker) so injected faults stay deterministic
-            raise WorkerCrashed(worker_id, detail="injected")
-    except Exception as exc:  # noqa: BLE001 - any worker death must be observable
-        events.append(worker_event(worker_id, "crashed", detail=str(exc)))
 
 
 def _finalize(
@@ -562,7 +408,7 @@ def _finalize(
 
 
 def _run_processes(
-    graph: Graph, lambda_hat, starts, pq_kind, fixed_bound=False, kernel="scalar",
+    graph: Graph, lambda_hat, starts, pq_kind, fixed_bound=False,
     start_method: str | None = None,
     *, timeout: float | None = None, fault_plan: FaultPlan | None = None,
 ) -> ParallelCapforestResult:
@@ -610,7 +456,7 @@ def _run_processes(
             for i, s in enumerate(starts):
                 task = (
                     shared_graph.name, pair_buf.name, visited.name, p, n, i, s,
-                    pq_kind, lambda_hat, fixed_bound, kernel,
+                    pq_kind, lambda_hat, fixed_bound,
                     fault_plan.for_worker(i, "processes") if fault_plan else None,
                 )
                 try:
@@ -715,7 +561,7 @@ def _round_worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
 
 def _round_task(
     graph_name, pairs_name, visited_name, p, n, worker_id, start, pq_kind, bound,
-    fixed_bound, kernel, fault,
+    fixed_bound, fault,
 ):  # pragma: no cover - exercised via subprocesses
     """Scan one region of one pass; returns the report payload (``None``
     when an injected fault drops it)."""
@@ -745,8 +591,9 @@ def _round_task(
 
         report = WorkerReport(worker_id=worker_id, start_vertex=start)
         lam_box = _FrozenBound(bound) if fixed_bound else _SlotBound(pair_buf.bound)
-        region = _REGION_WORKERS.get(kernel, _region_worker_with_prefix)
-        gen = region(*graph_arrays, visited.buf, lam_box, union, start, pq_kind, bound, report)
+        gen = _region_worker_with_prefix(
+            *graph_arrays, visited.buf, lam_box, union, start, pq_kind, bound, report
+        )
         clock = FaultClock(fault)
         for _ in gen:
             f = clock.tick()

@@ -183,8 +183,6 @@ class HeapPQ:
             old = np.where(push, -1, cur)
             self.apply_relaxations(vs[moved], old[moved], new[moved])
 
-    increase_many = insert_many
-
     def __len__(self) -> int:
         return len(self._heap)
 

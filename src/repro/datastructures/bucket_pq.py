@@ -211,9 +211,6 @@ class _BucketPQBase:
             old = np.where(push, -1, cur)
             self.apply_relaxations(vs[moved], old[moved], new[moved])
 
-    # paper-facing alias: CAPFOREST priorities only ever increase
-    increase_many = insert_many
-
     def _set_keys(self, vs: np.ndarray, new_keys: np.ndarray) -> None:
         # bulk scatter into the key list at C speed (consume the map fully)
         deque(map(self._key.__setitem__, vs.tolist(), new_keys.tolist()), maxlen=0)

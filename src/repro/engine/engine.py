@@ -27,7 +27,7 @@ Failure handling follows the runtime's degradation philosophy: a crashed
 worker is recycled and its request retried once on a fresh worker; an
 engine whose pool exhausts its recycle budget abandons the pool and keeps
 serving requests in-process (degraded, never wedged) — the
-``processes → threads → serial`` ladder, one level up.
+``processes → serial`` ladder, one level up.
 
 Threading model: callers only touch the pending queue, the cache, and
 futures (all lock-protected or thread-safe).  Worker assignment, result
@@ -318,7 +318,7 @@ class SolverEngine:
         # pooled workers are daemonic and may not fork grandchildren; the
         # pool already provides cross-request process parallelism
         if self._pool is not None and kwargs.get("executor") == "processes":
-            kwargs = dict(kwargs, executor="threads")
+            kwargs = dict(kwargs, executor="serial")
         key = request_key(digest, algorithm, kwargs, options)
         with self._lock:
             if self._closing or self._closed:

@@ -11,9 +11,9 @@ startup, interpreter warm-up, and numpy import costs are paid once per
 worker instead of once per solve.
 
 Workers are daemonic, so solves inside the pool use the in-process
-executors (``serial``/``threads``); the pool itself provides the process
-parallelism *across* requests.  The engine coerces ``executor="processes"``
-accordingly (daemonic processes may not have children).
+``serial`` executor; the pool itself provides the process parallelism
+*across* requests.  The engine rewrites ``executor="processes"`` to
+``"serial"`` accordingly (daemonic processes may not have children).
 
 Supervision never blocks forever and turns failures into structured
 events: the owning engine blocks in one
@@ -26,7 +26,7 @@ as that worker's crash.  :meth:`WorkerPool.recycle` replaces a crashed or
 deadline-blown worker with a fresh process (the ``pool_recycle`` trace
 event).  A pool that exhausts its recycle budget is abandoned and the
 engine degrades to in-process solving — the same ladder shape as
-``processes → threads → serial``, one level up.
+``processes → serial``, one level up.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Figure 5 — scaling of the parallel algorithm (ParCut).
 
 The paper runs ParCutλ̂-{BStack, BQueue, Heap} with p ∈ {1, 2, 4, 8, 12, 24}
-threads on the five largest instances, reporting (top row) self-relative
-scalability and (bottom row) speedup over the best sequential variant and
-NOI-HNSS.
+OpenMP threads on the five largest instances, reporting (top row)
+self-relative scalability and (bottom row) speedup over the best sequential
+variant and NOI-HNSS.
 
 Python substitution (DESIGN.md §2): wall-clock speedup is reported from the
 ``processes`` executor (real parallelism); additionally the *modeled*
@@ -15,7 +15,7 @@ reflects from Python's process overheads.
 Usage::
 
     python -m repro.experiments.figure5 [--workers 1 2 4 8] [--scale 0.5]
-                                        [--executor serial|threads|processes]
+                                        [--executor serial|processes]
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import time
 
 from ..core.mincut import parallel_mincut
 from ..core.noi import noi_mincut
+from ..core.parallel_capforest import EXECUTORS
 from ..viecut.viecut import viecut as run_viecut
 from .instances import largest_web_instances
 from .report import format_csv, format_table
@@ -102,7 +103,7 @@ def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4, 8])
     ap.add_argument("--scale", type=float, default=0.5)
-    ap.add_argument("--executor", choices=("serial", "threads", "processes"), default="serial")
+    ap.add_argument("--executor", choices=EXECUTORS, default="serial")
     ap.add_argument("--count", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--csv", action="store_true")

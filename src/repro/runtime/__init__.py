@@ -3,9 +3,9 @@
 Every parallel code path in the package routes its worker management
 through this subsystem so that no executor can hang the coordinator, every
 failure is observable as a structured event, and a failing executor
-degrades ``processes → threads → serial`` instead of aborting (Lemma
-3.2(1) makes dropped workers safe; the sequential fallback guarantees
-progress when everything else dies).  See the module docstrings of
+degrades ``processes → serial`` instead of aborting (Lemma 3.2(1) makes
+dropped workers safe; the sequential fallback guarantees progress when
+everything else dies).  See the module docstrings of
 :mod:`~repro.runtime.supervisor`, :mod:`~repro.runtime.pool`,
 :mod:`~repro.runtime.faults` and :mod:`~repro.runtime.errors` for the
 pieces.

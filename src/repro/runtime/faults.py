@@ -13,13 +13,12 @@ Fault kinds
 ``"crash"``
     Process workers call ``os._exit(exit_code)`` after ``after_pops`` queue
     pops — a hard kill: no result is enqueued and the exit code is nonzero.
-    Thread and serial workers raise :class:`~repro.runtime.errors.WorkerCrashed`
-    inside the worker (captured by the drain wrapper / coordinator), which
-    abandons the rest of their scan.
+    Serial workers are abandoned by the round-robin coordinator, which
+    records the crash and keeps the marks made so far.
 ``"hang"``
     The worker sleeps for ``delay`` seconds (default: effectively forever)
     after ``after_pops`` pops — a wedged worker the supervisor must time
-    out.  Process executor only (threads cannot be killed).
+    out.  Process executor only (an in-process worker cannot be killed).
 ``"delay"``
     The worker sleeps ``delay`` seconds once, then continues normally —
     exercises supervisor patience (the result must still be collected).
@@ -73,12 +72,12 @@ class FaultPlan:
     """Which workers fail, keyed by worker id.
 
     ``executors`` limits the plan to specific executors — e.g. a plan that
-    kills every process worker but lets the degraded ``threads`` retry run
+    kills every process worker but lets the degraded ``serial`` retry run
     clean uses ``executors=("processes",)``.
     """
 
     faults: dict[int, WorkerFault] = field(default_factory=dict)
-    executors: tuple[str, ...] = ("processes", "threads", "serial")
+    executors: tuple[str, ...] = ("processes", "serial")
 
     def for_worker(self, worker_id: int, executor: str) -> WorkerFault | None:
         if executor not in self.executors:
@@ -91,7 +90,7 @@ class FaultPlan:
         worker_ids,
         *,
         after_pops: int = 0,
-        executors: tuple[str, ...] = ("processes", "threads", "serial"),
+        executors: tuple[str, ...] = ("processes", "serial"),
     ) -> "FaultPlan":
         """Crash each listed worker after ``after_pops`` pops."""
         return cls(
@@ -108,7 +107,7 @@ class FaultPlan:
         delay: float | None = None,
         executors: tuple[str, ...] = ("processes",),
     ) -> "FaultPlan":
-        """Wedge each listed worker (processes only — threads can't be killed)."""
+        """Wedge each listed worker (processes only — see ``"hang"``)."""
         return cls(
             {i: WorkerFault("hang", after_pops=after_pops, delay=delay) for i in worker_ids},
             executors=executors,

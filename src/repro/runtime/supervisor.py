@@ -31,8 +31,8 @@ unions, unions commute, and any *subset* of safe marks is still safe — the
 merged result of the survivors is exact, merely (potentially) slower to
 converge.  Only when *no* worker survives does the supervisor's caller
 raise :class:`~repro.runtime.errors.ExecutorUnavailable`, which the
-degradation ladder (``processes → threads → serial``) turns into a retry
-on the next-simpler executor.
+degradation ladder (``processes → serial``) turns into a retry on the
+in-process executor.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ EXIT_CODE_WAIT = 1.0
 
 #: executor downgrade chain; ``None`` means nowhere left to go
 DEGRADATION_LADDER: dict[str, str | None] = {
-    "processes": "threads",
-    "threads": "serial",
+    "processes": "serial",
     "serial": None,
 }
 
@@ -197,7 +196,7 @@ def call_with_degradation(
     ``call`` is retried on the next-simpler executor each time it raises a
     :class:`RuntimeFault` (other than :class:`NoProgressError`, which
     signals an algorithmic stall, not an executor problem).  Retries are
-    capped by the ladder length, so the call runs at most three times.
+    capped by the ladder length, so the call runs at most twice.
     ``on_degrade(from_executor, to_executor, exc)`` is invoked before each
     retry — callers use it to record the event in their ``stats``.
 

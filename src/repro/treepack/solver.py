@@ -21,9 +21,9 @@ find it.  The driver therefore alternates *pack a round of trees* →
 bound only grows toward ``τ ≥ λ/2``, so termination is guaranteed).
 
 Per-tree evaluations are independent, so each round fans them out through
-the supervised runtime executor ladder (``processes → threads → serial``);
-trees lost with a worker are re-evaluated inline, which keeps the
-certificate honest — exactness never depends on every worker surviving.
+the supervised runtime executor ladder (``processes → serial``); trees lost
+with a worker are re-evaluated inline, which keeps the certificate honest —
+exactness never depends on every worker surviving.
 
 Determinism: the only randomness is the Kruskal tie-break permutation,
 drawn from a seedable generator.  An integer ``rng`` makes the whole
@@ -40,6 +40,7 @@ import numpy as np
 
 from ..graph.components import connected_components
 from ..graph.csr import Graph
+from ..core.parallel_capforest import check_executor
 from ..core.result import MinCutResult
 from ..observability.schema import TREEPACK_PHASES, TREEPACK_STATS_KEYS
 from ..runtime.supervisor import (
@@ -51,9 +52,6 @@ from .packing import TreePacking
 from .respect import _INF, evaluate_tree
 
 __all__ = ["karger_nlt_mincut", "TREEPACK_PHASES", "TREEPACK_STATS_KEYS"]
-
-#: executors accepted by :func:`karger_nlt_mincut`
-EXECUTORS = ("serial", "threads", "processes")
 
 
 def default_trees_per_round(n: int) -> int:
@@ -95,7 +93,7 @@ def karger_nlt_mincut(
         ``stats["certified"] = False`` rather than hidden.
     executor, workers, timeout, on_worker_failure:
         Per-tree evaluation fan-out through the supervised runtime ladder
-        (``processes → threads → serial``), with the same degradation
+        (``processes → serial``), with the same degradation
         semantics as ``parcut``: lost workers are events, not wrong
         answers — their trees are re-evaluated inline.
     compute_side:
@@ -108,8 +106,10 @@ def karger_nlt_mincut(
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    if workers is None:
+        workers = min(4, os.cpu_count() or 1)
+    check_executor(executor, workers)
+    workers = int(workers)
     if on_worker_failure not in ("degrade", "fail"):
         raise ValueError(
             f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
@@ -117,9 +117,6 @@ def karger_nlt_mincut(
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    workers = max(1, int(workers))
 
     stats: dict = {
         "stats_schema": 2,
@@ -272,22 +269,6 @@ def _evaluate_trees(
             (idx, evaluate_tree(n, us, vs, ws, parent, compute_side=compute_side))
             for idx, parent in trees
         ]
-    if executor == "threads":
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(trees))) as pool:
-            outs = list(
-                pool.map(
-                    lambda item: (
-                        item[0],
-                        evaluate_tree(
-                            n, us, vs, ws, item[1], compute_side=compute_side
-                        ),
-                    ),
-                    trees,
-                )
-            )
-        return outs
     return _evaluate_processes(
         n, us, vs, ws, trees, workers=workers, timeout=timeout, policy=policy,
         compute_side=compute_side, events=events,

@@ -53,6 +53,11 @@ class TestCli:
         # workers is not a valid kwarg for stoer-wagner
         assert main(["--algorithm", "stoer-wagner", "--workers", "2", metis_file]) == 2
         assert "error" in capsys.readouterr().err
+        # the retired thread executor is no longer a choice
+        with pytest.raises(SystemExit) as exc:
+            main(["--algorithm", "parcut", "--executor", "threads", metis_file])
+        assert exc.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
 
 class TestCliBatch:

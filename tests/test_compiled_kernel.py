@@ -40,12 +40,12 @@ class TestRegistry:
         # (re-exported by the package), so import the names directly
         from repro.core.capforest import KERNELS as cf_kernels
         from repro.core.capforest import check_kernel as cf_check
-        from repro.core.parallel_capforest import resolve_kernel as pcf_resolve
+        from repro.core.mincut import resolve_kernel as parcut_resolve
 
         assert KERNELS == ("scalar", "vector", "compiled")
         assert cf_kernels is KERNELS
         assert cf_check is check_kernel
-        assert pcf_resolve is resolve_kernel
+        assert parcut_resolve is resolve_kernel
 
     def test_cli_choices_come_from_registry(self):
         import argparse

@@ -293,10 +293,10 @@ class TestEngineSolving:
         assert res.value == 2
 
     def test_processes_executor_coerced_in_pool(self, engine, dumbbell):
-        # daemonic pool workers cannot fork; the engine switches to threads
+        # daemonic pool workers cannot fork; the engine switches to serial
         res = engine.solve(dumbbell, "parcut", executor="processes", rng=0)
         assert res.value == 1
-        assert res.stats["executor"] == "threads"
+        assert res.stats["executor"] == "serial"
 
     def test_distinct_graphs_share_plane_exports(self, engine, path4):
         before = engine.stats()["planes"]["exports"]

@@ -4,9 +4,7 @@ A kernel is only admissible as a *kernel registry* entry because it is
 observationally identical to the scalar reference — same λ̂, same marked
 partition, same priority-queue operation counts — on every configuration.
 These tests check that equivalence on random GNM and RMAT instances, for the
-sequential kernel, the full NOI/ParCut drivers, and the serial-executor
-parallel pass (whose round-robin pop interleaving makes worker-level parity
-deterministic).
+sequential kernel and the full NOI/ParCut drivers.
 
 The registry's ``"compiled"`` entry runs as the vector kernel, so its
 cases repeat the vector ones through the fallback.
@@ -20,7 +18,6 @@ import pytest
 from repro.core.capforest import KERNELS, MIN_VECTOR_N, capforest, check_kernel
 from repro.core.mincut import parallel_mincut
 from repro.core.noi import noi_mincut
-from repro.core.parallel_capforest import parallel_capforest
 from repro.generators.gnm import connected_gnm, gnm
 from repro.generators.rmat import rmat
 from repro.observability import Tracer
@@ -48,8 +45,6 @@ def test_kernel_registry():
         check_kernel("simd")
     with pytest.raises(ValueError, match="unknown kernel"):
         capforest(gnm(4, 3, rng=0), 1, kernel="simd")
-    with pytest.raises(ValueError, match="unknown kernel"):
-        parallel_capforest(gnm(4, 3, rng=0), 1, kernel="simd")
 
 
 @pytest.mark.parametrize("pq_kind", ["bqueue", "bstack", "heap"])
@@ -99,37 +94,6 @@ def test_small_scan_crossover(n):
     assert a.scan_order == b.scan_order
     assert a.pq_stats.as_dict() == b.pq_stats.as_dict()
     assert np.array_equal(a.uf.labels(), b.uf.labels())
-
-
-@pytest.mark.parametrize("pq_kind", ["bqueue", "bstack"])
-def test_parallel_serial_executor_kernels_identical(pq_kind):
-    """Serial-executor parity: per-pop vectorization must not change the
-    deterministic round-robin interleaving, so every worker-level counter
-    and the merged partition agree bit-for-bit."""
-    for name, g in [("a", connected_gnm(200, 900, rng=1, weights=(1, 9))),
-                    ("b", connected_gnm(80, 200, rng=4)),
-                    ("c", rmat(8, 1200, rng=7))]:
-        lam = g.min_weighted_degree()[1]
-        runs = {
-            kern: parallel_capforest(
-                g, lam, workers=4, pq_kind=pq_kind, executor="serial", rng=13, kernel=kern
-            )
-            for kern in KERNELS
-        }
-        a = runs["scalar"]
-        for kern in KERNELS[1:]:
-            b = runs[kern]
-            assert a.lambda_hat == b.lambda_hat, (name, kern)
-            assert a.n_marked == b.n_marked, (name, kern)
-            assert np.array_equal(a.uf.labels(), b.uf.labels()), (name, kern)
-            for wa, wb in zip(a.workers, b.workers):
-                assert wa.start_vertex == wb.start_vertex, (name, kern)
-                assert wa.vertices_scanned == wb.vertices_scanned, (name, kern)
-                assert wa.edges_scanned == wb.edges_scanned, (name, kern)
-                assert wa.blacklisted == wb.blacklisted, (name, kern)
-                assert wa.best_alpha == wb.best_alpha, (name, kern)
-                assert wa.best_prefix == wb.best_prefix, (name, kern)
-                assert wa.pq_stats.as_dict() == wb.pq_stats.as_dict(), (name, kern)
 
 
 def test_noi_driver_kernels_identical():

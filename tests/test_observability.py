@@ -133,16 +133,17 @@ class TestEventStream:
 class TestFaultVisibility:
     def test_degraded_round_appears_in_trace(self, trace_graph):
         g, truth = trace_graph
-        plan = FaultPlan.kill(range(3), executors=("threads",))
+        plan = FaultPlan.kill(range(3), executors=("processes",))
         tr = Tracer()
         res = parallel_mincut(
-            g, workers=3, executor="threads", rng=0, fault_plan=plan, tracer=tr
+            g, workers=3, executor="processes", rng=0, fault_plan=plan, tracer=tr,
+            timeout=30.0,
         )
         assert res.value == truth
-        assert res.stats["degradations"], "the plan kills every thread worker"
+        assert res.stats["degradations"], "the plan kills every process worker"
         degr = tr.events("degradation")
         assert degr, "degradation must be visible in the trace, not only stats"
-        assert degr[0]["from_executor"] == "threads"
+        assert degr[0]["from_executor"] == "processes"
         assert degr[0]["to_executor"] == "serial"
         assert res.stats["final_executor"] == "serial"
         # the final solve_end names the executor that actually finished
@@ -150,10 +151,11 @@ class TestFaultVisibility:
 
     def test_worker_events_mirrored(self, trace_graph):
         g, truth = trace_graph
-        plan = FaultPlan.kill([1], after_pops=3, executors=("threads",))
+        plan = FaultPlan.kill([1], after_pops=3, executors=("processes",))
         tr = Tracer()
         res = parallel_mincut(
-            g, workers=3, executor="threads", rng=0, fault_plan=plan, tracer=tr
+            g, workers=3, executor="processes", rng=0, fault_plan=plan, tracer=tr,
+            timeout=30.0,
         )
         assert res.value == truth
         traced = tr.events("worker_event")

@@ -30,7 +30,7 @@ class TestFrozenBoundParallelCapforest:
         res = parallel_capforest(g, 3, workers=3, rng=1, fixed_bound=True)
         assert sum(w.vertices_scanned for w in res.workers) == g.n
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_marks_respect_frozen_threshold(self, executor):
         """With a frozen threshold t, every marked edge has connectivity >= t
         in the scanned-subgraph sense; spot-check via the exact solver on a

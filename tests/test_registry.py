@@ -29,7 +29,7 @@ from .conftest import CANONICAL_CUTS
 
 #: per-algorithm kwargs needed for a deterministic small-fixture solve
 _SOLVE_KWARGS = {
-    "parcut": {"workers": 2, "executor": "threads"},
+    "parcut": {"workers": 2, "executor": "processes"},
     "karger-nlt": {"rng": 0},
 }
 

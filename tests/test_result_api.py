@@ -80,7 +80,7 @@ class TestFacade:
         assert res.verify(g)
         assert res.algorithm == "noi-lambda-bqueue-viecut"
         assert res.stats["kernel_resolved"] == "vector"
-        rounds = res.stats.get("trace", [])  # none on the disconnected exit
+        rounds = res.stats["trace"]
         ran = bool(rounds) and rounds[0]["n"] - rounds[0]["marks"] > SMALL_THRESHOLD
         assert (res.stats["viecut_value"] is not None) == ran
         if not ran:

@@ -56,7 +56,7 @@ class TestFaultPlan:
     def test_scoped_to_executor(self):
         plan = FaultPlan.kill([0], executors=("processes",))
         assert plan.for_worker(0, "processes") is not None
-        assert plan.for_worker(0, "threads") is None
+        assert plan.for_worker(0, "serial") is None
         assert plan.for_worker(1, "processes") is None
 
     def test_clock_fires_once_after_pops(self):
@@ -101,9 +101,7 @@ class TestPayloadValidation:
 
 class TestDegradationLadder:
     def test_ladder_shape(self):
-        assert DEGRADATION_LADDER["processes"] == "threads"
-        assert DEGRADATION_LADDER["threads"] == "serial"
-        assert DEGRADATION_LADDER["serial"] is None
+        assert DEGRADATION_LADDER == {"processes": "serial", "serial": None}
 
     def test_degrades_until_success(self):
         seen = []
@@ -116,7 +114,7 @@ class TestDegradationLadder:
 
         result, used = call_with_degradation(call, "processes")
         assert result == 42 and used == "serial"
-        assert seen == ["processes", "threads", "serial"]
+        assert seen == ["processes", "serial"]
 
     def test_records_each_degradation(self):
         hops = []
@@ -129,7 +127,7 @@ class TestDegradationLadder:
         call_with_degradation(
             call, "processes", on_degrade=lambda a, b, e: hops.append((a, b))
         )
-        assert hops == [("processes", "threads")]
+        assert hops == [("processes", "serial")]
 
     def test_fail_policy_raises_immediately(self):
         def call(executor):

@@ -45,10 +45,12 @@ class TestOptionsCheckedOnEntry:
     @pytest.mark.parametrize("option, match", [
         ({"executor": "bogus"}, "unknown executor 'bogus'"),
         ({"workers": 0}, "workers must be >= 1"),
-    ], ids=["executor", "workers"])
+        ({"executor": "threads"}, "unknown executor 'threads'"),
+    ], ids=["executor", "workers", "threads"])
     def test_bad_executor_option(self, name, option, match):
-        with pytest.raises(ValueError, match=match):
-            minimum_cut(SMALL_GRAPHS[name], algorithm="parcut", **option)
+        for algorithm in ("parcut", "karger-nlt", "matula"):
+            with pytest.raises(ValueError, match=match):
+                minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, **option)
 
     def test_unknown_lp_method(self, name):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
