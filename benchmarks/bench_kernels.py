@@ -2,8 +2,9 @@
 
 Two jobs in one file.  The ``benchmark``-fixture tests feed the ordinary
 pytest-benchmark tables (``--benchmark-only``): the sequential pass per
-kernel, and one ``processes`` pass, whose region workers run the scalar
-loop whatever the kernel.  On top of that,
+kernel, and one ``processes`` pass, whose region workers drain the
+BQueue's at-the-clamp bucket through the vector kernel's drain step and
+pop every other vertex one at a time.  On top of that,
 ``test_record_kernel_trajectory`` measures the kernels in *interleaved
 pairs* — scalar then vector per round, with per-round
 throughput ratios and the median taken across rounds — and writes the
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.capforest import MIN_BATCH, POP_VECTOR_MIN_DEGREE, capforest
+from repro.core.capforest import MIN_BATCH, MIN_VECTOR_N, POP_VECTOR_MIN_DEGREE, capforest
 from repro.core.parallel_capforest import parallel_capforest
 from repro.generators.gnm import connected_gnm
 from repro.observability import BENCH_SCHEMA_VERSION, validate_bench_payload
@@ -148,6 +149,7 @@ def test_record_kernel_trajectory(kernel_graph):
         "batch_crossovers": {
             "vector": {
                 "min_batch": MIN_BATCH,
+                "min_vector_n": MIN_VECTOR_N,
                 "pop_vector_min_degree": POP_VECTOR_MIN_DEGREE,
             },
         },

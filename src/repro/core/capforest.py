@@ -49,6 +49,8 @@ Two interchangeable kernels drive the scan, selected by ``kernel=``
     every configuration.  On a BQueue scan of fewer than
     :data:`MIN_VECTOR_N` vertices, where too few drains pay for their
     array set-up, ``kernel="vector"`` runs the scalar kernel itself.
+    The drain is one step, :meth:`ClampDrain.drain`, which ParCut's
+    ``processes`` region workers run too, on the members they claimed.
 
 The registry also accepts ``"compiled"``, the name of a retired JIT tier:
 it resolves to ``"vector"`` with a ``kernel_fallback`` note
@@ -86,7 +88,8 @@ MIN_BATCH = 16
 #: below this many vertices a BQueue scan runs ``_capforest_scalar`` under
 #: ``kernel="vector"``: its at-the-clamp drains are too few and too short
 #: to pay for the vector kernel's array set-up (the kernels' crossover on
-#: the suite graphs, measured as IMPLEMENTATION_NOTES §11 describes)
+#: the suite graphs, measured as IMPLEMENTATION_NOTES §11 describes; the
+#: bench record republishes it in ``batch_crossovers``)
 MIN_VECTOR_N = 160
 
 #: minimum arc-slice length before a *single* pop relaxes its slice with
@@ -400,37 +403,21 @@ def _capforest_vector(
 ) -> CapforestResult:
     """Batch-relaxation kernel (see module docstring).
 
-    State lives in numpy arrays: ``r`` and ``pop_time``, the latter holding
-    each vertex's position in the scan order (``n`` while unscanned), which
-    doubles as the visited flag *and* the intra-batch schedule — an arc is
-    live exactly when its head's pop time exceeds its tail's.  Whenever the
-    BQueue's top bucket sits at the priority clamp the whole bucket is
-    drained and its concatenated arc slices are relaxed with array
-    expressions.  All other pops fall through to the scalar relaxation step
-    on the same state, so every observable output matches the scalar kernel
-    exactly; that step indexes memoryviews of the two arrays, whose
-    items are plain ints (a numpy scalar read and compare costs several
-    times more, and the per-pop step runs once per arc).
+    State lives in the arrays of a :class:`ClampDrain`: ``r`` and
+    ``pop_time``.  Whenever the BQueue's top bucket sits at the priority
+    clamp the whole bucket is drained and scanned by
+    :meth:`ClampDrain.drain`.  All other pops fall through to the scalar
+    relaxation step on the same state, so every observable output matches
+    the scalar kernel exactly; that step indexes memoryviews of the two
+    arrays, whose items are plain ints (a numpy scalar read and compare
+    costs several times more, and the per-pop step runs once per arc).
     """
     n = graph.n
-    xadj_np = graph.xadj
     xadj = graph.xadj_list()
     adjncy = graph.adjncy
     adjwgt = graph.adjwgt
-    wdeg_np = graph.weighted_degrees()
     wdeg = graph.weighted_degrees_list()
 
-    pop_time = np.full(n, n, dtype=np.int64)
-    r = np.zeros(n, dtype=np.int64)
-    pop_time_v = memoryview(pop_time)  # the per-pop step's views
-    r_v = memoryview(r)
-    # per-batch weight sums stay exact in float64 (bincount) iff they stay
-    # under 2**53; fall back to the slower exact integer scatter-add else
-    small_weights = graph.total_weight() < (1 << 52)
-    # numpy's stable argsort is a radix sort for <= 16-bit integers (an
-    # order of magnitude faster than the comparison sort it uses for
-    # int64), so sort narrowed copies of the head ids whenever they fit
-    head_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int64
     lam = lambda_hat
     bound = lambda_hat
     alpha = 0
@@ -440,13 +427,14 @@ def _capforest_vector(
     n_marked = 0
     edges_scanned = 0
     certificates: list[tuple[int, int, int, int, bool]] = []
-    stats = pq.stats
+    drainer = ClampDrain(graph, pq, bound, certificates if record_certificates else None)
+    r, pop_time = drainer.r, drainer.pop_time
+    r_v, pop_time_v = drainer.r_v, drainer.pop_time_v  # the per-pop step's views
     can_batch = effective_kind == "bqueue"
     # single pops also relax their slice with array expressions when the PQ
     # has a batch interface (bucket kinds); certificate recording needs the
     # per-arc λ bookkeeping only the pure scalar loop keeps
     pop_vector = effective_kind in ("bqueue", "bstack") and not record_certificates
-    arange_buf = np.empty(0, dtype=np.int64)  # grown on demand, reused across batches
     # CAPFOREST only ever *writes* the union-find during the scan (nothing
     # queries it until the result is consumed), and the final partition is
     # the transitive closure of the marked pairs regardless of union order —
@@ -485,169 +473,22 @@ def _capforest_vector(
             and pq.top_bucket_len() >= MIN_BATCH
         ):
             batch = pq.drain_top_bucket()
-            k = len(batch)
             sb = len(scan_order)
-            if sb + k > n:
+            if sb + len(batch) > n:
                 from ..runtime.errors import NoProgressError
 
                 raise NoProgressError(f"scan popped more than {n} vertices")
-            idx = np.asarray(batch, dtype=np.int64)
-            starts_ = xadj_np[idx]
-            counts = xadj_np[idx + 1] - starts_
-            total = int(counts.sum())
-            if arange_buf.shape[0] < max(total, k):
-                arange_buf = np.arange(max(total, k), dtype=np.int64)
-            pt_idx = arange_buf[:k] + sb  # absolute pop times of the batch
-            pop_time[idx] = pt_idx
-
-            # concatenated arc slices of the batch, in pop order
-            if total:
-                cum = np.cumsum(counts)
-                arc = np.repeat(starts_ - (cum - counts), counts)
-                arc += arange_buf[:total]
-                ys = adjncy[arc]
-                tail_time = np.repeat(pt_idx, counts)
-                # an arc is relaxed iff its head is unvisited at the moment
-                # its tail is popped, i.e. the head pops later than the tail
-                # (unscanned heads hold pop_time == n, later than any pop):
-                # this is literally the scalar schedule, evaluated in bulk
-                pt_all = pop_time[ys]
-                live_idx = np.flatnonzero(pt_all > tail_time)
-                ys = ys[live_idx]
-                ws = adjwgt[arc[live_idx]]
-                src_pos = tail_time[live_idx]
-                src_pos -= sb
-                pt_ys = pt_all[live_idx]
-            else:
-                ys = ws = src_pos = pt_ys = np.empty(0, dtype=np.int64)
-            m_ev = len(ys)
+            alpha, lam, min_alpha, best_end, m_ev, us, vs = drainer.drain(
+                batch, None, sb, sb, alpha, lam, min_alpha, fixed_bound
+            )
+            if best_end:
+                best_prefix = best_end
             edges_scanned += m_ev
-
-            # α per pop needs r at pop time, which includes the weight the
-            # earlier batch members already pushed into later ones
-            in_batch = pt_ys < sb + k
-            tgt = pt_ys[in_batch]
-            tgt -= sb
-            if small_weights:
-                intra = np.bincount(tgt, weights=ws[in_batch], minlength=k).astype(
-                    np.int64
-                )
-            else:
-                intra = np.zeros(k, dtype=np.int64)
-                np.add.at(intra, tgt, ws[in_batch])
-            alphas = alpha + np.cumsum(wdeg_np[idx] - 2 * (r[idx] + intra))
-            alpha = int(alphas[-1])
-
-            # only the first n-1-sb pops can improve the cut (a full prefix
-            # is no cut); λ̂ tightening is skipped entirely unless this batch
-            # actually improves it — the overwhelmingly common case
-            elig = min(k, n - 1 - sb)
-            lam_per_pop = None
-            if elig > 0:
-                mn = int(alphas[:elig].min())
-                if min_alpha is None or mn < min_alpha:
-                    min_alpha = mn
-                    best_prefix = sb + int(np.argmax(alphas[:elig] == mn)) + 1
-                if not fixed_bound and mn < lam:
-                    lam_per_pop = np.empty(k, dtype=np.int64)
-                    np.minimum.accumulate(
-                        np.minimum(alphas[:elig], lam), out=lam_per_pop[:elig]
-                    )
-                    lam_per_pop[elig:] = lam_per_pop[elig - 1]
-                    lam = int(lam_per_pop[-1])
+            if us is not None:
+                mark_us.append(us)
+                mark_vs.append(vs)
+                n_marked += len(us)
             scan_order.extend(batch)
-
-            if m_ev:
-                # group events by head vertex (stable: event order preserved
-                # within each group) and recover every r(y)-before-arc value
-                # with a segmented exclusive prefix sum
-                order = np.argsort(ys.astype(head_dtype, copy=False), kind="stable")
-                ys_s = ys[order]
-                ws_s = ws[order]
-                grp_first = np.empty(m_ev, dtype=bool)
-                grp_first[0] = True
-                np.not_equal(ys_s[1:], ys_s[:-1], out=grp_first[1:])
-                first_idx = np.flatnonzero(grp_first)
-                grp_sizes = np.diff(np.append(first_idx, m_ev))
-                excl = np.cumsum(ws_s)
-                excl -= ws_s
-                r0 = r[ys_s[first_idx]]  # pre-batch r, one per head
-                r_before = excl + np.repeat(r0 - excl[first_idx], grp_sizes)
-                q_s = r_before + ws_s
-
-                if lam_per_pop is None:
-                    mark = (r_before < lam) & (lam <= q_s)
-                else:
-                    lam_evt = lam_per_pop[src_pos[order]]
-                    mark = (r_before < lam_evt) & (lam_evt <= q_s)
-                mark_idx = np.flatnonzero(mark)
-                if len(mark_idx):
-                    src_evt = order[mark_idx]
-                    mark_us.append(idx[src_pos[src_evt]])
-                    mark_vs.append(ys_s[mark_idx])
-                    n_marked += len(mark_idx)
-
-                # event-accurate queue counters (Lemma 3.1 classification
-                # straight from r: a push is a group's first event with
-                # r == 0; an event moves the head unless it is skipped at
-                # the bound — and every non-push move is a strict raise)
-                mask_move = r_before < (bound if bound > 0 else 1)
-                # within each group r_before is nondecreasing (weights are
-                # positive), so the moving events form a prefix; a single
-                # maximum.reduceat yields each group's last move event
-                # directly (-1 for groups that never move)
-                last_all = np.maximum.reduceat(
-                    np.where(mask_move, arange_buf[:m_ev], -1), first_idx
-                )
-                moved = int(np.count_nonzero(mask_move))
-                pushes = int((r0 == 0).sum())
-                stats.pushes += pushes
-                stats.updates += moved - pushes
-                stats.skipped_updates += m_ev - moved
-
-                if record_certificates:
-                    q_orig = np.empty(m_ev, dtype=np.int64)
-                    q_orig[order] = q_s
-                    mark_orig = np.empty(m_ev, dtype=bool)
-                    mark_orig[order] = mark
-                    if lam_per_pop is None:
-                        lam_orig = np.full(m_ev, lam, dtype=np.int64)
-                    else:
-                        lam_orig = lam_per_pop[src_pos]
-                    certificates.extend(
-                        zip(
-                            idx[src_pos].tolist(),
-                            ys.tolist(),
-                            q_orig.tolist(),
-                            lam_orig.tolist(),
-                            mark_orig.tolist(),
-                        )
-                    )
-
-                # each head moves in the queue only at its *last* reposition
-                # event (repositions are a prefix of its group); applying
-                # just that final move, ordered by original event time,
-                # reproduces the scalar queue state exactly
-                has_move = last_all >= 0
-                if has_move.any():
-                    last_evt = last_all[has_move]
-                    evt = order[last_evt]  # distinct event times, one per head
-                    if m_ev <= np.iinfo(np.int16).max:
-                        evt = evt.astype(np.int16)
-                    # permute *first*, then gather once per array; every push
-                    # is a move (r_before = 0 < λ̂), so the push count from
-                    # the stats block doubles as the queue-growth delta and
-                    # old keys never need materialising
-                    sel = last_evt[np.argsort(evt, kind="stable")]
-                    pq.apply_relaxations(
-                        ys_s[sel], None, np.minimum(q_s[sel], bound),
-                        n_pushes=pushes,
-                    )
-
-                # total relaxation per head = its group's last q
-                grp_last = first_idx + grp_sizes - 1
-                r[ys_s[grp_last]] = q_s[grp_last]
-
             continue
 
         # ---- scalar path: single pop (top bucket below the clamp, BStack,
@@ -725,3 +566,236 @@ def _capforest_vector(
         edges_scanned=edges_scanned,
         certificates=certificates,
     )
+
+
+class ClampDrain:
+    """The at-the-clamp drain step of a BQueue scan, with the array state
+    it shares with the scan's one-pop steps.
+
+    ``r`` holds each vertex's priority and ``pop_time`` each vertex's
+    position in the scan's pop order (``n`` while unpopped).  ``pop_time``
+    doubles as the visited flag *and* the intra-drain schedule: an arc is
+    live exactly when its head pops later than its tail.  ``r_v`` and
+    ``pop_time_v`` are memoryviews of the two arrays for the one-pop steps,
+    whose items are plain ints.  Both the sequential vector kernel and a
+    ``processes`` region worker (:mod:`repro.core.parallel_capforest`)
+    drain through :meth:`drain`; the first scans every drained member, the
+    second only the members it claimed in the shared visited table.
+    """
+
+    __slots__ = (
+        "n", "xadj", "adjncy", "adjwgt", "wdeg", "pq", "bound", "r", "pop_time",
+        "r_v", "pop_time_v", "small_weights", "head_dtype", "arange", "certificates",
+    )
+
+    def __init__(self, graph: Graph, pq, bound: int, certificates: list | None = None) -> None:
+        n = self.n = graph.n
+        self.xadj = graph.xadj
+        self.adjncy = graph.adjncy
+        self.adjwgt = graph.adjwgt
+        self.wdeg = graph.weighted_degrees()
+        self.pq = pq
+        self.bound = bound
+        self.r = np.zeros(n, dtype=np.int64)
+        self.pop_time = np.full(n, n, dtype=np.int64)
+        self.r_v = memoryview(self.r)
+        self.pop_time_v = memoryview(self.pop_time)
+        # per-drain weight sums stay exact in float64 (bincount) iff they stay
+        # under 2**53; fall back to the slower exact integer scatter-add else
+        self.small_weights = graph.total_weight() < (1 << 52)
+        # numpy's stable argsort is a radix sort for <= 16-bit integers (an
+        # order of magnitude faster than the comparison sort it uses for
+        # int64), so sort narrowed copies of the head ids whenever they fit
+        self.head_dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int64
+        self.arange = np.empty(0, dtype=np.int64)  # grown on demand, reused
+        #: per-arc ``(u, v, q, λ̂, marked)`` records, or None to keep none
+        self.certificates = certificates
+
+    def drain(self, batch, claimed, sb, scanned, alpha, lam, best_alpha, fixed_bound):
+        """Pop the drained ``batch`` at pop positions ``sb, sb+1, ...`` and
+        scan its claimed members as one batch of array passes.
+
+        ``claimed`` lists the batch positions the caller scans, in order
+        (``None``: all of them); the other members are only popped, so
+        arcs from earlier members still reach them and arcs from later
+        members skip them.  ``scanned`` is the number of members the scan
+        claimed before this drain, ``alpha`` its running scan cut,
+        ``best_alpha`` its smallest proper-prefix α so far (or ``None``)
+        and ``lam`` the marking bound at the drain's start, which each
+        claimed member's α lowers unless ``fixed_bound``.
+
+        Returns ``(alpha, lam, best_alpha, best_end, edges, us, vs)``:
+        ``best_end`` is the claimed-prefix length realising a new
+        ``best_alpha`` (``0`` if none), ``edges`` the live arcs relaxed,
+        and ``us``/``vs`` the marked pairs (``None`` if none).  Updates
+        ``r``, ``pop_time``, the queue and its counters in place.
+        """
+        n = self.n
+        xadj = self.xadj
+        r = self.r
+        pop_time = self.pop_time
+        stats = self.pq.stats
+        bound = self.bound
+        k = len(batch)
+        idx = np.asarray(batch, dtype=np.int64)
+        if claimed is None:
+            src, kc, rank_of = idx, k, None
+        else:
+            cpos = np.asarray(claimed, dtype=np.int64)
+            src, kc = idx[cpos], len(cpos)
+            rank_of = np.zeros(k, dtype=np.int64)  # batch position -> claimed rank
+            rank_of[cpos] = np.arange(kc)
+        starts_ = xadj[src]
+        counts = xadj[src + 1] - starts_
+        total = int(counts.sum())
+        if self.arange.shape[0] < max(total, k):
+            self.arange = np.arange(max(total, k), dtype=np.int64)
+        arange = self.arange
+        pt_idx = arange[:k] + sb  # absolute pop times of the batch
+        pop_time[idx] = pt_idx
+        src_time = pt_idx if claimed is None else pt_idx[cpos]
+
+        # concatenated arc slices of the claimed members, in pop order
+        if total:
+            cum = np.cumsum(counts)
+            arc = np.repeat(starts_ - (cum - counts), counts)
+            arc += arange[:total]
+            ys = self.adjncy[arc]
+            tail_time = np.repeat(src_time, counts)
+            # an arc is relaxed iff its head is unvisited at the moment
+            # its tail is popped, i.e. the head pops later than the tail
+            # (unscanned heads hold pop_time == n, later than any pop):
+            # this is literally the scalar schedule, evaluated in bulk
+            pt_all = pop_time[ys]
+            live_idx = np.flatnonzero(pt_all > tail_time)
+            ys = ys[live_idx]
+            ws = self.adjwgt[arc[live_idx]]
+            src_pos = tail_time[live_idx]
+            src_pos -= sb  # batch position of each live arc's tail
+            pt_ys = pt_all[live_idx]
+        else:
+            ys = ws = src_pos = pt_ys = np.empty(0, dtype=np.int64)
+        m_ev = len(ys)
+        src_rank = src_pos if rank_of is None else rank_of[src_pos]
+
+        # α per claimed pop needs r at pop time, which includes the weight
+        # the earlier claimed members already pushed into later ones
+        in_batch = pt_ys < sb + k
+        tgt = pt_ys[in_batch]
+        tgt -= sb
+        if self.small_weights:
+            intra = np.bincount(tgt, weights=ws[in_batch], minlength=k).astype(np.int64)
+        else:
+            intra = np.zeros(k, dtype=np.int64)
+            np.add.at(intra, tgt, ws[in_batch])
+        if claimed is not None:
+            intra = intra[cpos]
+        alphas = alpha + np.cumsum(self.wdeg[src] - 2 * (r[src] + intra))
+        if kc:
+            alpha = int(alphas[-1])
+
+        # only the first n-1-scanned claimed pops can improve the cut (a full
+        # prefix is no cut); λ̂ tightening is skipped entirely unless this
+        # drain actually improves it — the overwhelmingly common case
+        elig = min(kc, n - 1 - scanned)
+        best_end = 0
+        lam_per_pop = None
+        if elig > 0:
+            mn = int(alphas[:elig].min())
+            if best_alpha is None or mn < best_alpha:
+                best_alpha = mn
+                best_end = scanned + int(np.argmax(alphas[:elig] == mn)) + 1
+            if not fixed_bound and mn < lam:
+                lam_per_pop = np.empty(kc, dtype=np.int64)
+                np.minimum.accumulate(np.minimum(alphas[:elig], lam), out=lam_per_pop[:elig])
+                lam_per_pop[elig:] = lam_per_pop[elig - 1]
+                lam = int(lam_per_pop[-1])
+
+        us = vs = None
+        if m_ev:
+            # group events by head vertex (stable: event order preserved
+            # within each group) and recover every r(y)-before-arc value
+            # with a segmented exclusive prefix sum
+            order = np.argsort(ys.astype(self.head_dtype, copy=False), kind="stable")
+            ys_s = ys[order]
+            ws_s = ws[order]
+            grp_first = np.empty(m_ev, dtype=bool)
+            grp_first[0] = True
+            np.not_equal(ys_s[1:], ys_s[:-1], out=grp_first[1:])
+            first_idx = np.flatnonzero(grp_first)
+            grp_sizes = np.diff(np.append(first_idx, m_ev))
+            excl = np.cumsum(ws_s)
+            excl -= ws_s
+            r0 = r[ys_s[first_idx]]  # pre-drain r, one per head
+            r_before = excl + np.repeat(r0 - excl[first_idx], grp_sizes)
+            q_s = r_before + ws_s
+
+            if lam_per_pop is None:
+                mark = (r_before < lam) & (lam <= q_s)
+            else:
+                lam_evt = lam_per_pop[src_rank[order]]
+                mark = (r_before < lam_evt) & (lam_evt <= q_s)
+            mark_idx = np.flatnonzero(mark)
+            if len(mark_idx):
+                us = src[src_rank[order[mark_idx]]]
+                vs = ys_s[mark_idx]
+
+            # event-accurate queue counters (Lemma 3.1 classification
+            # straight from r: a push is a group's first event with
+            # r == 0; an event moves the head unless it is skipped at
+            # the bound — and every non-push move is a strict raise)
+            mask_move = r_before < (bound if bound > 0 else 1)
+            # within each group r_before is nondecreasing (weights are
+            # positive), so the moving events form a prefix; a single
+            # maximum.reduceat yields each group's last move event
+            # directly (-1 for groups that never move)
+            last_all = np.maximum.reduceat(np.where(mask_move, arange[:m_ev], -1), first_idx)
+            moved = int(np.count_nonzero(mask_move))
+            pushes = int((r0 == 0).sum())
+            stats.pushes += pushes
+            stats.updates += moved - pushes
+            stats.skipped_updates += m_ev - moved
+
+            if self.certificates is not None:
+                q_orig = np.empty(m_ev, dtype=np.int64)
+                q_orig[order] = q_s
+                mark_orig = np.empty(m_ev, dtype=bool)
+                mark_orig[order] = mark
+                if lam_per_pop is None:
+                    lam_orig = np.full(m_ev, lam, dtype=np.int64)
+                else:
+                    lam_orig = lam_per_pop[src_rank]
+                self.certificates.extend(
+                    zip(
+                        src[src_rank].tolist(),
+                        ys.tolist(),
+                        q_orig.tolist(),
+                        lam_orig.tolist(),
+                        mark_orig.tolist(),
+                    )
+                )
+
+            # each head moves in the queue only at its *last* reposition
+            # event (repositions are a prefix of its group); applying
+            # just that final move, ordered by original event time,
+            # reproduces the scalar queue state exactly
+            has_move = last_all >= 0
+            if has_move.any():
+                last_evt = last_all[has_move]
+                evt = order[last_evt]  # distinct event times, one per head
+                if m_ev <= np.iinfo(np.int16).max:
+                    evt = evt.astype(np.int16)
+                # permute *first*, then gather once per array; every push
+                # is a move (r_before = 0 < λ̂), so the push count from
+                # the stats block doubles as the queue-growth delta and
+                # old keys never need materialising
+                sel = last_evt[np.argsort(evt, kind="stable")]
+                self.pq.apply_relaxations(
+                    ys_s[sel], None, np.minimum(q_s[sel], bound), n_pushes=pushes,
+                )
+
+            # total relaxation per head = its group's last q
+            grp_last = first_idx + grp_sizes - 1
+            r[ys_s[grp_last]] = q_s[grp_last]
+
+        return alpha, lam, best_alpha, best_end, m_ev, us, vs

@@ -16,16 +16,26 @@ are recorded as unions; the serial executor applies them to one
 union–find, the process executor replays per-worker pair rows afterwards —
 equivalent because unions commute (Lemma 3.2(1)).
 
-Workers run the scalar relaxation loop (one Python iteration per arc),
-whatever kernel the caller's sequential passes use.
+One worker generator (:func:`_region_worker`) serves both executors, over
+two storages.  Where a worker may drain — the ``processes`` executor, the
+BQueue, and ``λ̂ ≤ MAX_BUCKET_BOUND`` — its state lives in the arrays of a
+:class:`~repro.core.capforest.ClampDrain`: whenever its top bucket sits at
+the priority clamp with at least ``MIN_BATCH`` members, it pops the whole
+bucket, claims the members in ``T`` one at a time, and relaxes the claimed
+members' arcs as one batch of array passes, through the drain step the
+sequential ``vector`` kernel runs (Lemma 3.1 keeps a drain equal to
+popping its members one by one).  Every other pop, and every pop of a
+worker that may not drain, runs the per-arc scalar loop; a worker that may
+not drain keeps its state in lists.
 
 Executors
 ---------
 ``serial``
     Runs the ``p`` workers round-robin, one vertex pop per turn, in one
-    thread.  Deterministic given the seed; the reference semantics used by
-    most tests, and the work counters it produces drive the *modeled*
-    speedups of the Figure 5 experiment.
+    thread, on list-backed state and without drains.  Deterministic given
+    the seed; the reference semantics used by most tests, and the work
+    counters it produces drive the *modeled* speedups of the Figure 5
+    experiment.
 ``processes``
     Process workers over a zero-copy shared-memory plane
     (:mod:`repro.graph.shm`): the CSR graph is exported once per pass into
@@ -33,9 +43,10 @@ Executors
     graph copy, under ``fork`` *and* ``spawn``), ``T`` is a shared byte
     plane, ``λ̂`` an aligned int64 slot of the pass's pair plane, and
     marked pairs come back through that preallocated shared int64 buffer —
-    each worker deduplicates its marks through a local union–find, so its
-    row never exceeds ``n - 1`` pairs.  The workers themselves are one
-    long-lived group per process (:class:`repro.runtime.WorkerGroup`), as
+    each worker buffers its marks as arrays and, when its task ends,
+    deduplicates them once into one ``(v, root)`` pair per non-root
+    vertex, so its row never exceeds ``n - 1`` pairs.  The workers
+    themselves are one long-lived group per process (:class:`repro.runtime.WorkerGroup`), as
     Algorithm 2 runs every round on one team: the group starts on the
     first pass, grows when a pass needs more workers, is replaced when a
     pass asks for another start method, and closes at interpreter exit
@@ -73,7 +84,7 @@ from ..runtime.errors import ExecutorUnavailable, NoProgressError
 from ..runtime.faults import FaultClock, FaultPlan
 from ..runtime.pool import WorkerGroup, default_start_method, next_task
 from ..runtime.supervisor import supervise_processes, worker_event
-from .capforest import MAX_BUCKET_BOUND
+from .capforest import MAX_BUCKET_BOUND, MIN_BATCH, ClampDrain
 
 EXECUTORS = ("serial", "processes")
 
@@ -87,6 +98,8 @@ class WorkerReport:
     vertices_scanned: int = 0
     edges_scanned: int = 0
     blacklisted: int = 0
+    #: members popped through at-the-clamp drains (claimed or blacklisted)
+    drained: int = 0
     pq_stats: PQStats = field(default_factory=PQStats)
     best_alpha: int | None = None
     best_prefix: list[int] = field(default_factory=list)
@@ -129,6 +142,7 @@ class _SharedBound:
     """Monotonically decreasing λ̂ shared by the serial executor's workers."""
 
     __slots__ = ("value",)
+    frozen = False
 
     def __init__(self, value: int) -> None:
         self.value = value
@@ -146,6 +160,7 @@ class _FrozenBound:
     """
 
     __slots__ = ("value",)
+    frozen = True
 
     def __init__(self, value: int) -> None:
         self.value = value
@@ -154,21 +169,38 @@ class _FrozenBound:
         return
 
 
-def _region_worker_with_prefix(
-    xadj, adjncy, adjwgt, wdeg, n, T, lam_box, union, start, pq_kind, bound, report
-):
-    """Generator scanning one region; yields after every pop (round-robin).
+def _region_worker(graph, T, lam_box, marks, start, pq_kind, bound, report, drains):
+    """Generator scanning one region; yields the pops of each step.
 
     ``T`` is any byte-indexable shared visited table; ``lam_box`` exposes
-    ``.value`` and ``.minimize``; ``union`` is a callable ``(u, v)``.
-    Records the exact scan prefix realising the worker's best α so the
-    coordinator can output a cut *side*, not just its value.
+    ``.value``, ``.minimize`` and ``.frozen``; ``marks`` takes marked pairs
+    through ``.union(u, v)`` and, from drains, ``.union_pairs(us, vs)``.
+    A step is one pop (yields 1) or, with ``drains``, one drain of the
+    BQueue's at-the-clamp top bucket (yields its member count): the worker
+    claims the members one at a time in ``T``, as single pops do, and
+    :meth:`~repro.core.capforest.ClampDrain.drain` scans the claimed ones.
+    With ``drains`` the state lives in a :class:`ClampDrain`'s arrays,
+    read through memoryviews; without it, in lists.  Either way
+    ``seen[v]`` is ``v``'s position in this worker's pop order (``n``
+    while unpopped), claimed or blacklisted, so an arc is relaxed exactly
+    when its head pops later than its tail.  Records the exact scan prefix
+    realising the worker's best α so the coordinator can output a cut
+    *side*, not just its value.
     """
-    pq = make_pq(pq_kind if bound <= MAX_BUCKET_BOUND else "heap", n, bound=bound)
+    n = graph.n
+    xadj = graph.xadj_list()
+    adjncy = graph.adjncy
+    adjwgt = graph.adjwgt
+    wdeg = graph.weighted_degrees_list()
+    if drains:
+        pq = make_pq("bqueue", n, bound=bound, array_keys=True)
+        drainer = ClampDrain(graph, pq, bound)
+        r, seen = drainer.r_v, drainer.pop_time_v
+    else:
+        pq = make_pq(pq_kind if bound <= MAX_BUCKET_BOUND else "heap", n, bound=bound)
+        r, seen = [0] * n, [n] * n
     report.pq_stats = pq.stats
-    blacklist = bytearray(n)
-    local_visited = bytearray(n)
-    r = [0] * n
+    union = marks.union
     alpha = 0
     scan_order: list[int] = []
     best_len = 0
@@ -178,6 +210,44 @@ def _region_worker_with_prefix(
     insert(start, 0)
     pops = 0
     while len(pq):
+        if (
+            drains
+            and pq.top_may_reach(bound)
+            and pq.top_key() == bound
+            and pq.top_bucket_len() >= MIN_BATCH
+        ):
+            batch = pq.drain_top_bucket()
+            k = len(batch)
+            if pops + k > n:
+                raise NoProgressError(
+                    f"worker {report.worker_id} popped {pops + k} vertices from a {n}-vertex graph"
+                )
+            mine = []  # batch positions this worker claimed, one at a time
+            for i, v in enumerate(batch):
+                if T[v]:
+                    continue
+                T[v] = 1
+                mine.append(i)
+            # the drain runs as if no other worker acted during it: one read
+            # of the shared λ̂, lowered only by this drain's own scan cuts
+            alpha, _, best, best_end, m_ev, us, vs = drainer.drain(
+                batch, mine, pops, len(scan_order), alpha, lam_box.value,
+                report.best_alpha, lam_box.frozen,
+            )
+            pops += k
+            scan_order.extend([batch[i] for i in mine])
+            report.vertices_scanned += len(mine)
+            report.blacklisted += k - len(mine)
+            report.drained += k
+            report.edges_scanned += m_ev
+            if best_end:
+                report.best_alpha = best
+                best_len = best_end
+                lam_box.minimize(best)
+            if us is not None:
+                marks.union_pairs(us, vs)
+            yield k
+            continue
         x, _ = pop()
         pops += 1
         if pops > n:
@@ -186,13 +256,12 @@ def _region_worker_with_prefix(
             raise NoProgressError(
                 f"worker {report.worker_id} popped {pops} vertices from a {n}-vertex graph"
             )
+        seen[x] = pops - 1
         if T[x]:
-            blacklist[x] = 1
             report.blacklisted += 1
-            yield
+            yield 1
             continue
         T[x] = 1
-        local_visited[x] = 1
         alpha += wdeg[x] - 2 * r[x]
         scan_order.append(x)
         report.vertices_scanned += 1
@@ -202,10 +271,8 @@ def _region_worker_with_prefix(
             lam_box.minimize(alpha)
         lam = lam_box.value
         lo, hi = xadj[x], xadj[x + 1]
-        nbrs = adjncy[lo:hi].tolist()
-        wgts = adjwgt[lo:hi].tolist()
-        for y, w in zip(nbrs, wgts):
-            if blacklist[y] or local_visited[y]:
+        for y, w in zip(adjncy[lo:hi].tolist(), adjwgt[lo:hi].tolist()):
+            if seen[y] < n:
                 continue
             report.edges_scanned += 1
             ry = r[y]
@@ -214,7 +281,7 @@ def _region_worker_with_prefix(
                 union(x, y)
             r[y] = q
             insert(y, q)
-        yield
+        yield 1
     report.best_prefix = scan_order[:best_len]
 
 
@@ -286,12 +353,16 @@ def parallel_capforest(
     p = min(workers, n)
     starts = rng.choice(n, size=p, replace=False).tolist()
 
+    # process workers drain at-the-clamp buckets wherever the BQueue runs;
+    # the serial executor keeps one pop per turn (its counters model Figure 5)
+    drains = executor == "processes" and pq_kind == "bqueue" and lambda_hat <= MAX_BUCKET_BOUND
     if executor == "processes":
         res = _run_processes(graph, lambda_hat, starts, pq_kind, fixed_bound, start_method,
-                             timeout=timeout, fault_plan=fault_plan)
+                             timeout=timeout, fault_plan=fault_plan, drains=drains)
     else:
         res = _run_serial(graph, lambda_hat, starts, pq_kind, fixed_bound, fault_plan)
-    _emit_pass_trace(tracer, res, executor, pq_kind, lambda_hat)
+    _emit_pass_trace(tracer, res, executor, pq_kind, lambda_hat,
+                     "vector" if drains else "scalar")
     return res
 
 
@@ -300,20 +371,13 @@ def _run_serial(
 ) -> ParallelCapforestResult:
     """Round-robin executor: one pop per worker per turn, on one thread."""
     n = graph.n
-    graph_arrays = (
-        graph.xadj.tolist(),
-        graph.adjncy,
-        graph.adjwgt,
-        graph.weighted_degrees().tolist(),
-        n,
-    )
     T = bytearray(n)
     lam_box = _FrozenBound(lambda_hat) if fixed_bound else _SharedBound(lambda_hat)
     uf = UnionFind(n)
     reports = [WorkerReport(worker_id=i, start_vertex=s) for i, s in enumerate(starts)]
     live = [
-        (rep.worker_id, _region_worker_with_prefix(
-            *graph_arrays, T, lam_box, uf.union, rep.start_vertex, pq_kind, lambda_hat, rep
+        (rep.worker_id, _region_worker(
+            graph, T, lam_box, uf, rep.start_vertex, pq_kind, lambda_hat, rep, drains=False
         ))
         for rep in reports
     ]
@@ -346,11 +410,14 @@ def _run_serial(
     return res
 
 
-def _emit_pass_trace(tracer, res, executor, pq_kind, lambda_in) -> None:
+def _emit_pass_trace(tracer, res, executor, pq_kind, lambda_in, kernel) -> None:
     """Emit the pass summary, per-worker reports, and worker-loss events.
 
-    Runs on the coordinator after the pass completes — pass granularity,
-    so a disabled tracer costs exactly one ``None`` check per pass.
+    ``kernel`` names what the workers ran: ``"vector"`` when they could
+    drain at-the-clamp buckets, ``"scalar"`` when they popped one vertex
+    at a time.  Runs on the coordinator after the pass completes — pass
+    granularity, so a disabled tracer costs exactly one ``None`` check per
+    pass.
     """
     if tracer is None:
         return
@@ -367,6 +434,7 @@ def _emit_pass_trace(tracer, res, executor, pq_kind, lambda_in) -> None:
             vertices_scanned=rep.vertices_scanned,
             edges_scanned=rep.edges_scanned,
             blacklisted=rep.blacklisted,
+            drained=rep.drained,
             work=rep.work,
             best_alpha=None if rep.best_alpha is None else int(rep.best_alpha),
         )
@@ -374,8 +442,9 @@ def _emit_pass_trace(tracer, res, executor, pq_kind, lambda_in) -> None:
         "parallel_pass",
         executor=executor,
         pq_kind=pq_kind,
-        kernel="scalar",
+        kernel=kernel,
         workers=len(res.workers),
+        drained=sum(rep.drained for rep in res.workers),
         lambda_in=int(lambda_in),
         lambda_out=int(res.lambda_hat),
         marked=res.n_marked,
@@ -410,7 +479,7 @@ def _finalize(
 def _run_processes(
     graph: Graph, lambda_hat, starts, pq_kind, fixed_bound=False,
     start_method: str | None = None,
-    *, timeout: float | None = None, fault_plan: FaultPlan | None = None,
+    *, timeout: float | None = None, fault_plan: FaultPlan | None = None, drains: bool,
 ) -> ParallelCapforestResult:
     """Process executor over the shared-memory plane, supervised.
 
@@ -422,7 +491,9 @@ def _run_processes(
     for this pass and attached by name in each worker — so the executor is
     start-method agnostic (``fork`` and ``spawn`` share the same zero-copy
     path) and workers return at most ``n - 1`` locally-deduplicated pairs
-    through preallocated memory instead of pickling tuples.
+    through preallocated memory instead of pickling tuples.  With
+    ``drains`` the workers drain at-the-clamp BQueue buckets
+    (:func:`_region_worker`).
 
     Reports are collected through :func:`repro.runtime.supervise_processes`,
     so a crashed, wedged, silent, or corrupt worker becomes a structured
@@ -456,7 +527,7 @@ def _run_processes(
             for i, s in enumerate(starts):
                 task = (
                     shared_graph.name, pair_buf.name, visited.name, p, n, i, s,
-                    pq_kind, lambda_hat, fixed_bound,
+                    pq_kind, lambda_hat, fixed_bound, drains,
                     fault_plan.for_worker(i, "processes") if fault_plan else None,
                 )
                 try:
@@ -491,6 +562,7 @@ def _run_processes(
                     vertices_scanned=rep_dict["vertices_scanned"],
                     edges_scanned=rep_dict["edges_scanned"],
                     blacklisted=rep_dict["blacklisted"],
+                    drained=rep_dict["drained"],
                     pq_stats=PQStats(**rep_dict["pq_stats"]),
                     best_alpha=rep_dict["best_alpha"],
                     best_prefix=rep_dict["best_prefix"],
@@ -526,6 +598,7 @@ class _SlotBound:
     """
 
     __slots__ = ("_slot",)
+    frozen = False
 
     def __init__(self, slot) -> None:
         self._slot = slot
@@ -559,9 +632,50 @@ def _round_worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
         results.send(report)
 
 
+class _MarkBuffer:
+    """A process worker's marks, buffered as arrays until its task ends.
+
+    Takes single marks through :meth:`union` and a drain's marks through
+    :meth:`union_pairs`, the two calls a region worker makes on a
+    union–find; :meth:`published` then deduplicates them once.
+    """
+
+    __slots__ = ("pairs", "us", "vs")
+
+    def __init__(self) -> None:
+        self.pairs: list[tuple[int, int]] = []
+        self.us: list[np.ndarray] = []
+        self.vs: list[np.ndarray] = []
+
+    def union(self, u: int, v: int) -> None:
+        self.pairs.append((u, v))
+
+    def union_pairs(self, us: np.ndarray, vs: np.ndarray) -> None:
+        self.us.append(us)
+        self.vs.append(vs)
+
+    def published(self, n: int) -> np.ndarray:
+        """One ``(v, root)`` pair per non-root vertex of the marks' closure.
+
+        A redundant mark adds nothing to the final partition (the closure
+        of the pair multiset), so this row carries the same partition in at
+        most ``n - 1`` pairs.
+        """
+        if self.pairs:
+            single = np.asarray(self.pairs, dtype=np.int64)
+            self.union_pairs(single[:, 0], single[:, 1])
+        if not self.us:
+            return np.empty((0, 2), dtype=np.int64)
+        uf = UnionFind(n)
+        uf.union_pairs(np.concatenate(self.us), np.concatenate(self.vs))
+        roots = uf.roots()
+        members = np.flatnonzero(roots != np.arange(n))
+        return np.column_stack((members, roots[members]))
+
+
 def _round_task(
     graph_name, pairs_name, visited_name, p, n, worker_id, start, pq_kind, bound,
-    fixed_bound, fault,
+    fixed_bound, drains, fault,
 ):  # pragma: no cover - exercised via subprocesses
     """Scan one region of one pass; returns the report payload (``None``
     when an injected fault drops it)."""
@@ -575,28 +689,15 @@ def _round_task(
     visited = SharedBytes.attach(visited_name, n)
     try:
         g = shared_graph.graph()  # arrays are views into the segment: zero-copy
-        graph_arrays = (
-            g.xadj.tolist(), g.adjncy, g.adjwgt, g.weighted_degrees().tolist(), n,
-        )
-
-        # local union–find dedup: a redundant pair adds nothing to the final
-        # partition (the closure of the pair multiset), so only partition-
-        # changing pairs are published — which bounds the row at n - 1 pairs
-        luf = UnionFind(n)
-        pairs: list[tuple[int, int]] = []
-
-        def union(u: int, v: int) -> None:
-            if luf.union(u, v):
-                pairs.append((u, v))
-
+        marks = _MarkBuffer()
         report = WorkerReport(worker_id=worker_id, start_vertex=start)
         lam_box = _FrozenBound(bound) if fixed_bound else _SlotBound(pair_buf.bound)
-        gen = _region_worker_with_prefix(
-            *graph_arrays, visited.buf, lam_box, union, start, pq_kind, bound, report
+        gen = _region_worker(
+            g, visited.buf, lam_box, marks, start, pq_kind, bound, report, drains=drains
         )
         clock = FaultClock(fault)
-        for _ in gen:
-            f = clock.tick()
+        for pops in gen:
+            f = clock.tick(pops)
             if f is None:
                 continue
             if f.kind == "crash":
@@ -613,6 +714,7 @@ def _round_task(
                 _time.sleep(fault.sleep_seconds)
         if fault is not None and fault.kind == "drop_result":
             return None  # clean exit, result silently lost
+        pairs = marks.published(n)
         if fault is not None and fault.kind == "corrupt_pairs":
             pairs = [(n + 1, n + 2)]  # out of range: coordinator must reject the row
         pair_buf.write_pairs(worker_id, pairs)
@@ -624,6 +726,7 @@ def _round_task(
                 "vertices_scanned": report.vertices_scanned,
                 "edges_scanned": report.edges_scanned,
                 "blacklisted": report.blacklisted,
+                "drained": report.drained,
                 "pq_stats": report.pq_stats.as_dict(),
                 "best_alpha": report.best_alpha,
                 "best_prefix": report.best_prefix,
@@ -632,7 +735,7 @@ def _round_task(
     finally:
         # drop every view into the segments before closing them, otherwise
         # SharedMemory refuses to unmap ("cannot close exported pointers")
-        gen = graph_arrays = g = lam_box = None
+        gen = g = lam_box = None
         for seg in (shared_graph, pair_buf, visited):
             try:
                 seg.close()

@@ -144,6 +144,18 @@ class UnionFind:
         self._count -= before - after
         return before - after
 
+    def roots(self) -> np.ndarray:
+        """The root of every element (``int64[n]``), compressing the forest."""
+        # full path compression, vectorized: iterate parent-jumps to a fixpoint
+        roots = self._parent.copy()
+        while True:
+            nxt = roots[roots]
+            if np.array_equal(nxt, roots):
+                break
+            roots = nxt
+        self._parent = roots.copy()  # keep the compressed forest
+        return roots
+
     def labels(self) -> np.ndarray:
         """Dense labels in ``[0, count)``, one per element, canonical for the
         partition: components are numbered by their smallest member.
@@ -157,15 +169,7 @@ class UnionFind:
         every label whenever they encode the same sets, which is what makes
         the scalar and vector CAPFOREST kernels bit-comparable.
         """
-        parent = self._parent
-        # Full path compression, vectorized: iterate parent-jumps until fixpoint.
-        roots = parent.copy()
-        while True:
-            nxt = roots[roots]
-            if np.array_equal(nxt, roots):
-                break
-            roots = nxt
-        self._parent = roots.copy()  # keep the compressed forest
+        roots = self.roots()
         unique_roots, first_idx, labels = np.unique(
             roots, return_index=True, return_inverse=True
         )

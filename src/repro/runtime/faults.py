@@ -117,10 +117,12 @@ class FaultPlan:
 class FaultClock:
     """Per-worker pop counter that fires a :class:`WorkerFault` on schedule.
 
-    The worker loop calls :meth:`tick` once per priority-queue pop; the
-    method returns the fault when its trigger count is reached (exactly
-    once), else ``None``.  Counting pops — rather than wall time — is what
-    makes injected failures deterministic.
+    The worker loop calls :meth:`tick` once per step with the number of
+    priority-queue pops the step made (one, or a drain's member count); the
+    method returns the fault at the first step that takes the count past
+    ``after_pops`` (exactly once), else ``None``.  A trigger inside a drain
+    therefore fires when the drain ends.  Counting pops — rather than wall
+    time — is what makes injected failures deterministic.
     """
 
     __slots__ = ("fault", "pops", "fired")
@@ -130,11 +132,11 @@ class FaultClock:
         self.pops = 0
         self.fired = False
 
-    def tick(self) -> WorkerFault | None:
+    def tick(self, pops: int = 1) -> WorkerFault | None:
         if self.fault is None or self.fired:
             return None
-        if self.pops >= self.fault.after_pops:
+        if self.pops + pops > self.fault.after_pops:
             self.fired = True
             return self.fault
-        self.pops += 1
+        self.pops += pops
         return None

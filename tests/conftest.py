@@ -94,6 +94,28 @@ def random_connected_weighted(rng: np.random.Generator, n_max: int = 40, w_max: 
     return connected_gnm(n, m, rng=rng, weights=(1, w_max))
 
 
+def clamp_bucket_graph(members: int, weight: int = 1) -> Graph:
+    """Two dense blocks joined by one bridge: λ = ``weight``, and all but at
+    most one vertex per block have exactly ``members`` neighbours.
+
+    Every edge weighs ``weight``, so at λ̂ = ``weight`` a scan's first pop
+    puts each neighbour of its start vertex in the at-the-clamp bucket.
+    An odd ``members`` gives each block ``K_{members+2}`` minus a perfect
+    matching and one more edge at vertex 0, which the bridge restores (all
+    vertices then have ``members`` neighbours); an even one gives
+    ``K_{members+1}`` minus the edge (0, 1), so only vertex 1 has one fewer.
+    """
+    k = members + 2 if members % 2 else members + 1
+    us, vs = np.triu_indices(k, 1)
+    drop = (us == 0) & (vs == (k - 1 if members % 2 else 1))
+    if members % 2:
+        drop |= (us % 2 == 0) & (vs == us + 1)
+    us, vs = us[~drop], vs[~drop]
+    u = np.r_[us, us + k, 0]
+    v = np.r_[vs, vs + k, k]
+    return from_edges(2 * k, u, v, np.full(len(u), weight, dtype=np.int64))
+
+
 # -- canonical small graphs ---------------------------------------------------
 
 

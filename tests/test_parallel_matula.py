@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.matula import matula_approx
 from repro.core.parallel_capforest import parallel_capforest
 from repro.generators import connected_gnm
+from repro.graph import from_edges
+from repro.graph.contract import contract_by_union_find
 
-from .conftest import oracle_mincut
+from .conftest import clamp_bucket_graph, oracle_mincut
 
 
 class TestFrozenBoundParallelCapforest:
@@ -48,6 +50,24 @@ class TestFrozenBoundParallelCapforest:
             assert oracle_mincut(gc) >= min(2, lam)
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drains_keep_the_threshold_frozen(self, seed):
+        """Process workers drain at-the-clamp buckets under a frozen
+        threshold too.  Blocks of weight-3 edges hang on a weight-1 bridge:
+        at threshold 3 a first pop fills the clamp bucket, the scan cut of
+        value 1 leaves the threshold at 3, and the marks keep the bridge."""
+        g3 = clamp_bucket_graph(16, weight=3)
+        us, vs, ws = g3.edge_arrays()
+        bridge = (np.minimum(us, vs) == 0) & (np.maximum(us, vs) == g3.n // 2)
+        g = from_edges(g3.n, us, vs, np.where(bridge, 1, ws))
+        res = parallel_capforest(g, 3, workers=2, executor="processes", rng=seed,
+                                 fixed_bound=True)
+        assert res.lambda_hat == 3
+        assert sum(w.drained for w in res.workers) > 0
+        gc, _ = contract_by_union_find(g, res.uf)
+        assert gc.n >= 2 and oracle_mincut(gc) == 1
+
+
 class TestParallelMatula:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 100_000), workers=st.integers(2, 4))
@@ -73,6 +93,13 @@ class TestParallelMatula:
         # both modes should usually land on the exact cut on easy instances
         assert seq_exact >= total - 3
         assert par_exact >= total - 3
+
+    @pytest.mark.parametrize("members", [15, 16])
+    def test_guarantee_holds_with_drains(self, members):
+        g = clamp_bucket_graph(members)
+        res = matula_approx(g, eps=0.5, rng=0, workers=2, executor="processes")
+        assert res.verify(g)
+        assert 1 <= res.value <= 2.5
 
     def test_disconnected_parallel(self, two_triangles_disconnected):
         res = matula_approx(two_triangles_disconnected, rng=0, workers=3)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.hao_orlin import hao_orlin
+from repro.core.capforest import MAX_BUCKET_BOUND, MIN_BATCH
 from repro.core.mincut import parallel_mincut
 from repro.generators import chung_lu, connected_gnm
 from repro.graph import from_edges, largest_component
 from repro.observability import Tracer
 
-from .conftest import oracle_mincut
+from .conftest import clamp_bucket_graph, oracle_mincut
 
 
 class TestCanonical:
@@ -122,3 +124,64 @@ def test_viecut_seed_does_not_depend_on_executor():
         seeds[executor] = (levels, res.stats["viecut_value"])
         assert res.value == oracle_mincut(g)
     assert seeds["processes"] == seeds["serial"]
+
+
+def _with_pendant(g, weight=1):
+    """``g`` plus one leaf hung on vertex 0: λ = min(weight, λ(g))."""
+    us, vs, ws = g.edge_arrays()
+    return from_edges(g.n + 1, np.r_[us, 0], np.r_[vs, g.n], np.r_[ws, weight])
+
+
+class TestDrainExactness:
+    """``processes`` workers drain at-the-clamp BQueue buckets; every answer
+    stays exact (Hao–Orlin, a flow-based oracle) with a valid side."""
+
+    @pytest.mark.parametrize("members", [MIN_BATCH - 1, MIN_BATCH])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_clamp_bucket_around_min_batch(self, members, workers):
+        g = clamp_bucket_graph(members)
+        tracer = Tracer()
+        res = parallel_mincut(g, workers=workers, executor="processes", rng=members,
+                              tracer=tracer)
+        assert res.value == hao_orlin(g).value == 1
+        assert res.verify(g)
+        assert res.stats["worker_events"] == []  # no worker crashed in a drain
+        assert {ev["kernel"] for ev in tracer.events("parallel_pass")} == {"vector"}
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 100_000), workers=st.integers(2, 3))
+    def test_property_drain_heavy_graphs(self, seed, workers):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(60, 200))
+        g = connected_gnm(n, int(rng.integers(2 * n, 5 * n)), rng=rng, weights=(1, 3))
+        if rng.integers(2):
+            g = _with_pendant(g, weight=int(rng.integers(1, 3)))
+        res = parallel_mincut(g, workers=workers, executor="processes", rng=rng)
+        assert res.value == hao_orlin(g).value
+        assert res.verify(g)
+        assert res.stats["worker_events"] == []
+
+    def test_power_law_graph(self):
+        g, _ = largest_component(chung_lu(700, 8, gamma=2.3, communities=5, mu=0.4, rng=11))
+        res = parallel_mincut(g, workers=2, executor="processes", rng=3)
+        assert res.value == hao_orlin(g).value
+        assert res.verify(g)
+        assert res.stats["worker_events"] == []
+
+
+class TestNoDrainPaths:
+    """The configurations whose workers never drain answer the same."""
+
+    @pytest.mark.parametrize("case", ["bstack", "heap", "above-bucket-bound"])
+    def test_same_answer_without_drains(self, case):
+        weight = MAX_BUCKET_BOUND + 1 if case == "above-bucket-bound" else 1
+        g = clamp_bucket_graph(MIN_BATCH, weight=weight)
+        pq = "bqueue" if case == "above-bucket-bound" else case
+        tracer = Tracer()
+        res = parallel_mincut(g, workers=2, pq_kind=pq, executor="processes", rng=0,
+                              tracer=tracer)
+        assert res.value == hao_orlin(g).value == weight
+        assert res.verify(g)
+        passes = tracer.events("parallel_pass")
+        assert passes and all(ev["kernel"] == "scalar" and ev["drained"] == 0
+                              for ev in passes)

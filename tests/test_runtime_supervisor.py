@@ -67,6 +67,17 @@ class TestFaultPlan:
         assert fault is not None and fault.kind == "crash"
         assert clock.tick() is None  # never re-fires
 
+    def test_clock_fires_at_the_end_of_a_drain(self):
+        """A drain ticks once with its member count; a trigger inside it
+        fires when it ends, and single pops after it tick as before."""
+        clock = FaultClock(WorkerFault("crash", after_pops=20))
+        assert clock.tick() is None
+        assert clock.tick(16) is None  # pops 2..17
+        assert clock.tick(16) is not None  # pops 18..33 contain the trigger
+        assert clock.tick() is None
+        edge = FaultClock(WorkerFault("crash", after_pops=16))
+        assert edge.tick(16) is None and edge.tick() is not None
+
     def test_clock_without_fault(self):
         clock = FaultClock(None)
         assert all(clock.tick() is None for _ in range(5))
