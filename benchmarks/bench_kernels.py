@@ -2,9 +2,11 @@
 
 Two jobs in one file.  The ``benchmark``-fixture tests feed the ordinary
 pytest-benchmark tables (``--benchmark-only``): the sequential pass per
-kernel, and one ``processes`` pass, whose region workers drain the
-BQueue's at-the-clamp bucket through the vector kernel's drain step and
-pop every other vertex one at a time.  On top of that,
+kernel, and one ``processes`` pass, whose region workers run the
+sequential pass's scan core on arrays: they drain the BQueue's
+at-the-clamp bucket as the vector kernel does, relax a pop of at least
+``POP_VECTOR_MIN_DEGREE`` arcs as array passes, and pop every other
+vertex one at a time.  On top of that,
 ``test_record_kernel_trajectory`` measures the kernels in *interleaved
 pairs* — scalar then vector per round, with per-round
 throughput ratios and the median taken across rounds — and writes the

@@ -23,37 +23,46 @@ This implementation adds the paper's two sequential optimizations:
   BStack / BQueue / Heap, which changes the tie-breaking scan order and
   hence which (equally safe) edges get marked.
 
+One scan core
+-------------
+:func:`_scan` is the only copy of the scan.  The sequential pass runs it as
+a *sole* scan: no other scan shares its vertices, so it claims every vertex
+it pops, and when its queue empties with vertices left it records the
+crossing-free cut ``α = 0`` and restarts from the next unvisited vertex.
+Each region of ParCut's parallel pass (:mod:`repro.core.parallel_capforest`)
+runs it with the shared visited table ``T``: it claims its pops there one
+at a time, blacklists the vertices another worker claimed, stops when its
+queue empties, and yields after every step.
+
 Relaxation kernels
 ------------------
-Two interchangeable kernels drive the scan, selected by ``kernel=``
-(registry: :data:`repro.kernels.KERNELS`):
+The kernel, selected by ``kernel=`` (registry: :data:`repro.kernels.KERNELS`),
+chooses where the scan keeps its state; the results — λ̂, marks, scan
+order, ``pq_stats`` — are bit-identical either way.
 
 ``"scalar"``
-    The reference implementation: one Python-level loop iteration per arc.
+    Lists: one Python-level loop iteration per arc.
 ``"vector"``
-    Batch relaxation over numpy arrays.  With the BQueue the kernel drains
-    the whole top bucket at once whenever that bucket sits at the priority
-    clamp — FIFO order makes this *exactly* equivalent to popping one
-    vertex at a time (see :meth:`~repro.datastructures.bucket_pq.BQueuePQ.
-    drain_top_bucket`) — and relaxes the batch's concatenated arc slices
-    with array expressions: a segmented prefix sum recovers every
-    ``r(y)``-before-arc value, the NOI mark rule becomes a mask, marked
-    edges go through :meth:`~repro.datastructures.union_find.UnionFind.
-    union_pairs`, and each touched vertex is moved at most once in the
-    queue (to its final bucket) while the operation counters still account
-    for every elided intermediate event.  Outside the batchable regime
-    (other queue kinds, top bucket below the clamp, ``bounded=False``) the
-    vector kernel runs the scalar relaxation step, reading and writing its
-    state arrays through memoryviews, so results — λ̂, marks, scan
-    order, ``pq_stats`` — are bit-identical to ``kernel="scalar"`` for
-    every configuration.  On a BQueue scan of fewer than
-    :data:`MIN_VECTOR_N` vertices, where too few drains pay for their
-    array set-up, ``kernel="vector"`` runs the scalar kernel itself.
-    The drain is one step, :meth:`ClampDrain.drain`, which ParCut's
-    ``processes`` region workers run too, on the members they claimed.
+    On a bucket queue, the arrays of a :class:`ClampDrain`.  With the BQueue
+    the scan drains the whole top bucket at once whenever that bucket sits
+    at the priority clamp with at least :data:`MIN_BATCH` members — FIFO
+    order makes this *exactly* equivalent to popping one vertex at a time
+    (see :meth:`~repro.datastructures.bucket_pq.BQueuePQ.drain_top_bucket`)
+    — and relaxes the batch's concatenated arc slices with array
+    expressions (:meth:`ClampDrain.drain`): a segmented prefix sum recovers
+    every ``r(y)``-before-arc value, the NOI mark rule becomes a mask, and
+    each touched vertex is moved at most once in the queue (to its final
+    bucket) while the operation counters still account for every elided
+    intermediate event.  A single pop whose arc slice has at least
+    :data:`POP_VECTOR_MIN_DEGREE` arcs relaxes it as array passes too.
+    Every other pop runs the per-arc step on the same arrays, through
+    memoryviews.  A heap scan, which nothing batches, and a BQueue scan of
+    fewer than :data:`MIN_VECTOR_N` vertices, whose drains are too few to
+    pay for the arrays, keep lists.
 
-The registry also accepts ``"compiled"``, the name of a retired JIT tier:
-it resolves to ``"vector"`` with a ``kernel_fallback`` note
+The ``capforest_pass`` trace event's ``kernel`` field names the storage
+that ran.  The registry also accepts ``"compiled"``, the name of a retired
+JIT tier: it resolves to ``"vector"`` with a ``kernel_fallback`` note
 (:func:`repro.kernels.resolve_kernel`).
 """
 
@@ -63,6 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..datastructures.bucket_pq import BQueuePQ
 from ..datastructures.pq import PQ_NAMES, PQStats, make_pq
 from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
@@ -73,6 +83,7 @@ from ..graph.csr import Graph
 from ..kernels import KERNELS as KERNELS
 from ..kernels import check_kernel as check_kernel
 from ..kernels import resolve_kernel
+from ..runtime.errors import NoProgressError
 
 #: Largest λ̂ for which a bucket queue is still sensible; above this the
 #: bucket array (λ̂ + 1 slots, one per possible priority) would dwarf the
@@ -85,11 +96,11 @@ MAX_BUCKET_BOUND = 1 << 22
 #: ``batch_crossovers``)
 MIN_BATCH = 16
 
-#: below this many vertices a BQueue scan runs ``_capforest_scalar`` under
+#: below this many vertices a BQueue scan keeps its state in lists under
 #: ``kernel="vector"``: its at-the-clamp drains are too few and too short
-#: to pay for the vector kernel's array set-up (the kernels' crossover on
-#: the suite graphs, measured as IMPLEMENTATION_NOTES §11 describes; the
-#: bench record republishes it in ``batch_crossovers``)
+#: to pay for the array set-up (the kernels' crossover on the suite
+#: graphs, measured as IMPLEMENTATION_NOTES §11 describes; the bench
+#: record republishes it in ``batch_crossovers``)
 MIN_VECTOR_N = 160
 
 #: minimum arc-slice length before a *single* pop relaxes its slice with
@@ -143,6 +154,43 @@ class CapforestResult:
         return mask
 
 
+@dataclass
+class ScanRecord:
+    """What one run of :func:`_scan` counted and found.
+
+    A region writes it before each step it yields, a sole scan once, at its
+    end.  :class:`CapforestResult` is built from it, and ParCut's
+    :class:`~repro.core.parallel_capforest.WorkerReport` extends it.
+    """
+
+    #: vertices popped and claimed (scanned)
+    vertices_scanned: int = 0
+    #: arcs relaxed (edges scanned towards vertices not yet popped)
+    edges_scanned: int = 0
+    #: vertices popped after another worker had claimed them in ``T``
+    blacklisted: int = 0
+    #: members popped through at-the-clamp drains (claimed or blacklisted)
+    drained: int = 0
+    #: marking events
+    n_marked: int = 0
+    #: smallest α of a proper scanned prefix (a real cut of G), or None
+    best_alpha: int | None = None
+    #: length of the scanned prefix realising ``best_alpha`` (0: none)
+    best_len: int = 0
+    #: the scan's queue operation counters
+    pq_stats: PQStats = field(default_factory=PQStats)
+
+    def tally(self, scanned, pops, edges, drained, marked, best, best_len) -> None:
+        """Write the scan's running counters (``pops`` counts every pop)."""
+        self.vertices_scanned = scanned
+        self.edges_scanned = edges
+        self.blacklisted = pops - scanned
+        self.drained = drained
+        self.n_marked = marked
+        self.best_alpha = best
+        self.best_len = best_len
+
+
 def check_queue(pq_kind: str | None = None, bounded: bool = True) -> str:
     """Resolve and validate a CAPFOREST queue (the rule every solver shares).
 
@@ -169,13 +217,16 @@ def capforest(
     bounded: bool = True,
     start: int | None = None,
     rng: np.random.Generator | int | None = None,
-    scan_all: bool = True,
     record_certificates: bool = False,
     fixed_bound: bool = False,
     kernel: str = "scalar",
     tracer=None,
 ) -> CapforestResult:
     """Run one sequential CAPFOREST pass.
+
+    The pass scans every vertex: when the queue empties with vertices left
+    (a disconnected graph), it records the crossing-free cut ``α = 0`` and
+    restarts from the lowest-numbered unvisited vertex.
 
     Parameters
     ----------
@@ -194,10 +245,6 @@ def capforest(
     rng:
         Source of randomness for the start vertex (default: fresh default
         generator).
-    scan_all:
-        Restart from an arbitrary unvisited vertex when the queue drains
-        with vertices left (disconnected graphs / safety in drivers).  Each
-        restart first registers the crossing-free cut ``α = 0``.
     record_certificates:
         Capture ``(u, v, q, λ̂_at_scan, marked)`` per scanned edge for
         verification tests (costs memory; off by default).
@@ -208,17 +255,18 @@ def capforest(
         (below λ) where the usual tightening would be wrong; scan cuts are
         still tracked in ``min_alpha`` since each α is a real cut.
     kernel:
-        ``"scalar"`` (reference, one Python iteration per arc),
-        ``"vector"`` (batched numpy relaxation; the scalar kernel on a
-        BQueue scan below :data:`MIN_VECTOR_N` vertices), or
-        ``"compiled"`` (runs as ``"vector"``) — identical results either
-        way, see module docstring.
+        ``"scalar"`` (state in lists, one Python iteration per arc),
+        ``"vector"`` (state in arrays with batched numpy relaxation on a
+        bucket queue; lists on the heap and on a BQueue scan below
+        :data:`MIN_VECTOR_N` vertices), or ``"compiled"`` (runs as
+        ``"vector"``) — identical results either way, see module docstring.
     tracer:
         Optional :class:`repro.observability.Tracer`.  One
         ``capforest_pass`` event is emitted per call — *pass* granularity,
         after the scan completes, so the relaxation hot loop never sees
         the tracer and a ``tracer=None`` run does zero added per-edge work.
-        Its ``kernel`` field names the kernel that ran the scan.
+        Its ``kernel`` field names the storage that ran: ``"vector"``
+        exactly when the state was in arrays.
 
     Notes
     -----
@@ -241,30 +289,34 @@ def capforest(
     elif not (0 <= start < n):
         raise ValueError(f"start vertex {start} out of range")
 
-    if bounded:
-        effective_kind = pq_kind if lambda_hat <= MAX_BUCKET_BOUND else "heap"
-    else:
-        effective_kind = "heap"
-    if kernel == "vector" and effective_kind == "bqueue" and n < MIN_VECTOR_N:
-        kernel = "scalar"  # the small-scan crossover (see MIN_VECTOR_N)
-
-    pq = make_pq(
-        effective_kind,
-        n,
-        bound=lambda_hat if bounded else None,
-        array_keys=kernel == "vector",
+    effective_kind = pq_kind if bounded and lambda_hat <= MAX_BUCKET_BOUND else "heap"
+    # arrays only where the scan batches: a bucket queue, and for the BQueue
+    # only above the small-scan crossover (see MIN_VECTOR_N)
+    arrays = kernel == "vector" and (
+        effective_kind == "bstack" or (effective_kind == "bqueue" and n >= MIN_VECTOR_N)
     )
-    run = _capforest_vector if kernel == "vector" else _capforest_scalar
-    res = run(
-        graph,
-        lambda_hat,
-        uf,
-        pq,
-        effective_kind,
-        start,
-        scan_all=scan_all,
-        record_certificates=record_certificates,
-        fixed_bound=fixed_bound,
+    pq = make_pq(effective_kind, n, bound=lambda_hat if bounded else None, array_keys=arrays)
+    certificates: list | None = [] if record_certificates else None
+    box = _FrozenBound(lambda_hat) if fixed_bound else _SharedBound(lambda_hat)
+    rec = ScanRecord(pq_stats=pq.stats)
+    order: list[int] = []
+    drainer = ClampDrain(graph, pq, lambda_hat, certificates) if arrays else None
+    marks = _MarkBuffer() if arrays else uf  # list-backed scans union as they mark
+    # a sole scan never yields: one call runs it to its end
+    next(_scan(graph, pq, drainer, start, box, marks, rec, order, certificates=certificates), None)
+    if arrays:
+        marks.merge_into(uf)
+    res = CapforestResult(
+        uf=uf,
+        n_marked=rec.n_marked,
+        lambda_hat=box.value,
+        min_alpha=rec.best_alpha,
+        scan_order=order,
+        best_prefix=rec.best_len,
+        pq_stats=rec.pq_stats,
+        vertices_scanned=rec.vertices_scanned,
+        edges_scanned=rec.edges_scanned,
+        certificates=certificates or [],
     )
     if tracer is not None:
         tracer.emit(
@@ -272,7 +324,7 @@ def capforest(
             n=n,
             pq_kind=effective_kind,
             bounded=bounded,
-            kernel=kernel,
+            kernel="vector" if arrays else "scalar",
             lambda_in=int(lambda_hat),
             lambda_out=int(res.lambda_hat),
             marked=res.n_marked,
@@ -282,305 +334,296 @@ def capforest(
     return res
 
 
-def _capforest_scalar(
-    graph: Graph,
-    lambda_hat: int,
-    uf: UnionFind,
-    pq,
-    effective_kind: str,
-    start: int,
-    *,
-    scan_all: bool,
-    record_certificates: bool,
-    fixed_bound: bool,
-) -> CapforestResult:
-    """Reference kernel: one Python loop iteration per relaxed arc."""
-    n = graph.n
-    # Python-int copies of the CSR arrays: the scan loop below touches
-    # single elements millions of times, where list indexing beats numpy
-    # scalar indexing ~3x (see the hpc-parallel profiling guide).  The
-    # conversions are cached on the Graph and shared across passes.
-    xadj = graph.xadj_list()
-    adjncy = graph.adjncy
-    adjwgt = graph.adjwgt
-    wdeg = graph.weighted_degrees_list()
-
-    visited = bytearray(n)
-    r = [0] * n
-    lam = lambda_hat
-    alpha = 0
-    min_alpha: int | None = None
-    scan_order: list[int] = []
-    best_prefix = 0
-    n_marked = 0
-    edges_scanned = 0
-    certificates: list[tuple[int, int, int, int, bool]] = []
-    union = uf.union
-    insert = pq.insert_or_raise
-    pop = pq.pop_max
-
-    insert(start, 0)
-    next_restart = 0  # cursor for scan_all restarts
-    while True:
-        if not len(pq):
-            if not scan_all:
-                break
-            # queue drained with vertices left: the scanned/unscanned cut has
-            # no crossing edges, i.e. α == 0 — a real cut of value 0.
-            while next_restart < n and visited[next_restart]:
-                next_restart += 1
-            if next_restart == n:
-                break
-            if scan_order and (min_alpha is None or 0 < min_alpha):
-                min_alpha = 0
-                best_prefix = len(scan_order)
-                if not fixed_bound:
-                    lam = 0
-            insert(next_restart, 0)
-
-        x, _ = pop()
-        if len(scan_order) >= n:
-            # every vertex is inserted at most once, so a scan popping more
-            # than n times is running on corrupt queue state — abort rather
-            # than loop (and mark) forever on garbage
-            from ..runtime.errors import NoProgressError
-
-            raise NoProgressError(f"scan popped more than {n} vertices")
-        rx = r[x]
-        alpha += wdeg[x] - 2 * rx
-        visited[x] = 1
-        scan_order.append(x)
-        if len(scan_order) < n and (min_alpha is None or alpha < min_alpha):
-            min_alpha = alpha
-            best_prefix = len(scan_order)
-            if not fixed_bound and alpha < lam:
-                lam = alpha
-
-        lo, hi = xadj[x], xadj[x + 1]
-        nbrs = adjncy[lo:hi].tolist()
-        wgts = adjwgt[lo:hi].tolist()
-        for y, w in zip(nbrs, wgts):
-            if visited[y]:
-                continue
-            edges_scanned += 1
-            ry = r[y]
-            q = ry + w
-            if ry < lam <= q:
-                union(x, y)
-                n_marked += 1
-                if record_certificates:
-                    certificates.append((x, y, q, lam, True))
-            elif record_certificates:
-                certificates.append((x, y, q, lam, False))
-            r[y] = q
-            insert(y, q)
-
-    return CapforestResult(
-        uf=uf,
-        n_marked=n_marked,
-        lambda_hat=lam,
-        min_alpha=min_alpha,
-        scan_order=scan_order,
-        best_prefix=best_prefix,
-        pq_stats=pq.stats,
-        vertices_scanned=len(scan_order),
-        edges_scanned=edges_scanned,
-        certificates=certificates,
-    )
+# ---------------------------------------------------------------------------
+# the scan core and the two protocols it writes λ̂ and marks through
+# ---------------------------------------------------------------------------
 
 
-def _capforest_vector(
-    graph: Graph,
-    lambda_hat: int,
-    uf: UnionFind,
-    pq,
-    effective_kind: str,
-    start: int,
-    *,
-    scan_all: bool,
-    record_certificates: bool,
-    fixed_bound: bool,
-) -> CapforestResult:
-    """Batch-relaxation kernel (see module docstring).
+class _SharedBound:
+    """Monotonically decreasing λ̂ of a sole scan, or of the ``serial``
+    executor's workers, which share one box."""
 
-    State lives in the arrays of a :class:`ClampDrain`: ``r`` and
-    ``pop_time``.  Whenever the BQueue's top bucket sits at the priority
-    clamp the whole bucket is drained and scanned by
-    :meth:`ClampDrain.drain`.  All other pops fall through to the scalar
-    relaxation step on the same state, so every observable output matches
-    the scalar kernel exactly; that step indexes memoryviews of the two
-    arrays, whose items are plain ints (a numpy scalar read and compare
-    costs several times more, and the per-pop step runs once per arc).
+    __slots__ = ("value",)
+    frozen = False
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def minimize(self, candidate: int) -> None:
+        if candidate < self.value:
+            self.value = candidate
+
+
+class _FrozenBound:
+    """A λ̂ box that never tightens — for fixed-threshold scans (Matula).
+
+    Scans still *report* their cuts through their records' ``best_alpha``;
+    only the marking threshold stays put.
+    """
+
+    __slots__ = ("value",)
+    frozen = True
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def minimize(self, candidate: int) -> None:  # noqa: ARG002 - by design
+        return
+
+
+class _SlotBound:
+    """λ̂ box over a ``processes`` pass's shared int64 slot, kept as a
+    monotone minimum.
+
+    Updated without a lock: two workers may both read the old value and
+    store their candidates in either order, so a smaller candidate can be
+    overwritten by a larger one.  That lost update is safe — every value
+    stored is the capacity of a real cut, so the slot always holds a valid
+    marking bound — and the coordinator takes the pass's ``λ̂`` from the
+    worker reports, not from the slot.
+    """
+
+    __slots__ = ("_slot",)
+    frozen = False
+
+    def __init__(self, slot) -> None:
+        self._slot = slot
+
+    @property
+    def value(self) -> int:
+        return self._slot[0]
+
+    def minimize(self, candidate: int) -> None:
+        if candidate < self._slot[0]:
+            self._slot[0] = candidate
+
+
+class _MarkBuffer:
+    """An array-backed scan's marks, buffered as arrays until it ends.
+
+    Takes single marks through :meth:`union` and batches through
+    :meth:`union_pairs`, the two calls a scan makes on a union–find.  A
+    sole scan then unions them all in one call (:meth:`merge_into`), a
+    process worker deduplicates them once (:meth:`published`).
+    """
+
+    __slots__ = ("pairs", "us", "vs")
+
+    def __init__(self) -> None:
+        self.pairs: list[tuple[int, int]] = []
+        self.us: list[np.ndarray] = []
+        self.vs: list[np.ndarray] = []
+
+    def union(self, u: int, v: int) -> None:
+        self.pairs.append((u, v))
+
+    def union_pairs(self, us: np.ndarray, vs: np.ndarray) -> None:
+        self.us.append(us)
+        self.vs.append(vs)
+
+    def merge_into(self, uf: UnionFind) -> None:
+        """Union every buffered mark into ``uf`` with one ``union_pairs``.
+
+        CAPFOREST only ever *writes* its union–find during a scan, and the
+        final partition is the closure of the marked pairs whatever the
+        union order, so one merge at the end amortises the root-resolution
+        passes over the whole scan.
+        """
+        if self.pairs:
+            single = np.asarray(self.pairs, dtype=np.int64)
+            self.union_pairs(single[:, 0], single[:, 1])
+        if self.us:
+            uf.union_pairs(np.concatenate(self.us), np.concatenate(self.vs))
+
+    def published(self, n: int) -> np.ndarray:
+        """One ``(v, root)`` pair per non-root vertex of the marks' closure.
+
+        A redundant mark adds nothing to the final partition (the closure
+        of the pair multiset), so this row carries the same partition in at
+        most ``n - 1`` pairs.
+        """
+        if not (self.pairs or self.us):
+            return np.empty((0, 2), dtype=np.int64)
+        uf = UnionFind(n)
+        self.merge_into(uf)
+        roots = uf.roots()
+        members = np.flatnonzero(roots != np.arange(n))
+        return np.column_stack((members, roots[members]))
+
+
+def _scan(graph, pq, drainer, start, box, marks, rec, order, T=None, certificates=None):
+    """The CAPFOREST scan: the one copy of its one-pop step and its drain.
+
+    ``pq`` is the scan's empty queue and ``drainer`` the
+    :class:`ClampDrain` holding its state, or ``None`` to keep the state
+    in lists.  On arrays a BQueue drains at-the-clamp top buckets of at
+    least :data:`MIN_BATCH` members, and a pop with at least
+    :data:`POP_VECTOR_MIN_DEGREE` arcs relaxes them as array passes unless
+    ``certificates`` (a list of per-arc records, or ``None``) are kept.
+    ``box`` holds λ̂ (``value``, ``minimize``, ``frozen``); ``marks``
+    takes marked pairs through ``union(u, v)`` and ``union_pairs(us, vs)``.
+    The scan appends its claimed vertices to ``order`` and writes its
+    counters and best cut into ``rec`` (:meth:`ScanRecord.tally`).
+    ``seen[v]`` is ``v``'s position in the scan's pop order (``n`` while
+    unpopped), so an arc is relaxed exactly when its head pops later than
+    its tail.  It is a list on either storage: the per-arc step reads it
+    once per arc, and a list read costs half a memoryview read.  On arrays
+    every pop and drain also writes it into the drainer's ``pop_time``.
+
+    Without ``T`` the scan is *sole*: it claims every pop, restarts from
+    the next unvisited vertex when its queue empties with vertices left,
+    and never yields.  With the shared visited table ``T`` it scans a
+    *region*: it claims each pop in ``T`` or blacklists it, stops when its
+    queue empties, and yields the pops of each step (1, or a drain's
+    member count), with ``rec`` written before each yield.
     """
     n = graph.n
     xadj = graph.xadj_list()
     adjncy = graph.adjncy
     adjwgt = graph.adjwgt
     wdeg = graph.weighted_degrees_list()
-
-    lam = lambda_hat
-    bound = lambda_hat
-    alpha = 0
-    min_alpha: int | None = None
-    scan_order: list[int] = []
-    best_prefix = 0
-    n_marked = 0
-    edges_scanned = 0
-    certificates: list[tuple[int, int, int, int, bool]] = []
-    drainer = ClampDrain(graph, pq, bound, certificates if record_certificates else None)
-    r, pop_time = drainer.r, drainer.pop_time
-    r_v, pop_time_v = drainer.r_v, drainer.pop_time_v  # the per-pop step's views
-    can_batch = effective_kind == "bqueue"
-    # single pops also relax their slice with array expressions when the PQ
-    # has a batch interface (bucket kinds); certificate recording needs the
-    # per-arc λ bookkeeping only the pure scalar loop keeps
-    pop_vector = effective_kind in ("bqueue", "bstack") and not record_certificates
-    # CAPFOREST only ever *writes* the union-find during the scan (nothing
-    # queries it until the result is consumed), and the final partition is
-    # the transitive closure of the marked pairs regardless of union order —
-    # so marks are buffered here and merged in one union_pairs call at the
-    # end, amortising the root-resolution passes over the whole scan
-    mark_us: list = []
-    mark_vs: list = []
-    scalar_marks: list[tuple[int, int]] = []
-
+    region = T is not None
+    keep_certificates = certificates is not None
+    drains = pop_vector = False
+    seen = [n] * n
+    if drainer is None:
+        r, pop_time = [0] * n, seen
+    else:
+        # memoryview items are plain ints: the per-arc step reads and
+        # writes them at close to list speed, where a numpy scalar costs
+        # several times as much
+        r, pop_time = drainer.r_v, drainer.pop_time_v
+        r_arr, pop_arr, bound = drainer.r, drainer.pop_time, drainer.bound
+        drains = isinstance(pq, BQueuePQ)
+        pop_vector = not keep_certificates
+    union = marks.union
     insert = pq.insert_or_raise
+    pop = pq.pop_max
+    alpha = pops = edges = drained = n_marked = best_len = next_restart = 0
+    best = None
+
     insert(start, 0)
-    next_restart = 0
     while True:
         if not len(pq):
-            if not scan_all:
+            if region:
                 break
-            while next_restart < n and pop_time_v[next_restart] < n:
+            while next_restart < n and seen[next_restart] < n:
                 next_restart += 1
             if next_restart == n:
                 break
-            if scan_order and (min_alpha is None or 0 < min_alpha):
-                min_alpha = 0
-                best_prefix = len(scan_order)
-                if not fixed_bound:
-                    lam = 0
+            # the scanned/unscanned cut has no crossing edge: α = 0
+            if best is None or 0 < best:
+                best, best_len = 0, len(order)
+                box.minimize(0)
             insert(next_restart, 0)
 
-        # ---- batched path: drain the whole at-the-clamp top bucket --------
-        # (top_bucket_len is an upper bound on the drain size; small top
-        # buckets stay on the scalar pop path so the array bookkeeping only
-        # runs when a real batch pays for it)
         if (
-            can_batch
+            drains
             and pq.top_may_reach(bound)
             and pq.top_key() == bound
             and pq.top_bucket_len() >= MIN_BATCH
         ):
             batch = pq.drain_top_bucket()
-            sb = len(scan_order)
-            if sb + len(batch) > n:
-                from ..runtime.errors import NoProgressError
-
-                raise NoProgressError(f"scan popped more than {n} vertices")
-            alpha, lam, min_alpha, best_end, m_ev, us, vs = drainer.drain(
-                batch, None, sb, sb, alpha, lam, min_alpha, fixed_bound
+            k = len(batch)
+            if pops + k > n:
+                raise NoProgressError(f"scan popped {pops + k} vertices from a {n}-vertex graph")
+            # every member gets its pop position; a region claims the members
+            # in T one at a time (batch positions in ``claimed``)
+            claimed = [] if region else None
+            for i, v in enumerate(batch):
+                seen[v] = pops + i
+                if region and not T[v]:
+                    T[v] = 1
+                    claimed.append(i)
+            # the drain runs as if no other worker acted during it: one read
+            # of the shared λ̂, lowered only by this drain's own scan cuts
+            alpha, _, best, end, m_ev, us, vs = drainer.drain(
+                batch, claimed, pops, len(order), alpha, box.value, best, box.frozen
             )
-            if best_end:
-                best_prefix = best_end
-            edges_scanned += m_ev
+            pops += k
+            drained += k
+            edges += m_ev
+            order.extend(batch if claimed is None else [batch[i] for i in claimed])
+            if end:
+                best_len = end
+                box.minimize(best)
             if us is not None:
-                mark_us.append(us)
-                mark_vs.append(vs)
+                marks.union_pairs(us, vs)
                 n_marked += len(us)
-            scan_order.extend(batch)
-            continue
-
-        # ---- scalar path: single pop (top bucket below the clamp, BStack,
-        # heap, or a batch too small to pay for the array bookkeeping) ------
-        x, _ = pq.pop_max()
-        if len(scan_order) >= n:
-            from ..runtime.errors import NoProgressError
-
-            raise NoProgressError(f"scan popped more than {n} vertices")
-        rx = r_v[x]
-        alpha += wdeg[x] - 2 * rx
-        pop_time_v[x] = len(scan_order)
-        scan_order.append(x)
-        if len(scan_order) < n and (min_alpha is None or alpha < min_alpha):
-            min_alpha = alpha
-            best_prefix = len(scan_order)
-            if not fixed_bound and alpha < lam:
-                lam = alpha
-
-        lo, hi = xadj[x], xadj[x + 1]
-        if pop_vector and hi - lo >= POP_VECTOR_MIN_DEGREE:
-            # per-pop vectorized relaxation (no cross-pop batching, so the
-            # pop schedule is untouched); heads within one slice are
-            # distinct by the simple-graph invariant, so array order is
-            # exactly the scalar arc order and insert_many's counters match
-            # the per-arc insert_or_raise sequence event-for-event
-            ys = adjncy[lo:hi]
-            keep = np.flatnonzero(pop_time[ys] == n)
-            m_ev = len(keep)
-            edges_scanned += m_ev
-            if m_ev:
-                ys = ys[keep]
-                ry = r[ys]
-                q = ry + adjwgt[lo:hi][keep]
-                marked = np.flatnonzero((ry < lam) & (lam <= q))
-                if len(marked):
-                    mark_us.append(np.full(len(marked), x, dtype=np.int64))
-                    mark_vs.append(ys[marked])
-                    n_marked += len(marked)
-                r[ys] = q
-                pq.insert_many(ys, q)
-            continue
-        for y, w in zip(adjncy[lo:hi].tolist(), adjwgt[lo:hi].tolist()):
-            if pop_time_v[y] < n:
-                continue
-            edges_scanned += 1
-            ry = r_v[y]
-            q = ry + w
-            if ry < lam <= q:
-                scalar_marks.append((x, y))
-                n_marked += 1
-                if record_certificates:
-                    certificates.append((x, y, q, lam, True))
-            elif record_certificates:
-                certificates.append((x, y, q, lam, False))
-            r_v[y] = q
-            insert(y, q)
-
-    if scalar_marks:
-        pairs = np.asarray(scalar_marks, dtype=np.int64)
-        mark_us.append(pairs[:, 0])
-        mark_vs.append(pairs[:, 1])
-    if mark_us:
-        uf.union_pairs(np.concatenate(mark_us), np.concatenate(mark_vs))
-
-    return CapforestResult(
-        uf=uf,
-        n_marked=n_marked,
-        lambda_hat=lam,
-        min_alpha=min_alpha,
-        scan_order=scan_order,
-        best_prefix=best_prefix,
-        pq_stats=pq.stats,
-        vertices_scanned=len(scan_order),
-        edges_scanned=edges_scanned,
-        certificates=certificates,
-    )
+            step = k
+        else:
+            x, _ = pop()
+            pops += 1
+            if pops > n:
+                # every vertex enters the queue at most once, so a scan
+                # popping more than n times runs on corrupt queue state
+                raise NoProgressError(f"scan popped {pops} vertices from a {n}-vertex graph")
+            seen[x] = pop_time[x] = pops - 1
+            if region:
+                if T[x]:
+                    rec.tally(len(order), pops, edges, drained, n_marked, best, best_len)
+                    yield 1
+                    continue
+                T[x] = 1
+            alpha += wdeg[x] - 2 * r[x]
+            order.append(x)
+            if len(order) < n and (best is None or alpha < best):
+                best, best_len = alpha, len(order)
+                box.minimize(alpha)
+            lam = box.value
+            lo, hi = xadj[x], xadj[x + 1]
+            if pop_vector and hi - lo >= POP_VECTOR_MIN_DEGREE:
+                # heads within one slice are distinct (simple graph), so the
+                # array order is the per-arc order and insert_many counts
+                # event for event
+                ys = adjncy[lo:hi]
+                live = np.flatnonzero(pop_arr[ys] == n)
+                if len(live):
+                    ys = ys[live]
+                    ry = r_arr[ys]
+                    q = ry + adjwgt[lo:hi][live]
+                    hit = np.flatnonzero((ry < lam) & (lam <= q))
+                    if len(hit):
+                        marks.union_pairs(np.full(len(hit), x, dtype=np.int64), ys[hit])
+                        n_marked += len(hit)
+                    r_arr[ys] = q
+                    pq.insert_many(ys, q)
+                    edges += len(live)
+            else:
+                for y, w in zip(adjncy[lo:hi].tolist(), adjwgt[lo:hi].tolist()):
+                    if seen[y] < n:
+                        continue
+                    edges += 1
+                    ry = r[y]
+                    q = ry + w
+                    if ry < lam <= q:
+                        union(x, y)
+                        n_marked += 1
+                        if keep_certificates:
+                            certificates.append((x, y, q, lam, True))
+                    elif keep_certificates:
+                        certificates.append((x, y, q, lam, False))
+                    r[y] = q
+                    insert(y, q)
+            step = 1
+        if region:
+            rec.tally(len(order), pops, edges, drained, n_marked, best, best_len)
+            yield step
+    rec.tally(len(order), pops, edges, drained, n_marked, best, best_len)
 
 
 class ClampDrain:
-    """The at-the-clamp drain step of a BQueue scan, with the array state
-    it shares with the scan's one-pop steps.
+    """The array state of a scan on a bucket queue, and the at-the-clamp
+    drain step of a BQueue scan.
 
     ``r`` holds each vertex's priority and ``pop_time`` each vertex's
     position in the scan's pop order (``n`` while unpopped).  ``pop_time``
     doubles as the visited flag *and* the intra-drain schedule: an arc is
     live exactly when its head pops later than its tail.  ``r_v`` and
-    ``pop_time_v`` are memoryviews of the two arrays for the one-pop steps,
-    whose items are plain ints.  Both the sequential vector kernel and a
-    ``processes`` region worker (:mod:`repro.core.parallel_capforest`)
-    drain through :meth:`drain`; the first scans every drained member, the
-    second only the members it claimed in the shared visited table.
+    ``pop_time_v`` are memoryviews of the two arrays for the one-pop step,
+    whose items are plain ints.  The scan core (:func:`_scan`) drains
+    through :meth:`drain`: a sole scan scans every drained member, a region
+    only the members it claimed in the shared visited table.
     """
 
     __slots__ = (

@@ -145,11 +145,10 @@ def parallel_mincut(
         CAPFOREST relaxation kernel (``"scalar"``, ``"vector"`` or
         ``"compiled"`` — :data:`repro.kernels.KERNELS`) of the VieCut seed
         and both sequential fallbacks.  It does not reach the parallel
-        region workers: on ``processes`` with the BQueue they drain
-        at-the-clamp buckets through the vector kernel's drain step
-        whatever the kernel, and otherwise pop one vertex at a time with
-        the scalar loop (each ``parallel_pass`` trace event names which
-        ran).  ``"compiled"`` resolves through
+        region workers, which run the sequential pass's scan core on
+        arrays on ``processes`` with the BQueue (draining at-the-clamp
+        buckets) whatever the kernel, and on lists otherwise (each
+        ``parallel_pass`` trace event names which ran).  ``"compiled"`` resolves through
         :func:`repro.kernels.resolve_kernel` and runs as ``"vector"``,
         with the requested name in ``stats["kernel"]``, the executed one
         in ``stats["kernel_resolved"]``, and the reason in

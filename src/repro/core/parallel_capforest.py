@@ -16,16 +16,17 @@ are recorded as unions; the serial executor applies them to one
 union–find, the process executor replays per-worker pair rows afterwards —
 equivalent because unions commute (Lemma 3.2(1)).
 
-One worker generator (:func:`_region_worker`) serves both executors, over
-two storages.  Where a worker may drain — the ``processes`` executor, the
-BQueue, and ``λ̂ ≤ MAX_BUCKET_BOUND`` — its state lives in the arrays of a
-:class:`~repro.core.capforest.ClampDrain`: whenever its top bucket sits at
-the priority clamp with at least ``MIN_BATCH`` members, it pops the whole
-bucket, claims the members in ``T`` one at a time, and relaxes the claimed
-members' arcs as one batch of array passes, through the drain step the
-sequential ``vector`` kernel runs (Lemma 3.1 keeps a drain equal to
-popping its members one by one).  Every other pop, and every pop of a
-worker that may not drain, runs the per-arc scalar loop; a worker that may
+A worker is the sequential pass's scan core
+(:func:`~repro.core.capforest._scan`) run with ``T``; :func:`_region_worker`
+builds its queue and storage.  Where a worker may drain — the
+``processes`` executor, the BQueue, and ``λ̂ ≤ MAX_BUCKET_BOUND`` — its
+state lives in the arrays of a :class:`~repro.core.capforest.ClampDrain`:
+whenever its top bucket sits at the priority clamp with at least
+``MIN_BATCH`` members, it pops the whole bucket, claims the members in
+``T`` one at a time, and relaxes the claimed members' arcs as one batch of
+array passes (Lemma 3.1 keeps a drain equal to popping its members one by
+one), and a pop with at least ``POP_VECTOR_MIN_DEGREE`` arcs relaxes them
+as array passes.  Every other pop runs the per-arc step; a worker that may
 not drain keeps its state in lists.
 
 Executors
@@ -80,28 +81,32 @@ import numpy as np
 from ..datastructures.pq import PQStats, make_pq
 from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
-from ..runtime.errors import ExecutorUnavailable, NoProgressError
+from ..runtime.errors import ExecutorUnavailable
 from ..runtime.faults import FaultClock, FaultPlan
 from ..runtime.pool import WorkerGroup, default_start_method, next_task
 from ..runtime.supervisor import supervise_processes, worker_event
-from .capforest import MAX_BUCKET_BOUND, MIN_BATCH, ClampDrain
+from .capforest import (
+    MAX_BUCKET_BOUND,
+    ClampDrain,
+    ScanRecord,
+    _FrozenBound,
+    _MarkBuffer,
+    _scan,
+    _SharedBound,
+    _SlotBound,
+)
 
 EXECUTORS = ("serial", "processes")
 
 
-@dataclass
-class WorkerReport:
-    """Per-worker work counters (the raw material for modeled speedups)."""
+@dataclass(kw_only=True)
+class WorkerReport(ScanRecord):
+    """Per-worker work counters (the raw material for modeled speedups):
+    the region's :class:`~repro.core.capforest.ScanRecord`, its worker and
+    start vertex, and the scanned prefix realising ``best_alpha``."""
 
     worker_id: int
     start_vertex: int
-    vertices_scanned: int = 0
-    edges_scanned: int = 0
-    blacklisted: int = 0
-    #: members popped through at-the-clamp drains (claimed or blacklisted)
-    drained: int = 0
-    pq_stats: PQStats = field(default_factory=PQStats)
-    best_alpha: int | None = None
     best_prefix: list[int] = field(default_factory=list)
 
     @property
@@ -138,151 +143,30 @@ class ParallelCapforestResult:
         return max((w.work for w in self.workers), default=0)
 
 
-class _SharedBound:
-    """Monotonically decreasing λ̂ shared by the serial executor's workers."""
-
-    __slots__ = ("value",)
-    frozen = False
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def minimize(self, candidate: int) -> None:
-        if candidate < self.value:
-            self.value = candidate
-
-
-class _FrozenBound:
-    """A λ̂ box that never tightens — for fixed-threshold scans (Matula).
-
-    Workers still *report* their scan cuts through their ``best_alpha``
-    fields; only the shared marking threshold stays put.
-    """
-
-    __slots__ = ("value",)
-    frozen = True
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def minimize(self, candidate: int) -> None:  # noqa: ARG002 - by design
-        return
-
-
 def _region_worker(graph, T, lam_box, marks, start, pq_kind, bound, report, drains):
-    """Generator scanning one region; yields the pops of each step.
+    """Generator scanning one region: the scan core run with ``T``.
 
-    ``T`` is any byte-indexable shared visited table; ``lam_box`` exposes
-    ``.value``, ``.minimize`` and ``.frozen``; ``marks`` takes marked pairs
-    through ``.union(u, v)`` and, from drains, ``.union_pairs(us, vs)``.
-    A step is one pop (yields 1) or, with ``drains``, one drain of the
-    BQueue's at-the-clamp top bucket (yields its member count): the worker
-    claims the members one at a time in ``T``, as single pops do, and
-    :meth:`~repro.core.capforest.ClampDrain.drain` scans the claimed ones.
-    With ``drains`` the state lives in a :class:`ClampDrain`'s arrays,
-    read through memoryviews; without it, in lists.  Either way
-    ``seen[v]`` is ``v``'s position in this worker's pop order (``n``
-    while unpopped), claimed or blacklisted, so an arc is relaxed exactly
-    when its head pops later than its tail.  Records the exact scan prefix
-    realising the worker's best α so the coordinator can output a cut
-    *side*, not just its value.
+    ``T`` is any byte-indexable shared visited table, ``lam_box`` a λ̂ box
+    and ``marks`` a mark sink, as :func:`~repro.core.capforest._scan`
+    takes them; ``report`` is the worker's record.  With ``drains`` the
+    state lives in a :class:`~repro.core.capforest.ClampDrain`'s arrays
+    over an array-keyed BQueue, which drains at-the-clamp buckets; without
+    it, in lists over ``pq_kind`` (the heap above ``MAX_BUCKET_BOUND``).
+    Yields the pops of each step.  Records the exact scan prefix realising
+    the worker's best α so the coordinator can output a cut *side*, not
+    just its value.
     """
     n = graph.n
-    xadj = graph.xadj_list()
-    adjncy = graph.adjncy
-    adjwgt = graph.adjwgt
-    wdeg = graph.weighted_degrees_list()
     if drains:
         pq = make_pq("bqueue", n, bound=bound, array_keys=True)
         drainer = ClampDrain(graph, pq, bound)
-        r, seen = drainer.r_v, drainer.pop_time_v
     else:
         pq = make_pq(pq_kind if bound <= MAX_BUCKET_BOUND else "heap", n, bound=bound)
-        r, seen = [0] * n, [n] * n
+        drainer = None
     report.pq_stats = pq.stats
-    union = marks.union
-    alpha = 0
-    scan_order: list[int] = []
-    best_len = 0
-    insert = pq.insert_or_raise
-    pop = pq.pop_max
-
-    insert(start, 0)
-    pops = 0
-    while len(pq):
-        if (
-            drains
-            and pq.top_may_reach(bound)
-            and pq.top_key() == bound
-            and pq.top_bucket_len() >= MIN_BATCH
-        ):
-            batch = pq.drain_top_bucket()
-            k = len(batch)
-            if pops + k > n:
-                raise NoProgressError(
-                    f"worker {report.worker_id} popped {pops + k} vertices from a {n}-vertex graph"
-                )
-            mine = []  # batch positions this worker claimed, one at a time
-            for i, v in enumerate(batch):
-                if T[v]:
-                    continue
-                T[v] = 1
-                mine.append(i)
-            # the drain runs as if no other worker acted during it: one read
-            # of the shared λ̂, lowered only by this drain's own scan cuts
-            alpha, _, best, best_end, m_ev, us, vs = drainer.drain(
-                batch, mine, pops, len(scan_order), alpha, lam_box.value,
-                report.best_alpha, lam_box.frozen,
-            )
-            pops += k
-            scan_order.extend([batch[i] for i in mine])
-            report.vertices_scanned += len(mine)
-            report.blacklisted += k - len(mine)
-            report.drained += k
-            report.edges_scanned += m_ev
-            if best_end:
-                report.best_alpha = best
-                best_len = best_end
-                lam_box.minimize(best)
-            if us is not None:
-                marks.union_pairs(us, vs)
-            yield k
-            continue
-        x, _ = pop()
-        pops += 1
-        if pops > n:
-            # each vertex enters this worker's queue at most once, so a
-            # scan that pops more than n times is running on corrupt state
-            raise NoProgressError(
-                f"worker {report.worker_id} popped {pops} vertices from a {n}-vertex graph"
-            )
-        seen[x] = pops - 1
-        if T[x]:
-            report.blacklisted += 1
-            yield 1
-            continue
-        T[x] = 1
-        alpha += wdeg[x] - 2 * r[x]
-        scan_order.append(x)
-        report.vertices_scanned += 1
-        if report.vertices_scanned < n and (report.best_alpha is None or alpha < report.best_alpha):
-            report.best_alpha = alpha
-            best_len = len(scan_order)
-            lam_box.minimize(alpha)
-        lam = lam_box.value
-        lo, hi = xadj[x], xadj[x + 1]
-        for y, w in zip(adjncy[lo:hi].tolist(), adjwgt[lo:hi].tolist()):
-            if seen[y] < n:
-                continue
-            report.edges_scanned += 1
-            ry = r[y]
-            q = ry + w
-            if ry < lam <= q:
-                union(x, y)
-            r[y] = q
-            insert(y, q)
-        yield 1
-    report.best_prefix = scan_order[:best_len]
+    order: list[int] = []
+    yield from _scan(graph, pq, drainer, start, lam_box, marks, report, order, T)
+    report.best_prefix = order[: report.best_len]
 
 
 def check_executor(executor: str, workers: int) -> None:
@@ -556,17 +440,7 @@ def _run_processes(
                 clean.add(worker_id)
                 if len(pairs):
                     uf.union_pairs(pairs[:, 0], pairs[:, 1])
-                rep = WorkerReport(
-                    worker_id=worker_id,
-                    start_vertex=rep_dict["start_vertex"],
-                    vertices_scanned=rep_dict["vertices_scanned"],
-                    edges_scanned=rep_dict["edges_scanned"],
-                    blacklisted=rep_dict["blacklisted"],
-                    drained=rep_dict["drained"],
-                    pq_stats=PQStats(**rep_dict["pq_stats"]),
-                    best_alpha=rep_dict["best_alpha"],
-                    best_prefix=rep_dict["best_prefix"],
-                )
+                rep = WorkerReport(**{**rep_dict, "pq_stats": PQStats(**rep_dict["pq_stats"])})
                 reports.append(rep)
                 # λ̂ comes from the reports, never from the shared slot
                 if not fixed_bound and rep.best_alpha is not None and rep.best_alpha < lam_out:
@@ -584,32 +458,6 @@ def _run_processes(
             for worker_id in range(p):
                 if worker_id not in clean:
                     pool.recycle(worker_id)
-
-
-class _SlotBound:
-    """λ̂ box over the pass's shared int64 slot, kept as a monotone minimum.
-
-    Updated without a lock: two workers may both read the old value and
-    store their candidates in either order, so a smaller candidate can be
-    overwritten by a larger one.  That lost update is safe — every value
-    stored is the capacity of a real cut, so the slot always holds a valid
-    marking bound — and the coordinator takes the pass's ``λ̂`` from the
-    worker reports, not from the slot.
-    """
-
-    __slots__ = ("_slot",)
-    frozen = False
-
-    def __init__(self, slot) -> None:
-        self._slot = slot
-
-    @property
-    def value(self) -> int:
-        return self._slot[0]
-
-    def minimize(self, candidate: int) -> None:
-        if candidate < self._slot[0]:
-            self._slot[0] = candidate
 
 
 def _round_worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
@@ -630,47 +478,6 @@ def _round_worker_main(tasks, results) -> None:  # pragma: no cover - subprocess
         if report is None:
             return
         results.send(report)
-
-
-class _MarkBuffer:
-    """A process worker's marks, buffered as arrays until its task ends.
-
-    Takes single marks through :meth:`union` and a drain's marks through
-    :meth:`union_pairs`, the two calls a region worker makes on a
-    union–find; :meth:`published` then deduplicates them once.
-    """
-
-    __slots__ = ("pairs", "us", "vs")
-
-    def __init__(self) -> None:
-        self.pairs: list[tuple[int, int]] = []
-        self.us: list[np.ndarray] = []
-        self.vs: list[np.ndarray] = []
-
-    def union(self, u: int, v: int) -> None:
-        self.pairs.append((u, v))
-
-    def union_pairs(self, us: np.ndarray, vs: np.ndarray) -> None:
-        self.us.append(us)
-        self.vs.append(vs)
-
-    def published(self, n: int) -> np.ndarray:
-        """One ``(v, root)`` pair per non-root vertex of the marks' closure.
-
-        A redundant mark adds nothing to the final partition (the closure
-        of the pair multiset), so this row carries the same partition in at
-        most ``n - 1`` pairs.
-        """
-        if self.pairs:
-            single = np.asarray(self.pairs, dtype=np.int64)
-            self.union_pairs(single[:, 0], single[:, 1])
-        if not self.us:
-            return np.empty((0, 2), dtype=np.int64)
-        uf = UnionFind(n)
-        uf.union_pairs(np.concatenate(self.us), np.concatenate(self.vs))
-        roots = uf.roots()
-        members = np.flatnonzero(roots != np.arange(n))
-        return np.column_stack((members, roots[members]))
 
 
 def _round_task(
@@ -718,20 +525,9 @@ def _round_task(
         if fault is not None and fault.kind == "corrupt_pairs":
             pairs = [(n + 1, n + 2)]  # out of range: coordinator must reject the row
         pair_buf.write_pairs(worker_id, pairs)
-        return (
-            worker_id,
-            None,  # pairs travel through the shared buffer, not the pipe
-            {
-                "start_vertex": report.start_vertex,
-                "vertices_scanned": report.vertices_scanned,
-                "edges_scanned": report.edges_scanned,
-                "blacklisted": report.blacklisted,
-                "drained": report.drained,
-                "pq_stats": report.pq_stats.as_dict(),
-                "best_alpha": report.best_alpha,
-                "best_prefix": report.best_prefix,
-            },
-        )
+        # pairs travel through the shared buffer, not the pipe; the report
+        # dict is shallow (dataclasses.asdict would copy the prefix item by item)
+        return worker_id, None, {**vars(report), "pq_stats": report.pq_stats.as_dict()}
     finally:
         # drop every view into the segments before closing them, otherwise
         # SharedMemory refuses to unmap ("cannot close exported pointers")

@@ -46,12 +46,11 @@ def make_sequential_variants(
     relaxation kernel: ``NOI-HNSS`` pins ``"scalar"`` and ``NOI-CGKLS``
     pins ``"vector"``.  Both kernels are bit-identical in results and PQ
     counters (the kernel-parity tests), so the cross-variant agreement
-    and operation-count comparisons are unaffected.  Since the vector
-    kernel's per-pop step reads its state through memoryviews, an
-    unbounded heap scan runs at about the scalar kernel's speed, so the
-    two stand-ins no longer differ in time either (EXPERIMENTS, "The
-    NOI-CGKLS stand-in"); the committed ``results/`` timings predate
-    this.
+    and operation-count comparisons are unaffected.  A heap scan keeps
+    its state in lists on either kernel, so an unbounded heap scan runs
+    the same code under both and the two stand-ins no longer differ in
+    time either (EXPERIMENTS, "The NOI-CGKLS stand-in"); the committed
+    ``results/`` timings predate this.
     """
 
     def ho(graph: Graph, seed: int, tracer=None) -> MinCutResult:

@@ -90,16 +90,12 @@ class TestScanCuts:
             assert weighted_cycle.cut_value(mask) == res.min_alpha
 
     def test_disconnected_restart_records_zero_cut(self, two_triangles_disconnected):
-        res = capforest(two_triangles_disconnected, 2, start=0, scan_all=True)
+        res = capforest(two_triangles_disconnected, 2, start=0)
         assert res.min_alpha == 0
         assert res.lambda_hat == 0
         assert res.vertices_scanned == 6
         mask = res.best_cut_mask(6)
         assert two_triangles_disconnected.cut_value(mask) == 0
-
-    def test_no_scan_all_stops_at_component(self, two_triangles_disconnected):
-        res = capforest(two_triangles_disconnected, 2, start=0, scan_all=False)
-        assert res.vertices_scanned == 3
 
     def test_fixed_bound_does_not_tighten(self, dumbbell):
         res = capforest(dumbbell, 7, start=0, fixed_bound=True)
