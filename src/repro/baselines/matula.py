@@ -14,10 +14,13 @@ most ``(2+ε)·λ``:
   with ``δ > (2+ε)λ``, so the first case must occur.
 
 The paper names this algorithm as future work for its optimizations (§5);
-here it is built directly on the optimized CAPFOREST with ``fixed_bound``
-(the usual α-tightening must be disabled because the threshold is not a
-valid cut bound — α cuts are still *recorded*, they are real cuts and only
-improve the answer).
+here it runs NOI's own round loop (:func:`~repro.core.noi.contraction_rounds`)
+on the optimized CAPFOREST with ``fixed_bound``: each round freezes the
+threshold at ``⌈δ/(2+ε)⌉`` of the round's graph (the usual α-tightening
+must be disabled because the threshold is not a valid cut bound — α cuts
+are still *offered*, they are real cuts and only improve the answer).  The
+threshold is at most δ, so a complete pass always marks an edge
+(IMPLEMENTATION_NOTES §3) and every round shrinks the graph.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.capforest import capforest
-from ..core.parallel_capforest import check_executor, parallel_capforest
+from ..core.mincut import SupervisedPass
+from ..core.noi import Incumbent, _absorb, contraction_rounds
+from ..core.parallel_capforest import check_executor
 from ..core.result import MinCutResult
-from ..graph.components import connected_components
-from ..graph.contract import compose_labels, contract_by_union_find
+from ..graph.contract import contract_by_union_find
 from ..graph.csr import Graph
 from ..runtime.faults import FaultPlan
-from ..runtime.supervisor import call_with_degradation, raise_for_events
+from ..utils.timers import Timer
 
 
 def matula_approx(
@@ -83,101 +87,50 @@ def matula_approx(
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
 
-    stats: dict = {"rounds": 0, "edges_scanned": 0, "worker_events": [], "degradations": []}
-    algo = "matula"
-    ncomp, comp_labels = connected_components(graph)
-    if ncomp > 1:
-        side = comp_labels == 0 if compute_side else None
-        return MinCutResult(0, side, n, algo, stats)
+    stats: dict = {
+        "rounds": 0, "edges_scanned": 0, "vertices_scanned": 0, "pq_pushes": 0,
+        "pq_updates": 0, "pq_skipped_updates": 0, "pq_pops": 0, "contraction_ratios": [],
+        "worker_events": [], "degradations": [],
+    }
+    parallel = None
+    if workers > 1:
+        parallel = SupervisedPass(
+            stats, executor, on_worker_failure, workers=workers, pq_kind=pq_kind, rng=rng,
+            fixed_bound=True, timeout=timeout, fault_plan=fault_plan,
+        )
 
-    labels = np.arange(n, dtype=np.int64)
-    g = graph
-    best_value: int | None = None
-    best_side: np.ndarray | None = None
-
-    while g.n >= 2:
-        v, delta = g.min_weighted_degree()
-        if best_value is None or delta < best_value:
-            best_value = delta
-            if compute_side:
-                best_side = labels == v
-        if g.n == 2:
-            break
-        threshold = max(1, int(np.ceil(delta / (2 + eps))))
-        if workers > 1:
-            def run_pass(exe, _g=g, _threshold=threshold):
-                return parallel_capforest(
-                    _g,
-                    _threshold,
-                    workers=workers,
-                    pq_kind=pq_kind if _threshold > 0 else "heap",
-                    executor=exe,
-                    rng=rng,
-                    fixed_bound=True,
-                    timeout=timeout,
-                    fault_plan=fault_plan,
-                )
-
-            def record_degradation(src, dst, exc):
-                stats["degradations"].append(
-                    {"stage": "matula", "round": stats["rounds"], "from": src, "to": dst,
-                     "reason": str(exc)}
-                )
-
-            pres, executor = call_with_degradation(
-                run_pass, executor, policy=on_worker_failure, on_degrade=record_degradation
-            )
-            if pres.events:
-                stats["worker_events"].extend(
-                    dict(ev, round=stats["rounds"]) for ev in pres.events
-                )
-                if on_worker_failure == "fail":
-                    raise_for_events(executor, pres.events)
-            stats["rounds"] += 1
-            stats["edges_scanned"] += sum(w.edges_scanned for w in pres.workers)
-            # workers' scan cuts are real cuts — harvest the best one
+    def certify(g: Graph, inc: Incumbent, r: int):
+        # every scan cut α is a real cut of G: offered, it only improves us
+        threshold = max(1, int(np.ceil(g.min_weighted_degree()[1] / (2 + eps))))
+        if parallel is not None:
+            pres = parallel(g, threshold, r)
             winner = min(
                 (w for w in pres.workers if w.best_alpha is not None),
                 key=lambda w: w.best_alpha,
                 default=None,
             )
-            if winner is not None and winner.best_alpha < best_value:
-                best_value = winner.best_alpha
-                if compute_side and winner.best_prefix:
-                    mask = np.zeros(g.n, dtype=bool)
-                    mask[winner.best_prefix] = True
-                    best_side = mask[labels]
-            res = None
-            n_marked, uf = pres.n_marked, pres.uf
-            if n_marked == 0:
-                # early-termination gap: one sequential frozen-bound pass
-                res = capforest(
-                    g, threshold, pq_kind="heap", bounded=True, fixed_bound=True, rng=rng
-                )
-        else:
-            res = capforest(
-                g, threshold, pq_kind=pq_kind, bounded=True, fixed_bound=True, rng=rng
-            )
-            stats["rounds"] += 1
-            stats["edges_scanned"] += res.edges_scanned
-        if res is not None:
-            if res.min_alpha is not None and res.min_alpha < best_value:
-                # scan cuts are real cuts of G — keep them, they only improve us
-                best_value = res.min_alpha
-                if compute_side:
-                    mask = res.best_cut_mask(g.n)
-                    if mask is not None:
-                        best_side = mask[labels]
-            n_marked, uf = res.n_marked, res.uf
-        if n_marked == 0:
-            # cannot happen on a connected graph with threshold <= ceil(δ/2),
-            # but degenerate ε could starve progress; the bound so far is
-            # still a valid cut, so stop rather than loop
-            break
-        g, contraction = contract_by_union_find(g, uf)
-        labels = compose_labels(labels, contraction)
-        if g.n < 2:
-            break
+            if winner is not None:
+                inc.offer(winner.best_alpha, "scan-cut",
+                          lambda: _prefix_mask(g.n, winner.best_prefix))
+            if pres.n_marked:
+                return pres
+        # one complete sequential pass, which marks (the parallel one may
+        # stop early)
+        res = capforest(g, threshold, pq_kind=pq_kind, bounded=True, fixed_bound=True, rng=rng)
+        _absorb(stats, res)
+        if res.min_alpha is not None:
+            inc.offer(res.min_alpha, "scan-cut", lambda: res.best_cut_mask(g.n))
+        return res
 
-    assert best_value is not None
-    return MinCutResult(best_value, best_side if compute_side else None, n, algo, stats)
+    inc = contraction_rounds(
+        graph, certify, contract_by_union_find, stats, Timer(), compute_side=compute_side
+    )
+    return MinCutResult(inc.value, inc.side, n, "matula", stats)
+
+
+def _prefix_mask(n: int, prefix: list[int]) -> np.ndarray | None:
+    if not prefix:
+        return None
+    mask = np.zeros(n, dtype=bool)
+    mask[prefix] = True
+    return mask

@@ -10,17 +10,21 @@
         G_C, λ̂ ← Parallel Graph Contract(G_C)
     return λ̂
 
-plus the same Stoer–Wagner-phase progress guarantee used by
-:func:`~repro.core.noi.noi_mincut` for the (rare) case where even the
-sequential fallback marks nothing under an externally tightened bound.
+The loop is :func:`~repro.core.noi.contraction_rounds`, the one NOI and
+Matula's approximation run; this module supplies ParCut's round: the
+supervised parallel pass and, only when that pass marks nothing, one
+complete sequential pass (line 5).  The parallel pass may stop early
+(§3.2), but a complete pass at ``λ̂ ≤ δ`` always marks (IMPLEMENTATION_NOTES
+§3), so every round shrinks the graph.
 
 The paper's variant names map to parameters as
 ``ParCutλ̂-BStack/BQueue/Heap`` ↔ ``pq_kind=...`` with ``use_viecut=True``.
 
 Failure model
 -------------
-The round loop runs under the supervised execution runtime
-(:mod:`~repro.runtime`).  Lost workers within a round are tolerated
+Every parallel pass runs under the supervised execution runtime
+(:mod:`~repro.runtime`) through :class:`SupervisedPass`, which Matula's
+parallel passes share.  Lost workers within a round are tolerated
 outright — the survivors' marks remain exact (Lemma 3.2(1)) — and an
 executor that loses *all* its workers degrades ``processes → serial``
 (sticky for the rest of the solve), with every event recorded in
@@ -35,7 +39,7 @@ Observability
 including the disconnected-graph and two-vertex early exits — emits the
 identical key set, with ``stats["stats_schema"] == 2``, per-phase wall
 times in ``stats["phase_seconds"]`` (viecut / capforest / seq_fallback /
-sw_fallback / contract), and per-round ``stats["contraction_ratios"]``.
+contract), and per-round ``stats["contraction_ratios"]``.
 Passing ``tracer=`` additionally emits structured round/λ̂/worker events
 (see :mod:`repro.observability`); the tracer is consulted once per round,
 never per edge, so disabled runs cost nothing in the scan hot loops.
@@ -45,20 +49,62 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.components import connected_components
-from ..graph.contract import compose_labels
 from ..graph.csr import Graph
 from ..graph.parallel_contract import parallel_contract_by_labels
 from ..kernels import resolve_kernel
 from ..observability import PARCUT_PHASES, STATS_SCHEMA_VERSION, Tracer
-from ..runtime.errors import NoProgressError
 from ..runtime.faults import FaultPlan
 from ..runtime.supervisor import call_with_degradation, raise_for_events
 from ..utils.timers import Timer
 from .capforest import capforest, check_queue
-from .noi import _absorb
-from .parallel_capforest import check_executor, parallel_capforest
+from .noi import Incumbent, _absorb, contraction_rounds
+from .parallel_capforest import ParallelCapforestResult, check_executor, parallel_capforest
 from .result import MinCutResult
+
+
+class SupervisedPass:
+    """Parallel CAPFOREST passes under the degradation ladder.
+
+    A call runs one :func:`~repro.core.parallel_capforest.parallel_capforest`
+    pass of a graph at a bound, with ``options`` as its keywords, and adds
+    to ``stats`` its workers' counters (the ``pq_*``, ``edges_scanned`` and
+    ``vertices_scanned`` keys), the lost workers (``worker_events``) and the
+    ladder steps (``degradations``), each tagged with the round.  An
+    executor that loses every worker steps down the ladder and stays there
+    for later calls (:attr:`executor`); with ``on_worker_failure="fail"``
+    a lost worker raises its :class:`~repro.runtime.RuntimeFault` instead.
+    """
+
+    def __init__(self, stats: dict, executor: str, on_worker_failure: str,
+                 tracer: Tracer | None = None, **options) -> None:
+        self.stats = stats
+        self.executor = executor
+        self.policy = on_worker_failure
+        self.tracer = tracer
+        self.options = options
+
+    def __call__(self, graph: Graph, bound: int, r: int) -> ParallelCapforestResult:
+        stats = self.stats
+
+        def run(executor):
+            return parallel_capforest(graph, bound, executor=executor, tracer=self.tracer,
+                                      **self.options)
+
+        def degraded(src, dst, exc):
+            stats["degradations"].append(
+                {"stage": "capforest", "round": r, "from": src, "to": dst, "reason": str(exc)}
+            )
+
+        pres, self.executor = call_with_degradation(
+            run, self.executor, policy=self.policy, on_degrade=degraded, tracer=self.tracer,
+        )
+        if pres.events:
+            stats["worker_events"].extend(dict(ev, round=r) for ev in pres.events)
+            if self.policy == "fail":
+                raise_for_events(self.executor, pres.events)
+        for rep in pres.workers:
+            _absorb(stats, rep)
+        return pres
 
 
 def _new_stats(
@@ -80,7 +126,6 @@ def _new_stats(
         "workers": workers,
         "rounds": 0,
         "seq_fallback_rounds": 0,
-        "sw_fallback_rounds": 0,
         "total_work": 0,
         "makespan_work": 0,
         "edges_scanned": 0,
@@ -144,7 +189,7 @@ def parallel_mincut(
     kernel:
         CAPFOREST relaxation kernel (``"scalar"``, ``"vector"`` or
         ``"compiled"`` — :data:`repro.kernels.KERNELS`) of the VieCut seed
-        and both sequential fallbacks.  It does not reach the parallel
+        and the sequential fallback pass.  It does not reach the parallel
         region workers, which run the sequential pass's scan core on
         arrays on ``processes`` with the BQueue (draining at-the-clamp
         buckets) whatever the kernel, and on lists otherwise (each
@@ -209,189 +254,57 @@ def parallel_mincut(
             kernel_resolved=kernel,
             use_viecut=use_viecut,
         )
+    parallel = SupervisedPass(
+        stats, executor, on_worker_failure, tracer, workers=workers, pq_kind=pq_kind,
+        rng=rng, start_method=start_method, timeout=timeout, fault_plan=fault_plan,
+    )
 
-    ncomp, comp_labels = connected_components(graph)
-    if ncomp > 1:
-        side = comp_labels == 0 if compute_side else None
-        if tracer is not None:
-            tracer.lambda_update(0, "disconnected", components=ncomp)
-            tracer.emit("solve_end", value=0, rounds=0)
-        return MinCutResult(0, side, n, algo, _finalize_stats(stats, timer, executor))
-
-    v0, deg0 = graph.min_weighted_degree()
-    best_value = deg0
-    best_side: np.ndarray | None = None
-    if compute_side:
-        best_side = np.zeros(n, dtype=bool)
-        best_side[v0] = True
-    if tracer is not None:
-        tracer.lambda_update(deg0, "min-degree", vertex=int(v0))
-
-    if use_viecut:
+    def seed(inc: Incumbent) -> Graph:
         from ..viecut.viecut import viecut
 
         # Algorithm 2 line 1: VieCut's synchronous LP is the same on
         # every executor, so the seed does not depend on the executor
         with timer.phase("viecut"):
-            seed = viecut(graph, rng=rng, tracer=tracer, kernel=kernel)
-        stats["viecut_value"] = seed.value
-        if seed.value < best_value:
-            best_value = seed.value
-            if compute_side:
-                best_side = seed.side.copy()
-            if tracer is not None:
-                tracer.lambda_update(best_value, "viecut")
+            cut = viecut(graph, rng=rng, tracer=tracer, kernel=kernel)
+        stats["viecut_value"] = cut.value
+        inc.offer(cut.value, "viecut", lambda: cut.side)
+        return graph
 
-    lam = best_value
-    labels = np.arange(n, dtype=np.int64)
-    g = graph
-
-    active_executor = executor
-    while g.n > 2 and lam > 0:
-        round_n = g.n
-        round_idx = stats["rounds"]
-        pq_before = (
-            stats["pq_pushes"], stats["pq_updates"],
-            stats["pq_skipped_updates"], stats["pq_pops"],
-        )
-        if tracer is not None:
-            tracer.emit(
-                "round_start", round=round_idx, n=g.n, m=g.m, lambda_hat=int(lam),
-                executor=active_executor,
-            )
-
-        def run_pass(exe, _g=g, _lam=lam):
-            return parallel_capforest(
-                _g, _lam, workers=workers, pq_kind=pq_kind, executor=exe, rng=rng,
-                start_method=start_method, timeout=timeout, fault_plan=fault_plan,
-                tracer=tracer,
-            )
-
-        def record_degradation(src, dst, exc):
-            stats["degradations"].append(
-                {"stage": "capforest", "round": stats["rounds"], "from": src, "to": dst,
-                 "reason": str(exc)}
-            )
-
-        # degradation is sticky: once an executor has lost every worker we
-        # stay on the simpler one rather than re-paying the failure per round
+    def certify(g: Graph, inc: Incumbent, r: int):
         with timer.phase("capforest"):
-            pres, active_executor = call_with_degradation(
-                run_pass, active_executor, policy=on_worker_failure,
-                on_degrade=record_degradation, tracer=tracer,
-            )
+            pres = parallel(g, inc.value, r)
         if pres.start_method is not None:
             stats["start_method"] = pres.start_method
-        if pres.events:
-            stats["worker_events"].extend(
-                dict(ev, round=stats["rounds"]) for ev in pres.events
-            )
-            if on_worker_failure == "fail":
-                raise_for_events(active_executor, pres.events)
-        stats["rounds"] += 1
         stats["total_work"] += pres.total_work
         stats["makespan_work"] += pres.makespan_work
-        for rep in pres.workers:
-            stats["edges_scanned"] += rep.edges_scanned
-            stats["vertices_scanned"] += rep.vertices_scanned
-            stats["pq_pushes"] += rep.pq_stats.pushes
-            stats["pq_updates"] += rep.pq_stats.updates
-            stats["pq_skipped_updates"] += rep.pq_stats.skipped_updates
-            stats["pq_pops"] += rep.pq_stats.pops
-        uf = pres.uf
-        if pres.lambda_hat < best_value:
-            best_value = pres.lambda_hat
-            lam = pres.lambda_hat
-            if compute_side and pres.best_side is not None:
-                best_side = pres.best_side[labels]
-            if tracer is not None:
-                tracer.lambda_update(best_value, "scan-cut", round=round_idx)
-
-        if pres.n_marked == 0:
-            # Algorithm 2 line 5: one sequential CAPFOREST pass
-            stats["seq_fallback_rounds"] += 1
-            with timer.phase("seq_fallback"):
-                seq = capforest(
-                    g, lam, pq_kind=pq_kind, bounded=True, rng=rng, kernel=kernel,
-                    tracer=tracer,
-                )
-            _absorb(stats, seq)
-            stats["total_work"] += seq.edges_scanned + seq.vertices_scanned
-            stats["makespan_work"] += seq.edges_scanned + seq.vertices_scanned
-            uf = seq.uf
-            if seq.lambda_hat < best_value:
-                best_value = seq.lambda_hat
-                lam = seq.lambda_hat
-                if compute_side:
-                    mask = seq.best_cut_mask(g.n)
-                    if mask is not None:
-                        best_side = mask[labels]
-                if tracer is not None:
-                    tracer.lambda_update(best_value, "seq-fallback", round=round_idx)
-            if seq.n_marked == 0:
-                # Stoer–Wagner phase guarantee (see noi.py module docstring)
-                stats["sw_fallback_rounds"] += 1
-                with timer.phase("sw_fallback"):
-                    sw = capforest(
-                        g, lam, pq_kind="heap", bounded=False, rng=rng, kernel=kernel,
-                        tracer=tracer,
-                    )
-                _absorb(stats, sw)
-                if sw.lambda_hat < best_value:
-                    best_value = sw.lambda_hat
-                    lam = sw.lambda_hat
-                    if compute_side:
-                        mask = sw.best_cut_mask(g.n)
-                        if mask is not None:
-                            best_side = mask[labels]
-                    if tracer is not None:
-                        tracer.lambda_update(best_value, "sw-fallback", round=round_idx)
-                uf = sw.uf
-                uf.union(sw.scan_order[-2], sw.scan_order[-1])
-
-        block_labels = uf.labels()
-        with timer.phase("contract"):
-            g, contraction = parallel_contract_by_labels(g, block_labels, workers=workers)
-        labels = compose_labels(labels, contraction)
-        ratio = g.n / round_n
-        stats["contraction_ratios"].append(round(ratio, 6))
-        if tracer is not None:
-            tracer.emit(
-                "round_end", round=round_idx, n_before=round_n, n_after=g.n,
-                contraction_ratio=round(ratio, 6), lambda_hat=int(lam),
-                marked=pres.n_marked,
-                seq_fallback=stats["seq_fallback_rounds"] > 0
-                and pres.n_marked == 0,
-                pq_delta={
-                    "pushes": stats["pq_pushes"] - pq_before[0],
-                    "updates": stats["pq_updates"] - pq_before[1],
-                    "skipped_updates": stats["pq_skipped_updates"] - pq_before[2],
-                    "pops": stats["pq_pops"] - pq_before[3],
-                },
+        inc.offer(pres.lambda_hat, "scan-cut", lambda: pres.best_side, round=r)
+        if pres.n_marked:
+            return pres
+        # Algorithm 2 line 5: one complete sequential pass, which marks
+        stats["seq_fallback_rounds"] += 1
+        with timer.phase("seq_fallback"):
+            seq = capforest(
+                g, inc.value, pq_kind=pq_kind, bounded=True, rng=rng, kernel=kernel,
+                tracer=tracer,
             )
-        if g.n >= round_n:
-            # watchdog: the SW-phase fallback guarantees >= 1 union per
-            # round, so a non-shrinking round means corrupt state — abort
-            # rather than loop forever
-            raise NoProgressError(
-                f"contraction round {stats['rounds']} left the graph at {g.n} vertices"
-            )
-        if g.n < 2:
-            break
-        v, d = g.min_weighted_degree()
-        if d < best_value:
-            best_value = d
-            if compute_side:
-                best_side = labels == v
-            if tracer is not None:
-                tracer.lambda_update(best_value, "min-degree", round=round_idx)
-        lam = min(lam, d)
+        _absorb(stats, seq)
+        stats["total_work"] += seq.edges_scanned + seq.vertices_scanned
+        stats["makespan_work"] += seq.edges_scanned + seq.vertices_scanned
+        inc.offer(seq.lambda_hat, "seq-fallback", lambda: seq.best_cut_mask(g.n), round=r)
+        return seq
 
-    _finalize_stats(stats, timer, active_executor)
+    def contract(g: Graph, uf):
+        return parallel_contract_by_labels(g, uf.labels(), workers=workers)
+
+    inc = contraction_rounds(
+        graph, certify, contract, stats, timer, tracer=tracer, compute_side=compute_side,
+        prepare=seed if use_viecut else None,
+    )
+    _finalize_stats(stats, timer, parallel.executor)
     if tracer is not None:
         tracer.emit(
-            "solve_end", value=int(best_value), rounds=stats["rounds"],
-            final_executor=active_executor,
+            "solve_end", value=int(inc.value), rounds=stats["rounds"],
+            final_executor=parallel.executor,
             phase_seconds=stats["phase_seconds"],
         )
-    return MinCutResult(best_value, best_side if compute_side else None, n, algo, stats)
+    return MinCutResult(inc.value, inc.side, n, algo, stats)

@@ -7,6 +7,13 @@ graph, and repeat until at most two supervertices remain.  Every λ̂
 improvement remembers a concrete cut side in *original* vertex ids, so the
 result is a certified bipartition, not just a number.
 
+:func:`contraction_rounds` is that loop, written once.  :func:`noi_mincut`,
+ParCut (:func:`repro.core.mincut.parallel_mincut`) and Matula's
+approximation (:func:`repro.baselines.matula.matula_approx`) all run it; a
+driver supplies only how a round certifies its edges and how it contracts
+them.  :class:`Incumbent` holds λ̂, its side, and the map from input
+vertices to the current graph's.
+
 Variants (the paper's experimental section):
 
 * ``bounded=False, pq_kind="heap"``  →  **NOI-HNSS** (unbounded priorities)
@@ -21,13 +28,12 @@ Without a named queue or kernel a bounded solve runs NOIλ̂-BQueue on the
 :data:`~repro.core.capforest.DEFAULT_KERNEL`) and an unbounded one runs on
 the heap (:func:`~repro.core.capforest.check_queue`).
 
-Progress guarantee: a *complete* CAPFOREST pass usually marks at least one
-edge, but with an externally supplied λ̂ this can fail; the driver then
-falls back to one maximum-adjacency phase and contracts the last two
-scanned vertices, which is safe by the Stoer–Wagner phase property (the
-trivial cut of the last vertex — already captured by the α tracking — is a
-minimum cut separating the last two vertices, so after λ̂ absorbs it the
-pair's connectivity is ≥ λ̂).
+Progress guarantee: a complete CAPFOREST pass of a connected graph at
+``0 < λ̂ ≤ δ`` marks an edge (IMPLEMENTATION_NOTES §3), and every driver
+scans at such a threshold: λ̂ starts at the minimum degree, a seed only
+lowers it, and each round takes the contracted graph's δ.  A round that
+leaves the graph as large as it was therefore means corrupt state, and
+raises :class:`~repro.runtime.NoProgressError` instead of looping.
 """
 
 from __future__ import annotations
@@ -40,12 +46,132 @@ from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_union_find
 from ..graph.csr import Graph
 from ..kernels import resolve_kernel
+from ..runtime.errors import NoProgressError
 from ..utils.timers import Timer
 from .capforest import DEFAULT_KERNEL, capforest, check_queue
 from .result import MinCutResult
 
 #: phases timed in ``stats["phase_seconds"]`` (ParCut's names for the same work)
 NOI_PHASES = ("capforest", "contract")
+
+
+class Incumbent:
+    """The best cut so far: λ̂ (``value``), a side realising it in input
+    vertex ids (``side``), and ``labels``, the map from input vertices to
+    the current graph's vertices."""
+
+    __slots__ = ("value", "side", "labels", "tracer", "sides")
+
+    def __init__(self, n: int, tracer=None, sides: bool = True) -> None:
+        self.value = float("inf")  # the first offer, a real cut, replaces it
+        self.side: np.ndarray | None = None
+        self.labels = np.arange(n, dtype=np.int64)
+        self.tracer = tracer
+        self.sides = sides
+
+    def offer(self, value, provenance: str, cut: Callable | None = None, **fields) -> None:
+        """Keep a real cut of ``value`` if it is below λ̂, and emit its
+        ``lambda_update``.  ``cut()`` returns the cut's side as a mask over
+        the current graph, or ``None`` when it has none; it runs only on an
+        improvement, since building a side costs O(side)."""
+        if value >= self.value:
+            return
+        self.value = value
+        if self.sides:
+            mask = None if cut is None else cut()
+            self.side = None if mask is None else mask[self.labels]
+        if self.tracer is not None:
+            self.tracer.lambda_update(value, provenance, **fields)
+
+
+def contraction_rounds(
+    graph: Graph,
+    certify: Callable,
+    contract: Callable,
+    stats: dict,
+    timer: Timer,
+    *,
+    tracer=None,
+    compute_side: bool = True,
+    prepare: Callable[[Incumbent], Graph] | None = None,
+    after_first_round: Callable[[Graph, Incumbent], None] | None = None,
+) -> Incumbent:
+    """Contract ``graph`` round by round down to two vertices; return the
+    :class:`Incumbent` that ends it.
+
+    A disconnected input has minimum cut 0, one component against the rest.
+    Otherwise λ̂ starts at the minimum weighted degree, and ``prepare(inc)``
+    may lower it and returns the graph round 1 contracts.  Each round,
+    counted from 1 in ``stats["rounds"]``:
+
+    * ``certify(g, inc, round)`` offers ``inc`` its scan cuts and returns
+      its pass: ``.uf`` holds the marked edges, ``.n_marked`` their count;
+    * ``contract(g, uf)`` returns the contracted graph and the contraction
+      labels, timed as the ``contract`` phase;
+    * a round that leaves the graph as large as it was raises
+      :class:`~repro.runtime.NoProgressError` (see the module docstring);
+    * the contracted graph's minimum degree is offered as a cut, and after
+      round 1 ``after_first_round(g, inc)`` runs.
+
+    ``stats`` must hold ``rounds``, ``contraction_ratios`` and the ``pq_*``
+    counters, which ``certify`` keeps; a ``trace`` list there receives one
+    row per round.  ``tracer`` receives ``round_start`` and ``round_end``.
+    """
+    n = graph.n
+    inc = Incumbent(n, tracer, compute_side)
+    ncomp, comp_labels = connected_components(graph)
+    if ncomp > 1:
+        inc.offer(0, "disconnected", lambda: comp_labels == 0, components=ncomp)
+        return inc
+    v, d = graph.min_weighted_degree()
+    inc.offer(d, "min-degree", lambda: _vertex_mask(n, v), vertex=v)
+    g = graph if prepare is None else prepare(inc)
+    log = stats.get("trace")
+    while g.n > 2 and inc.value > 0:
+        stats["rounds"] += 1
+        r = stats["rounds"]
+        n_before, m_before, lam_in = g.n, g.m, inc.value
+        if tracer is not None:
+            pq_before = [stats[key] for key in _PQ_KEYS]
+            tracer.emit("round_start", round=r, n=n_before, m=m_before, lambda_hat=int(lam_in))
+        res = certify(g, inc, r)
+        with timer.phase("contract"):
+            g, contraction = contract(g, res.uf)
+        n_after = g.n
+        inc.labels = compose_labels(inc.labels, contraction)
+        ratio = round(n_after / n_before, 6)
+        stats["contraction_ratios"].append(ratio)
+        if log is not None:
+            log.append({"round": r, "n": n_before, "m": m_before, "lambda_in": lam_in,
+                        "lambda_out": inc.value, "marks": n_before - n_after})
+        if tracer is not None:
+            tracer.emit(
+                "round_end", round=r, n_before=n_before, n_after=n_after,
+                contraction_ratio=ratio, lambda_hat=int(inc.value), marked=res.n_marked,
+                pq_delta={key[3:]: stats[key] - old for key, old in zip(_PQ_KEYS, pq_before)},
+            )
+        if n_after >= n_before:
+            raise NoProgressError(f"contraction round {r} left the graph at {n_after} vertices")
+        if n_after < 2:
+            # every vertex collapsed into one block: all remaining candidate
+            # cuts were already recorded before the contraction
+            break
+        # collapsed vertices can expose trivial cuts below λ̂ (Algorithm 2,
+        # "parallel graph contraction")
+        v, d = g.min_weighted_degree()
+        inc.offer(d, "min-degree", lambda: _vertex_mask(n_after, v), vertex=v, round=r)
+        if r == 1 and after_first_round is not None:
+            after_first_round(g, inc)
+    return inc
+
+
+_PQ_KEYS = ("pq_pushes", "pq_updates", "pq_skipped_updates", "pq_pops")
+
+
+def _vertex_mask(n: int, v: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[v] = True
+    return mask
 
 
 def noi_mincut(
@@ -96,8 +222,9 @@ def noi_mincut(
         stays exact; pays off on graphs much denser than their cut bound.
     trace:
         Record a per-round log in ``result.stats["trace"]``: graph size,
-        current λ̂, marks, and fallback usage per contraction round — the
-        solver's execution narrative, for debugging and teaching.
+        λ̂ before and after the round's pass, and the vertices the round
+        contracted away — the solver's execution narrative, for debugging
+        and teaching.
     tracer:
         Optional :class:`repro.observability.Tracer` receiving structured
         round / λ̂-provenance events (round granularity; ``None`` adds no
@@ -114,8 +241,7 @@ def noi_mincut(
         Exact minimum cut value, with a certified side when requested and
         available.  ``stats["phase_seconds"]`` holds the wall seconds spent
         in every phase of :data:`NOI_PHASES` (0.0 for a phase that never
-        ran): the CAPFOREST scans, Stoer–Wagner fallback scans included,
-        and the contractions.
+        ran): the CAPFOREST scans and the contractions.
     """
     pq_kind = check_queue(pq_kind, bounded)
     n = graph.n
@@ -128,13 +254,13 @@ def noi_mincut(
     kernel, kernel_fb = resolve_kernel(kernel, tracer=tracer)
     stats: dict = {
         "rounds": 0,
-        "fallback_rounds": 0,
         "pq_pushes": 0,
         "pq_updates": 0,
         "pq_skipped_updates": 0,
         "pq_pops": 0,
         "edges_scanned": 0,
         "vertices_scanned": 0,
+        "contraction_ratios": [],
         "pq_kind": pq_kind,
         "bounded": bounded,
         "kernel": requested_kernel,
@@ -153,156 +279,60 @@ def noi_mincut(
             pq_kind=pq_kind, bounded=bounded, kernel=kernel,
         )
 
-    # Disconnected graphs have minimum cut 0: one component versus the rest.
-    ncomp, comp_labels = connected_components(graph)
-    if ncomp > 1:
-        side = comp_labels == 0 if compute_side else None
-        if tracer is not None:
-            tracer.lambda_update(0, "disconnected", components=ncomp)
-            tracer.emit("solve_end", value=0, rounds=0)
-        return MinCutResult(0, side, n, algo, _seal_phases(stats, timer))
+    def prepare(inc: Incumbent) -> Graph:
+        if initial_bound is not None:
+            if initial_bound < 0:
+                raise ValueError("initial_bound must be non-negative")
+            inc.offer(initial_bound, "viecut", lambda: initial_side)
+        if sparsify and graph.m > 0:
+            from .certificates import sparse_certificate
 
-    # Initial bound: trivial cut of the minimum-weighted-degree vertex,
-    # optionally improved by the caller-supplied (e.g. VieCut) cut.
-    v0, deg0 = graph.min_weighted_degree()
-    best_value = deg0
-    best_side: np.ndarray | None = None
-    if compute_side:
-        best_side = np.zeros(n, dtype=bool)
-        best_side[v0] = True
-    if tracer is not None:
-        tracer.lambda_update(best_value, "min-degree", vertex=int(v0))
-    if initial_bound is not None:
-        if initial_bound < 0:
-            raise ValueError("initial_bound must be non-negative")
-        if initial_bound < best_value:
-            best_value = initial_bound
-            best_side = initial_side.copy() if (compute_side and initial_side is not None) else None
-            if tracer is not None:
-                tracer.lambda_update(best_value, "viecut")
+            # k = λ̂+1 keeps every cut of capacity <= λ̂ at its exact value —
+            # the minimum cut (<= λ̂ by definition of the bound) survives intact
+            g = sparse_certificate(graph, inc.value + 1, start=int(rng.integers(n)))
+            stats["sparsified_m"] = g.m
+            return g
+        return graph
 
-    lam = best_value
-    labels = np.arange(n, dtype=np.int64)  # original vertex -> current supervertex
-    g = graph
-
-    if sparsify and g.m > 0:
-        from .certificates import sparse_certificate
-
-        # k = λ̂+1 keeps every cut of capacity <= λ̂ at its exact value —
-        # the minimum cut (<= λ̂ by definition of the bound) survives intact
-        g = sparse_certificate(g, lam + 1, start=int(rng.integers(n)))
-        stats["sparsified_m"] = g.m
-
-    while g.n > 2 and lam > 0:
-        round_n, round_m, lam_in = g.n, g.m, lam
-        if tracer is not None:
-            tracer.emit(
-                "round_start", round=stats["rounds"] + 1, n=round_n, m=round_m,
-                lambda_hat=lam_in,
-            )
+    def certify(g: Graph, inc: Incumbent, r: int):
         with timer.phase("capforest"):
             res = capforest(
-                g, lam, pq_kind=pq_kind, bounded=bounded, rng=rng, kernel=kernel,
+                g, inc.value, pq_kind=pq_kind, bounded=bounded, rng=rng, kernel=kernel,
                 tracer=tracer,
             )
-        stats["rounds"] += 1
         _absorb(stats, res)
-        uf = res.uf
-        if res.lambda_hat < best_value:
-            best_value = res.lambda_hat
-            lam = res.lambda_hat
-            if compute_side:
-                mask = res.best_cut_mask(g.n)
-                best_side = mask[labels] if mask is not None else best_side
-            if tracer is not None:
-                tracer.lambda_update(best_value, "scan-cut", round=stats["rounds"])
-        if res.n_marked == 0:
-            # Stoer–Wagner phase fallback: one unbounded maximum-adjacency
-            # scan; contract its last two vertices (safe, see module doc).
-            stats["fallback_rounds"] += 1
-            with timer.phase("capforest"):
-                sw = capforest(
-                    g, lam, pq_kind="heap", bounded=False, rng=rng, kernel=kernel,
-                    tracer=tracer,
-                )
-            _absorb(stats, sw)
-            if sw.lambda_hat < best_value:
-                best_value = sw.lambda_hat
-                lam = sw.lambda_hat
-                if compute_side:
-                    mask = sw.best_cut_mask(g.n)
-                    best_side = mask[labels] if mask is not None else best_side
-                if tracer is not None:
-                    tracer.lambda_update(best_value, "sw-fallback", round=stats["rounds"])
-            uf = sw.uf
-            order = sw.scan_order
-            uf.union(order[-2], order[-1])
-        with timer.phase("contract"):
-            g, contraction = contract_by_union_find(g, uf)
-        labels = compose_labels(labels, contraction)
-        if trace:
-            stats["trace"].append(
-                {
-                    "round": stats["rounds"],
-                    "n": round_n,
-                    "m": round_m,
-                    "lambda_in": lam_in,
-                    "lambda_out": lam,
-                    "marks": round_n - g.n,
-                    "fallback": uf is not res.uf,
-                }
-            )
-        if tracer is not None:
-            tracer.emit(
-                "round_end", round=stats["rounds"], n_before=round_n,
-                n_after=g.n, lambda_hat=lam,
-                contraction_ratio=round(round_n / g.n, 6) if g.n else float(round_n),
-            )
-        if g.n < 2:
-            # every vertex collapsed into one block: all remaining candidate
-            # cuts were already recorded before the contraction
-            break
-        # trivial-cut update on the contracted graph (collapsed vertices can
-        # expose cuts below λ̂ — Algorithm 2, "parallel graph contraction")
-        v, d = g.min_weighted_degree()
-        if d < best_value:
-            best_value = d
-            if compute_side:
-                best_side = labels == v
-            if tracer is not None:
-                tracer.lambda_update(best_value, "min-degree", vertex=int(v))
-        lam = min(lam, d)
-        if _seed_hook is not None and stats["rounds"] == 1:
-            # a cut of the contracted graph is a cut of the input, so its
-            # value is a valid λ̂ (Lemma 3.1) and its side maps back
-            seed = _seed_hook(g)
-            if seed is not None and seed.value < best_value:
-                best_value = lam = seed.value
-                if compute_side:
-                    best_side = seed.side[labels]
-                if tracer is not None:
-                    tracer.lambda_update(best_value, "viecut")
+        inc.offer(res.lambda_hat, "scan-cut", lambda: res.best_cut_mask(g.n), round=r)
+        return res
 
-    if tracer is not None:
-        tracer.emit("solve_end", value=best_value, rounds=stats["rounds"])
-    return MinCutResult(
-        best_value, best_side if compute_side else None, n, algo, _seal_phases(stats, timer)
+    def seed(g: Graph, inc: Incumbent) -> None:
+        # a cut of the contracted graph is a cut of the input, so its value
+        # is a valid λ̂ (Lemma 3.1) and its side maps back
+        cut = _seed_hook(g)
+        if cut is not None:
+            inc.offer(cut.value, "viecut", lambda: cut.side)
+
+    inc = contraction_rounds(
+        graph, certify, contract_by_union_find, stats, timer, tracer=tracer,
+        compute_side=compute_side, prepare=prepare,
+        after_first_round=None if _seed_hook is None else seed,
     )
-
-
-def _seal_phases(stats: dict, timer: Timer) -> dict:
     stats["phase_seconds"] = {ph: round(timer.total(ph), 6) for ph in NOI_PHASES}
-    return stats
+    if tracer is not None:
+        tracer.emit("solve_end", value=inc.value, rounds=stats["rounds"])
+    return MinCutResult(inc.value, inc.side, n, algo, stats)
 
 
-def _absorb(stats: dict, res) -> None:
-    pq = res.pq_stats
+def _absorb(stats: dict, scan) -> None:
+    """Add one scan's counters to ``stats``: a sequential pass's
+    :class:`~repro.core.capforest.CapforestResult` or a parallel worker's
+    :class:`~repro.core.parallel_capforest.WorkerReport`."""
+    pq = scan.pq_stats
     stats["pq_pushes"] += pq.pushes
     stats["pq_updates"] += pq.updates
     stats["pq_skipped_updates"] += pq.skipped_updates
     stats["pq_pops"] += pq.pops
-    stats["edges_scanned"] += res.edges_scanned
-    stats["vertices_scanned"] += res.vertices_scanned
+    stats["edges_scanned"] += scan.edges_scanned
+    stats["vertices_scanned"] += scan.vertices_scanned
 
 
 def _variant_name(pq_kind: str, bounded: bool, seeded: bool) -> str:

@@ -39,8 +39,8 @@ EVENT_KINDS = frozenset(
     {
         "solve_start",  # once, before any work: algorithm, n, m, config
         "solve_end",  # once, last event: final value, rounds, seconds
-        "round_start",  # per ParCut/NOI round: round index, n, m, λ̂ in
-        "round_end",  # per round: λ̂ out, marks, contraction ratio, PQ deltas
+        "round_start",  # per NOI/ParCut round, counted from 1: round, n, m, λ̂ in
+        "round_end",  # per round: λ̂ out, marks, n_after/n_before, PQ deltas
         "lambda_update",  # best-known bound improved: value + provenance
         "viecut_start",  # VieCut seeding began
         "viecut_level",  # one VieCut multilevel round: n before/after
@@ -83,20 +83,19 @@ EVENT_KINDS = frozenset(
 #: where a ``lambda_update`` bound came from.  ``disconnected`` covers the
 #: value-0 early return (one component versus the rest); ``treepack`` is a
 #: 1- or 2-respecting cut of a packed spanning tree (``karger-nlt``); the
-#: other five are the mechanisms of Algorithm 2.
+#: other four are the mechanisms of Algorithm 2.
 LAMBDA_PROVENANCE = (
     "viecut",
     "scan-cut",
     "min-degree",
     "seq-fallback",
-    "sw-fallback",
     "disconnected",
     "treepack",
 )
 
 #: the wall-time phases profiled by ``parallel_mincut`` — always all
 #: present in ``stats["phase_seconds"]`` (0.0 when a phase never ran).
-PARCUT_PHASES = ("viecut", "capforest", "seq_fallback", "sw_fallback", "contract")
+PARCUT_PHASES = ("viecut", "capforest", "seq_fallback", "contract")
 
 #: canonical key set of ``parallel_mincut(...).stats`` under schema v2.
 #: Every return path emits exactly these keys.
@@ -111,7 +110,6 @@ PARCUT_STATS_KEYS = frozenset(
         "workers",
         "rounds",
         "seq_fallback_rounds",
-        "sw_fallback_rounds",
         "total_work",
         "makespan_work",
         "edges_scanned",

@@ -27,8 +27,8 @@ The hierarchy is deliberately shallow:
 
 ``NoProgressError``
     A watchdog tripped: a contraction round failed to shrink the graph, or
-    a scan popped more vertices than exist.  Without it the ParCut round
-    loop (and a corrupted scan) would spin forever.
+    a scan popped more vertices than exist.  Without it the round loop of
+    NOI, ParCut and Matula (and a corrupted scan) would spin forever.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ implementation.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -117,6 +118,22 @@ def clamp_bucket_graph(members: int, weight: int = 1) -> Graph:
 
 
 # -- canonical small graphs ---------------------------------------------------
+
+
+def discard_marks(monkeypatch, module, *names) -> list[str]:
+    """Patch the CAPFOREST passes ``names`` of ``module`` to return their
+    results with every mark discarded; returns the names of the calls made."""
+    from repro.datastructures.union_find import UnionFind
+
+    calls: list[str] = []
+    for name in names:
+        def discard(graph, lam, _real=getattr(module, name), _name=name, **kw):
+            calls.append(_name)
+            res = _real(graph, lam, **kw)
+            return dataclasses.replace(res, uf=UnionFind(graph.n), n_marked=0)
+
+        monkeypatch.setattr(module, name, discard)
+    return calls
 
 
 @pytest.fixture

@@ -11,20 +11,20 @@ the round log shows) and are checked against Hao–Orlin.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro import minimum_cut
 from repro.core import noi
 from repro.core.capforest import capforest
-from repro.datastructures.union_find import UnionFind
 from repro.generators import connected_gnm, rhg
 from repro.graph import from_edges
 from repro.observability import Tracer
 from repro.observability.schema import validate_trace_events
+from repro.runtime import NoProgressError
 from repro.viecut.viecut import SMALL_THRESHOLD
+
+from .conftest import discard_marks
 
 
 def joined_rhg(a: tuple, b: tuple, bridges: int, seed: int):
@@ -104,30 +104,14 @@ def test_a_complete_pass_at_the_min_degree_bound_marks(seed):
         assert capforest(g, lam, pq_kind=pq_kind, bounded=True, rng=seed).n_marked > 0
 
 
-@pytest.mark.parametrize("name", ["cycle-80", "left-65"])
-def test_stoer_wagner_fallback_before_the_seed(monkeypatch, name):
-    """A first pass whose marks are discarded takes the Stoer–Wagner
-    fallback; the rule then applies to what the fallback left."""
-    g = cycle(80) if name == "cycle-80" else BOUNDARY[name][0]
-    calls = []
-
-    def first_pass_marks_nothing(graph, lam, **kw):
-        res = capforest(graph, lam, **kw)
-        calls.append(kw)
-        if len(calls) == 1:
-            return dataclasses.replace(res, uf=UnionFind(graph.n), n_marked=0)
-        return res
-
-    monkeypatch.setattr(noi, "capforest", first_pass_marks_nothing)
-    res = minimum_cut(g, rng=0, trace=True)
-    assert res.stats["trace"][0]["fallback"]
-    assert calls[1]["pq_kind"] == "heap" and calls[1]["bounded"] is False
-    assert res.stats["fallback_rounds"] == 1
-    ran = first_contraction_left(res) > SMALL_THRESHOLD
-    assert (res.stats["viecut_value"] is not None) == ran
-    assert ran == (name == "cycle-80")
-    assert res.value == hao_orlin_value(g)
-    assert res.verify(g)
+def test_discarded_first_pass_raises_no_progress(monkeypatch):
+    """A first pass whose marks are discarded leaves the graph as it was,
+    and the round loop's watchdog raises: no fallback hides it (a complete
+    pass at the min-degree bound always marks, as the test above checks)."""
+    calls = discard_marks(monkeypatch, noi, "capforest")
+    with pytest.raises(NoProgressError, match="round 1 left the graph at 80 vertices"):
+        minimum_cut(cycle(80), rng=0)
+    assert calls == ["capforest"]
 
 
 def test_trace_of_a_solve_seeded_after_round_one():

@@ -25,7 +25,7 @@ from repro.core.api import TRACEABLE_ALGORITHMS, minimum_cut
 from repro.core.capforest import capforest
 from repro.core.mincut import parallel_mincut
 from repro.experiments.harness import make_sequential_variants, time_variant
-from repro.generators import connected_gnm
+from repro.generators import connected_gnm, rhg
 from repro.graph import from_edges
 from repro.observability import (
     BENCH_SCHEMA_VERSION,
@@ -203,6 +203,30 @@ class TestZeroOverheadWhenDisabled:
             assert plain.stats[key] == traced.stats[key]
 
 
+class TestRoundEventShape:
+    """NOI and ParCut run one round loop, so their round events share one
+    shape: rounds count from 1, and ``contraction_ratio`` is
+    n_after/n_before, the ratio ``stats["contraction_ratios"]`` records."""
+
+    @pytest.mark.parametrize("solver", ["default", "parcut"])
+    def test_rounds_and_contraction_ratios(self, solver):
+        g = rhg(256, 16, rng=0)
+        tr = Tracer()
+        if solver == "default":
+            res = minimum_cut(g, rng=0, tracer=tr)
+        else:
+            res = parallel_mincut(g, workers=3, executor="serial", rng=0, tracer=tr)
+        rounds = res.stats["rounds"]
+        assert rounds >= 2, "the case needs a multi-round solve"
+        assert [ev["round"] for ev in tr.events("round_start")] == list(range(1, rounds + 1))
+        ends = tr.events("round_end")
+        assert [ev["round"] for ev in ends] == list(range(1, rounds + 1))
+        for ev, recorded in zip(ends, res.stats["contraction_ratios"], strict=True):
+            ratio = round(ev["n_after"] / ev["n_before"], 6)
+            assert ev["contraction_ratio"] == ratio == recorded
+        validate_trace_events(tr.events())
+
+
 class TestStatsSchemaV2:
     def every_return_path(self, trace_graph):
         g, _ = trace_graph
@@ -228,7 +252,7 @@ class TestStatsSchemaV2:
             assert res.stats["final_executor"] == "serial", name
             assert "modeled_speedup" in res.stats, name
             assert set(res.stats["phase_seconds"]) == {
-                "viecut", "capforest", "seq_fallback", "sw_fallback", "contract"
+                "viecut", "capforest", "seq_fallback", "contract"
             }, name
         assert results["disconnected"].value == 0
         assert results["disconnected"].stats["rounds"] == 0

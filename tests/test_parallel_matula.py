@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import matula
 from repro.baselines.matula import matula_approx
+from repro.core import mincut
 from repro.core.parallel_capforest import parallel_capforest
 from repro.generators import connected_gnm
 from repro.graph import from_edges
 from repro.graph.contract import contract_by_union_find
+from repro.runtime import NoProgressError
 
-from .conftest import clamp_bucket_graph, oracle_mincut
+from .conftest import clamp_bucket_graph, discard_marks, oracle_mincut
 
 
 class TestFrozenBoundParallelCapforest:
@@ -55,17 +58,26 @@ class TestFrozenBoundParallelCapforest:
         """Process workers drain at-the-clamp buckets under a frozen
         threshold too.  Blocks of weight-3 edges hang on a weight-1 bridge:
         at threshold 3 a first pop fills the clamp bucket, the scan cut of
-        value 1 leaves the threshold at 3, and the marks keep the bridge."""
+        value 1 leaves the threshold at 3, and the marks keep the bridge.
+        A drain needs the scheduling to leave one: a worker that scans the
+        whole graph first leaves the other nothing to drain.  So the pass
+        runs up to 8 times; every pass keeps the threshold and the bridge,
+        and at least one must drain."""
         g3 = clamp_bucket_graph(16, weight=3)
         us, vs, ws = g3.edge_arrays()
         bridge = (np.minimum(us, vs) == 0) & (np.maximum(us, vs) == g3.n // 2)
         g = from_edges(g3.n, us, vs, np.where(bridge, 1, ws))
-        res = parallel_capforest(g, 3, workers=2, executor="processes", rng=seed,
-                                 fixed_bound=True)
-        assert res.lambda_hat == 3
-        assert sum(w.drained for w in res.workers) > 0
-        gc, _ = contract_by_union_find(g, res.uf)
-        assert gc.n >= 2 and oracle_mincut(gc) == 1
+        drained = 0
+        for _ in range(8):
+            res = parallel_capforest(g, 3, workers=2, executor="processes", rng=seed,
+                                     fixed_bound=True)
+            assert res.lambda_hat == 3
+            gc, _ = contract_by_union_find(g, res.uf)
+            assert gc.n >= 2 and oracle_mincut(gc) == 1
+            drained = sum(w.drained for w in res.workers)
+            if drained:
+                break
+        assert drained > 0
 
 
 class TestParallelMatula:
@@ -100,6 +112,17 @@ class TestParallelMatula:
         res = matula_approx(g, eps=0.5, rng=0, workers=2, executor="processes")
         assert res.verify(g)
         assert 1 <= res.value <= 2.5
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_discarded_passes_raise_no_progress(self, monkeypatch, workers):
+        """Matula's rounds run the same watchdog: with every pass's marks
+        discarded, round 1 raises instead of stopping early."""
+        parallel_calls = discard_marks(monkeypatch, mincut, "parallel_capforest")
+        calls = discard_marks(monkeypatch, matula, "capforest")
+        g = connected_gnm(30, 80, rng=np.random.default_rng(9), weights=(1, 5))
+        with pytest.raises(NoProgressError, match="round 1 left the graph at 30 vertices"):
+            matula_approx(g, rng=0, workers=workers)
+        assert (len(parallel_calls), len(calls)) == (int(workers > 1), 1)
 
     def test_disconnected_parallel(self, two_triangles_disconnected):
         res = matula_approx(two_triangles_disconnected, rng=0, workers=3)

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.hao_orlin import hao_orlin
 from repro.core.capforest import MAX_BUCKET_BOUND, MIN_BATCH
+from repro.core import mincut
 from repro.core.mincut import parallel_mincut
 from repro.generators import chung_lu, connected_gnm
 from repro.graph import from_edges, largest_component
 from repro.observability import Tracer
+from repro.runtime import NoProgressError
 
-from .conftest import clamp_bucket_graph, oracle_mincut
+from .conftest import clamp_bucket_graph, discard_marks, oracle_mincut
 
 
 class TestCanonical:
@@ -186,3 +188,13 @@ class TestNoDrainPaths:
         passes = tracer.events("parallel_pass")
         assert passes and all(ev["kernel"] == "scalar" and ev["drained"] == 0
                               for ev in passes)
+
+
+def test_discarded_passes_raise_no_progress(monkeypatch):
+    """With the marks of both the parallel pass and the sequential fallback
+    discarded, a round leaves the graph as it was and the watchdog raises."""
+    calls = discard_marks(monkeypatch, mincut, "parallel_capforest", "capforest")
+    g = connected_gnm(40, 100, rng=np.random.default_rng(6), weights=(1, 4))
+    with pytest.raises(NoProgressError, match="round 1 left the graph at 40 vertices"):
+        parallel_mincut(g, workers=2, executor="serial", use_viecut=False, rng=0)
+    assert calls == ["parallel_capforest", "capforest"]
