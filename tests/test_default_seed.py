@@ -104,13 +104,17 @@ def test_a_complete_pass_at_the_min_degree_bound_marks(seed):
         assert capforest(g, lam, pq_kind=pq_kind, bounded=True, rng=seed).n_marked > 0
 
 
-def test_discarded_first_pass_raises_no_progress(monkeypatch):
+@pytest.mark.parametrize("name", ["cycle-80", "left-65"])
+def test_discarded_first_pass_raises_no_progress(monkeypatch, name):
     """A first pass whose marks are discarded leaves the graph as it was,
-    and the round loop's watchdog raises: no fallback hides it (a complete
-    pass at the min-degree bound always marks, as the test above checks)."""
+    and the round loop's watchdog raises before the seed: no fallback hides
+    it (a complete pass at the min-degree bound always marks, as the test
+    above checks)."""
+    g = cycle(80) if name == "cycle-80" else BOUNDARY[name][0]
     calls = discard_marks(monkeypatch, noi, "capforest")
-    with pytest.raises(NoProgressError, match="round 1 left the graph at 80 vertices"):
-        minimum_cut(cycle(80), rng=0)
+    with pytest.raises(NoProgressError,
+                       match=f"round 1 left the graph at {g.n} vertices"):
+        minimum_cut(g, rng=0)
     assert calls == ["capforest"]
 
 
