@@ -13,8 +13,8 @@ throughput ratios and the median taken across rounds — and writes the
 result to ``BENCH_parcut.json`` at the repository root.  Interleaving is
 deliberate: wall-clock noise on shared machines dwarfs the effect size, but
 it moves both kernels of a round together, so the paired ratio is stable
-where the raw timings are not.  ``kernel="compiled"`` runs as vector, so it
-is not timed separately.
+where the raw timings are not.  Every kernel of the registry
+(:data:`~repro.core.capforest.KERNELS`, reference first) is timed.
 
 The trajectory test also re-checks the observational-equivalence contract
 (same λ̂, same mark count, identical union–find labels) so a kernel that got
@@ -30,7 +30,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.capforest import MIN_BATCH, MIN_VECTOR_N, POP_VECTOR_MIN_DEGREE, capforest
+from repro.core.capforest import (
+    KERNELS,
+    MIN_BATCH,
+    MIN_VECTOR_N,
+    POP_VECTOR_MIN_DEGREE,
+    capforest,
+)
 from repro.core.parallel_capforest import parallel_capforest
 from repro.generators.gnm import connected_gnm
 from repro.observability import BENCH_SCHEMA_VERSION, validate_bench_payload
@@ -43,9 +49,6 @@ GRAPH_NAME = "gnm-5000-40000-w1-9"
 
 #: interleaved measurement rounds for the trajectory record
 PAIRS = 11
-
-#: the kernels timed here, reference first
-TIMED_KERNELS = ("scalar", "vector")
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ def _run_processes(g):
     return parallel_capforest(g, lam, workers=4, executor="processes", rng=0, timeout=120.0)
 
 
-@pytest.mark.parametrize("kernel", TIMED_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_sequential_pass(benchmark, kernel_graph, kernel):
     lam = kernel_graph.min_weighted_degree()[1]
     res = benchmark.pedantic(
@@ -92,15 +95,15 @@ def test_record_kernel_trajectory(kernel_graph):
     lam = g.min_weighted_degree()[1]
 
     # warm-up (first-call numpy/alloc effects hit whichever kernel runs first)
-    for kern in TIMED_KERNELS:
+    for kern in KERNELS:
         _run_sequential(g, kern, lam)
 
-    samples: dict[str, list[dict]] = {k: [] for k in TIMED_KERNELS}
+    samples: dict[str, list[dict]] = {k: [] for k in KERNELS}
     ratios: list[float] = []
     results = {}
     for _ in range(PAIRS):
         pair_rate = {}
-        for kern in TIMED_KERNELS:
+        for kern in KERNELS:
             # best of two back-to-back runs: scheduler noise bursts on shared
             # machines last about one run, so the min absorbs them without
             # biasing either kernel (both get the same treatment, adjacent
@@ -125,7 +128,7 @@ def test_record_kernel_trajectory(kernel_graph):
 
     speedup = float(np.median(ratios))
     records = []
-    for kern in TIMED_KERNELS:
+    for kern in KERNELS:
         best = min(samples[kern], key=lambda s: s["wall_s"])
         records.append({
             "variant": "capforest",

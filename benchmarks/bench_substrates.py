@@ -3,8 +3,7 @@
 Not a paper figure — these isolate the cost of each building block so a
 regression in one shows up independently of the full-solver benchmarks:
 generators, CSR construction, k-core peeling, connected components,
-contraction, reverse-arc computation, the NI sparse certificate, and the
-Gomory–Hu tree.
+contraction, reverse-arc computation, and the Gomory–Hu tree.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 
 from repro.baselines.gomory_hu import gomory_hu_tree
 from repro.baselines.push_relabel import reverse_arcs
-from repro.core.certificates import sparse_certificate
 from repro.generators import chung_lu, connected_gnm, gnm, rhg, rmat
 from repro.graph import connected_components, core_numbers, from_edges, k_core
 from repro.graph.contract import contract_by_labels
@@ -76,13 +74,6 @@ class TestGraphOps:
 
 
 class TestExtensions:
-    def test_sparse_certificate(self, benchmark, medium_graph):
-        cert = benchmark.pedantic(
-            lambda: sparse_certificate(medium_graph, 8), rounds=2, iterations=1
-        )
-        benchmark.group = "substrate-extensions"
-        benchmark.extra_info["certificate_edges"] = cert.m
-
     def test_gomory_hu_tree(self, benchmark):
         g = connected_gnm(60, 300, rng=2, weights=(1, 8))
         tree = benchmark.pedantic(lambda: gomory_hu_tree(g), rounds=1, iterations=1)

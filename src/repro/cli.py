@@ -49,9 +49,9 @@ import sys
 import time
 
 from .core.api import ALGORITHMS, TRACEABLE_ALGORITHMS, minimum_cut
+from .core.capforest import KERNELS
 from .core.parallel_capforest import EXECUTORS
 from .graph.io import read_edge_list, read_metis
-from .kernels import KERNELS
 from .runtime.errors import (
     ExecutorUnavailable,
     NoProgressError,
@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default: bqueue; heap when unbounded)")
     ap.add_argument("--kernel", choices=KERNELS, default=None,
                     help="CAPFOREST relaxation kernel for noi/parcut variants "
-                    "(identical results; vector batches relaxations via numpy, "
-                    "compiled runs as vector; default: vector, scalar for parcut)")
+                    "(identical results; vector batches relaxations via numpy; "
+                    "default: vector, scalar for parcut)")
     ap.add_argument("--workers", type=int, default=None, help="parallel workers (parcut)")
     ap.add_argument(
         "--executor",

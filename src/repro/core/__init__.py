@@ -2,7 +2,6 @@
 
 from .api import ALGORITHMS, EXACT_ALGORITHMS, minimum_cut
 from .capforest import KERNELS, CapforestResult, capforest
-from .certificates import certificate_summary, sparse_certificate
 from .connectivity import (
     edge_connectivity,
     enumerate_minimum_cuts,
@@ -26,8 +25,6 @@ __all__ = [
     "KERNELS",
     "CapforestResult",
     "capforest",
-    "certificate_summary",
-    "sparse_certificate",
     "edge_connectivity",
     "enumerate_minimum_cuts",
     "is_k_edge_connected",

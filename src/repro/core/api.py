@@ -72,7 +72,6 @@ def _noi_hnss(graph: Graph, **kw) -> MinCutResult:
 
 
 def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
-    from ..kernels import resolve_kernel
     from ..utils.timers import Timer
     from ..viecut.viecut import SMALL_THRESHOLD
     from .capforest import DEFAULT_KERNEL
@@ -84,8 +83,7 @@ def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
     rng = kw.pop("rng", None)
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
-    # noi_mincut resolves the kernel again and reports any fallback, once
-    kernel, _ = resolve_kernel(kw.get("kernel", DEFAULT_KERNEL))
+    kernel = kw.get("kernel", DEFAULT_KERNEL)  # noi_mincut checks it on entry
     timer = Timer()
     seed_value = None
 
@@ -246,11 +244,10 @@ def minimum_cut(
     **kwargs:
         Forwarded to the selected solver (e.g. ``rng=...`` for
         reproducibility, ``pq_kind=...``, ``workers=...``;
-        ``kernel="scalar"|"vector"|"compiled"`` selects the CAPFOREST
-        relaxation kernel for the NOI/ParCut solvers — identical results;
-        the vector kernel batches arc relaxations through numpy, and
-        ``"compiled"`` runs as vector with a ``kernel_fallback`` stats
-        note (see :mod:`repro.kernels`); for the
+        ``kernel="scalar"|"vector"`` selects the CAPFOREST relaxation
+        kernel for the NOI/ParCut solvers — identical results; the vector
+        kernel batches arc relaxations through numpy
+        (:data:`~repro.core.capforest.KERNELS`); for the
         parallel solvers also ``timeout=...`` and
         ``on_worker_failure="degrade"|"fail"``).  Solvers with parallel
         executors never hang on worker failure: lost workers are recorded

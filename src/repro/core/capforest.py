@@ -36,9 +36,9 @@ queue empties, and yields after every step.
 
 Relaxation kernels
 ------------------
-The kernel, selected by ``kernel=`` (registry: :data:`repro.kernels.KERNELS`),
-chooses where the scan keeps its state; the results — λ̂, marks, scan
-order, ``pq_stats`` — are bit-identical either way.
+The kernel, selected by ``kernel=`` (registry: :data:`KERNELS`, checked by
+:func:`check_kernel`), chooses where the scan keeps its state; the results
+— λ̂, marks, scan order, ``pq_stats`` — are bit-identical either way.
 
 ``"scalar"``
     Lists: one Python-level loop iteration per arc.
@@ -61,9 +61,7 @@ order, ``pq_stats`` — are bit-identical either way.
     pay for the arrays, keep lists.
 
 The ``capforest_pass`` trace event's ``kernel`` field names the storage
-that ran.  The registry also accepts ``"compiled"``, the name of a retired
-JIT tier: it resolves to ``"vector"`` with a ``kernel_fallback`` note
-(:func:`repro.kernels.resolve_kernel`).
+that ran.
 """
 
 from __future__ import annotations
@@ -76,13 +74,6 @@ from ..datastructures.bucket_pq import BQueuePQ
 from ..datastructures.pq import PQ_NAMES, PQStats, make_pq
 from ..datastructures.union_find import UnionFind
 from ..graph.csr import Graph
-
-# the kernel registry is homed in repro.kernels (one source of truth for
-# capforest, parallel_capforest, the CLI, and the API); re-exported here
-# for compatibility with existing import sites
-from ..kernels import KERNELS as KERNELS
-from ..kernels import check_kernel as check_kernel
-from ..kernels import resolve_kernel
 from ..runtime.errors import NoProgressError
 
 #: Largest λ̂ for which a bucket queue is still sensible; above this the
@@ -114,6 +105,17 @@ POP_VECTOR_MIN_DEGREE = 96
 #: keeps the paper's reference Heap and the scalar kernel)
 DEFAULT_PQ_KIND = "bqueue"
 DEFAULT_KERNEL = "vector"
+
+#: the kernel registry: every ``kernel=`` argument, the CLI's ``--kernel``
+#: choices and the API name one of these (see the module docstring)
+KERNELS = ("scalar", "vector")
+
+
+def check_kernel(kernel: str) -> str:
+    """Validate a kernel name against :data:`KERNELS`; return it."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    return kernel
 
 
 @dataclass
@@ -258,8 +260,8 @@ def capforest(
         ``"scalar"`` (state in lists, one Python iteration per arc),
         ``"vector"`` (state in arrays with batched numpy relaxation on a
         bucket queue; lists on the heap and on a BQueue scan below
-        :data:`MIN_VECTOR_N` vertices), or ``"compiled"`` (runs as
-        ``"vector"``) — identical results either way, see module docstring.
+        :data:`MIN_VECTOR_N` vertices) — identical results either way,
+        see module docstring.
     tracer:
         Optional :class:`repro.observability.Tracer`.  One
         ``capforest_pass`` event is emitted per call — *pass* granularity,
@@ -277,7 +279,7 @@ def capforest(
     if lambda_hat < 0:
         raise ValueError(f"lambda_hat must be non-negative, got {lambda_hat}")
     pq_kind = check_queue(pq_kind, bounded)
-    kernel, _ = resolve_kernel(kernel, tracer=tracer)
+    check_kernel(kernel)
     n = graph.n
     uf = UnionFind(n)
     if n == 0:

@@ -34,10 +34,11 @@ fails to shrink the contracted graph raises
 
 Observability
 -------------
-``stats`` follows the versioned schema v2 contract
+``stats`` follows the versioned stats schema
 (:data:`repro.observability.PARCUT_STATS_KEYS`): **every** return path —
 including the disconnected-graph and two-vertex early exits — emits the
-identical key set, with ``stats["stats_schema"] == 2``, per-phase wall
+identical key set, with ``stats["stats_schema"] ==``
+:data:`~repro.observability.STATS_SCHEMA_VERSION`, per-phase wall
 times in ``stats["phase_seconds"]`` (viecut / capforest / seq_fallback /
 contract), and per-round ``stats["contraction_ratios"]``.
 Passing ``tracer=`` additionally emits structured round/λ̂/worker events
@@ -51,12 +52,11 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.parallel_contract import parallel_contract_by_labels
-from ..kernels import resolve_kernel
 from ..observability import PARCUT_PHASES, STATS_SCHEMA_VERSION, Tracer
 from ..runtime.faults import FaultPlan
 from ..runtime.supervisor import call_with_degradation, raise_for_events
 from ..utils.timers import Timer
-from .capforest import capforest, check_queue
+from .capforest import capforest, check_kernel, check_queue
 from .noi import Incumbent, _absorb, contraction_rounds
 from .parallel_capforest import ParallelCapforestResult, check_executor, parallel_capforest
 from .result import MinCutResult
@@ -107,22 +107,14 @@ class SupervisedPass:
         return pres
 
 
-def _new_stats(
-    pq_kind: str,
-    executor: str,
-    kernel: str,
-    workers: int,
-    kernel_resolved: str | None = None,
-    kernel_fallback: str | None = None,
-) -> dict:
-    """The schema-v2 stats dict: every key present from the start."""
+def _new_stats(pq_kind: str, executor: str, kernel: str, workers: int) -> dict:
+    """The schema's stats dict: every key present from the start."""
     return {
         "stats_schema": STATS_SCHEMA_VERSION,
         "pq_kind": pq_kind,
         "executor": executor,
         "kernel": kernel,
-        "kernel_resolved": kernel_resolved if kernel_resolved is not None else kernel,
-        "kernel_fallback": kernel_fallback,
+        "kernel_resolved": kernel,
         "workers": workers,
         "rounds": 0,
         "seq_fallback_rounds": 0,
@@ -187,18 +179,13 @@ def parallel_mincut(
         ``"serial"`` (deterministic round-robin) or ``"processes"`` — see
         :mod:`~repro.core.parallel_capforest`.
     kernel:
-        CAPFOREST relaxation kernel (``"scalar"``, ``"vector"`` or
-        ``"compiled"`` — :data:`repro.kernels.KERNELS`) of the VieCut seed
-        and the sequential fallback pass.  It does not reach the parallel
-        region workers, which run the sequential pass's scan core on
-        arrays on ``processes`` with the BQueue (draining at-the-clamp
-        buckets) whatever the kernel, and on lists otherwise (each
-        ``parallel_pass`` trace event names which ran).  ``"compiled"`` resolves through
-        :func:`repro.kernels.resolve_kernel` and runs as ``"vector"``,
-        with the requested name in ``stats["kernel"]``, the executed one
-        in ``stats["kernel_resolved"]``, and the reason in
-        ``stats["kernel_fallback"]`` (plus one ``kernel_fallback`` trace
-        event when a tracer is given).
+        CAPFOREST relaxation kernel (``"scalar"`` or ``"vector"`` —
+        :data:`~repro.core.capforest.KERNELS`) of the VieCut seed and the
+        sequential fallback pass.  It does not reach the parallel region
+        workers, which run the sequential pass's scan core on arrays on
+        ``processes`` with the BQueue (draining at-the-clamp buckets)
+        whatever the kernel, and on lists otherwise (each
+        ``parallel_pass`` trace event names which ran).
     start_method:
         Multiprocessing start method for ``executor="processes"`` (default:
         ``fork`` where available, else ``spawn``); the method actually used
@@ -225,6 +212,7 @@ def parallel_mincut(
             f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
         )
     check_queue(pq_kind)
+    check_kernel(kernel)
     check_executor(executor, workers)
     n = graph.n
     if n < 2:
@@ -232,12 +220,7 @@ def parallel_mincut(
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
 
-    requested_kernel = kernel
-    kernel, kernel_fb = resolve_kernel(kernel, tracer=tracer)
-    stats = _new_stats(
-        pq_kind, executor, requested_kernel, workers,
-        kernel_resolved=kernel, kernel_fallback=kernel_fb,
-    )
+    stats = _new_stats(pq_kind, executor, kernel, workers)
     timer = Timer()
     algo = f"parcut-{pq_kind}" + ("" if use_viecut else "-noseed")
 
@@ -250,8 +233,7 @@ def parallel_mincut(
             workers=workers,
             pq_kind=pq_kind,
             executor=executor,
-            kernel=requested_kernel,
-            kernel_resolved=kernel,
+            kernel=kernel,
             use_viecut=use_viecut,
         )
     parallel = SupervisedPass(

@@ -45,10 +45,9 @@ import numpy as np
 from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_union_find
 from ..graph.csr import Graph
-from ..kernels import resolve_kernel
 from ..runtime.errors import NoProgressError
 from ..utils.timers import Timer
-from .capforest import DEFAULT_KERNEL, capforest, check_queue
+from .capforest import DEFAULT_KERNEL, capforest, check_kernel, check_queue
 from .result import MinCutResult
 
 #: phases timed in ``stats["phase_seconds"]`` (ParCut's names for the same work)
@@ -184,7 +183,6 @@ def noi_mincut(
     initial_side: np.ndarray | None = None,
     rng: np.random.Generator | int | None = None,
     compute_side: bool = True,
-    sparsify: bool = False,
     trace: bool = False,
     tracer=None,
     _seed_hook: Callable[[Graph], MinCutResult | None] | None = None,
@@ -200,12 +198,9 @@ def noi_mincut(
         variant names).  ``pq_kind=None`` runs the BQueue when bounded
         and the heap when not.
     kernel:
-        CAPFOREST relaxation kernel, ``"scalar"``, ``"vector"`` (the
-        default) or ``"compiled"`` (:data:`repro.kernels.KERNELS`).
-        Results are identical; only the speed differs.  A ``"compiled"``
-        request runs as ``"vector"`` — the stats record the requested name
-        under ``"kernel"``, the one that ran under ``"kernel_resolved"``,
-        and the reason (or ``None``) under ``"kernel_fallback"``.
+        CAPFOREST relaxation kernel, ``"scalar"`` or ``"vector"`` (the
+        default; :data:`~repro.core.capforest.KERNELS`).  Results are
+        identical; only the speed differs.
     initial_bound, initial_side:
         An externally known cut (value and optional side mask), e.g. from
         VieCut.  Must be the capacity of a real cut (any valid upper bound
@@ -214,12 +209,6 @@ def noi_mincut(
         Seed or generator for CAPFOREST start vertices.
     compute_side:
         Track the cut side (small overhead; disable for pure timing runs).
-    sparsify:
-        Replace the input by its Nagamochi–Ibaraki sparse certificate with
-        ``k = λ̂ + 1`` before contracting (§2.3;
-        :mod:`repro.core.certificates`).  Preserves every cut of capacity
-        ≤ λ̂ — in particular the minimum cut and its sides — so the result
-        stays exact; pays off on graphs much denser than their cut bound.
     trace:
         Record a per-round log in ``result.stats["trace"]``: graph size,
         λ̂ before and after the round's pass, and the vertices the round
@@ -244,14 +233,13 @@ def noi_mincut(
         ran): the CAPFOREST scans and the contractions.
     """
     pq_kind = check_queue(pq_kind, bounded)
+    check_kernel(kernel)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
 
-    requested_kernel = kernel
-    kernel, kernel_fb = resolve_kernel(kernel, tracer=tracer)
     stats: dict = {
         "rounds": 0,
         "pq_pushes": 0,
@@ -263,9 +251,8 @@ def noi_mincut(
         "contraction_ratios": [],
         "pq_kind": pq_kind,
         "bounded": bounded,
-        "kernel": requested_kernel,
-        "kernel_resolved": kernel,
-        "kernel_fallback": kernel_fb,
+        "kernel": kernel,
+        "kernel_resolved": kernel,  # = kernel; perfbench's host facts read it
         "phase_seconds": {},
     }
     if trace:
@@ -284,14 +271,6 @@ def noi_mincut(
             if initial_bound < 0:
                 raise ValueError("initial_bound must be non-negative")
             inc.offer(initial_bound, "viecut", lambda: initial_side)
-        if sparsify and graph.m > 0:
-            from .certificates import sparse_certificate
-
-            # k = λ̂+1 keeps every cut of capacity <= λ̂ at its exact value —
-            # the minimum cut (<= λ̂ by definition of the bound) survives intact
-            g = sparse_certificate(graph, inc.value + 1, start=int(rng.integers(n)))
-            stats["sparsified_m"] = g.m
-            return g
         return graph
 
     def certify(g: Graph, inc: Incumbent, r: int):

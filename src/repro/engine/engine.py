@@ -407,14 +407,22 @@ class SolverEngine:
         ``result.stats["warm"]`` records which path ran.
         """
         from ..core.api import EXACT_ALGORITHMS, attach_cactus
-        from ..dynamic import make_warm_state, warm_solve
+        from ..core.capforest import check_kernel, check_queue
+        from ..dynamic import WARMABLE_ALGORITHMS, make_warm_state, warm_solve
 
         algorithm, options = self._check_request(
             algorithm, all_cuts, most_balanced, kwargs, deadline
         )
         # canary keying: reject uncanonicalisable kwargs *before* mutating
-        # the graph, so a bad request leaves the handle untouched
+        # the graph, so a bad request leaves the handle untouched; the warm
+        # paths run none of a solver's entry checks, so the kernel and the
+        # queue are checked here too
         request_key("0" * 32, algorithm, kwargs, options)
+        if "kernel" in kwargs:
+            check_kernel(kwargs["kernel"])
+        if kwargs.get("pq_kind") is not None:
+            bounded = WARMABLE_ALGORITHMS.get(algorithm, {}).get("bounded", True)
+            check_queue(kwargs["pq_kind"], kwargs.get("bounded", bounded))
         with self._lock:
             if self._closing or self._closed:
                 raise EngineClosed("engine is closed")

@@ -1,6 +1,6 @@
 """Ablation study: isolate each of the paper's §3 design choices.
 
-Four mechanisms, each reported as its own table:
+Three mechanisms, each reported as its own table:
 
 1. **Bound quality → contraction power** (§3.1.1): one CAPFOREST pass on a
    fixed graph under increasingly loose bounds λ̂.  The paper's core claim
@@ -13,8 +13,6 @@ Four mechanisms, each reported as its own table:
    web-like graphs and is near-neutral on RHG.
 3. **Queue implementation → scan behaviour** (§3.1.3): operation counts and
    time for BStack/BQueue/Heap on the same scans.
-4. **NI sparsification** (§2.3 machinery, this repo's extension): certificate
-   size and end-to-end solve time with/without ``sparsify=True``.
 
 Usage::
 
@@ -26,9 +24,7 @@ from __future__ import annotations
 import argparse
 import time
 
-
 from ..core.capforest import capforest
-from ..core.certificates import certificate_summary, sparse_certificate
 from ..core.noi import noi_mincut
 from .instances import largest_web_instances, rhg_instance
 from .report import format_table
@@ -87,25 +83,6 @@ def queue_table(instances, *, seed: int = 0) -> list[list[object]]:
     return rows
 
 
-def sparsify_table(instances, *, seed: int = 0) -> list[list[object]]:
-    rows = []
-    for name, g in instances:
-        t0 = time.perf_counter()
-        plain = noi_mincut(g, rng=seed, compute_side=False)
-        t_plain = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sparse = noi_mincut(g, rng=seed, compute_side=False, sparsify=True)
-        t_sparse = time.perf_counter() - t0
-        assert plain.value == sparse.value
-        cert = sparse_certificate(g, plain.value + 1)
-        summary = certificate_summary(g, cert, plain.value + 1)
-        rows.append(
-            [name, g.m, summary["certificate_edges"], f"{summary['edge_ratio']:.2f}",
-             t_plain, t_sparse, plain.value]
-        )
-    return rows
-
-
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scale", type=float, default=0.5)
@@ -134,13 +111,6 @@ def main(argv: list[str] | None = None) -> None:
         format_table(
             ["instance", "queue", "pq_ops", "marks", "seconds"],
             queue_table(web + rhg, seed=args.seed),
-        )
-    )
-    print("== Ablation 4: NI sparse certificate ==")
-    print(
-        format_table(
-            ["instance", "m", "cert_m", "ratio", "t_plain", "t_sparsified", "lambda"],
-            sparsify_table(web + rhg, seed=args.seed),
         )
     )
 

@@ -88,7 +88,7 @@ def run(
                         "p": p,
                         "wall_s": wall,
                         "self_speedup": base_wall / wall if wall > 0 else float("nan"),
-                        # schema v2: key always present, None when no parallel
+                        # stats schema: key always present, None when no parallel
                         # pass ran (e.g. the solve collapsed in the seed)
                         "modeled_speedup": res.stats["modeled_speedup"] or 1.0,
                         "speedup_vs_hnss": t_hnss / wall if wall > 0 else float("nan"),

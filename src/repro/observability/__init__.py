@@ -18,7 +18,7 @@ Entry points:
   ``python -m repro.observability.validate`` (used by CI).
 
 See ``docs/IMPLEMENTATION_NOTES.md`` §13 for the event taxonomy, the
-stats schema v2 contract, and the overhead budget.
+stats schema contract, and the overhead budget.
 """
 
 from .schema import (

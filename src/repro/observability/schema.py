@@ -10,11 +10,12 @@ consume solver output without key-existence guessing:
   the tracer was created), and a ``kind`` from the taxonomy; λ̂ updates
   additionally carry a ``provenance`` from :data:`LAMBDA_PROVENANCE`
   naming which mechanism produced the bound.
-* **Solver stats, schema v2** (:data:`STATS_SCHEMA_VERSION`,
+* **Solver stats** (:data:`STATS_SCHEMA_VERSION`,
   :data:`PARCUT_STATS_KEYS`) — :func:`repro.core.mincut.parallel_mincut`
   returns the *same* key set on every return path (including the
   disconnected-graph and two-vertex early exits), with
-  ``stats["stats_schema"] == 2`` so consumers can branch on shape.
+  ``stats["stats_schema"] ==`` :data:`STATS_SCHEMA_VERSION` so consumers
+  can branch on shape.
 * **Benchmark records** (:data:`BENCH_SCHEMA_VERSION`) — every
   ``BENCH_*.json`` file written by the benchmark suite is an object with
   ``schema_version`` / ``benchmark`` / ``graph`` / ``records``, and every
@@ -28,8 +29,9 @@ import json
 
 #: version of the ``MinCutResult.stats`` contract documented here.  v1 was
 #: the historical ad-hoc dict whose keys differed between return paths;
-#: v2 is the normalized schema (every path emits every key).
-STATS_SCHEMA_VERSION = 2
+#: v2 is the normalized schema (every path emits every key); v3 drops the
+#: kernel-fallback note with the retired ``"compiled"`` kernel name.
+STATS_SCHEMA_VERSION = 3
 
 #: version of the ``BENCH_*.json`` record contract.
 BENCH_SCHEMA_VERSION = 1
@@ -47,7 +49,6 @@ EVENT_KINDS = frozenset(
         "viecut_end",  # VieCut seeding done: value, levels, remnant size
         "capforest_pass",  # one *sequential* CAPFOREST pass (incl. fallbacks)
         "parallel_pass",  # one parallel CAPFOREST pass: work, λ̂, marks
-        "kernel_fallback",  # "compiled" requested: ran vector
         "worker_report",  # per-worker counters from a parallel pass
         "worker_event",  # a worker was lost/crashed/timed out/corrupt
         "degradation",  # executor stepped down the ladder
@@ -97,8 +98,8 @@ LAMBDA_PROVENANCE = (
 #: present in ``stats["phase_seconds"]`` (0.0 when a phase never ran).
 PARCUT_PHASES = ("viecut", "capforest", "seq_fallback", "contract")
 
-#: canonical key set of ``parallel_mincut(...).stats`` under schema v2.
-#: Every return path emits exactly these keys.
+#: canonical key set of ``parallel_mincut(...).stats`` under the stats
+#: schema.  Every return path emits exactly these keys.
 PARCUT_STATS_KEYS = frozenset(
     {
         "stats_schema",
@@ -106,7 +107,6 @@ PARCUT_STATS_KEYS = frozenset(
         "executor",
         "kernel",
         "kernel_resolved",
-        "kernel_fallback",
         "workers",
         "rounds",
         "seq_fallback_rounds",
@@ -134,9 +134,9 @@ PARCUT_STATS_KEYS = frozenset(
 #: present in ``stats["phase_seconds"]`` (0.0 when a phase never ran).
 TREEPACK_PHASES = ("packing", "dp")
 
-#: canonical key set of ``karger_nlt_mincut(...).stats`` under schema v2.
-#: Every return path (including disconnected early exit) emits exactly
-#: these keys.
+#: canonical key set of ``karger_nlt_mincut(...).stats`` under the stats
+#: schema.  Every return path (including disconnected early exit) emits
+#: exactly these keys.
 TREEPACK_STATS_KEYS = frozenset(
     {
         "stats_schema",
@@ -248,7 +248,7 @@ def validate_trace_file(path) -> dict:
 
 
 def validate_parcut_stats(stats: dict) -> dict:
-    """Check a ``parallel_mincut`` stats dict against schema v2."""
+    """Check a ``parallel_mincut`` stats dict against the stats schema."""
     if not isinstance(stats, dict):
         raise SchemaError("stats is not a dict")
     if stats.get("stats_schema") != STATS_SCHEMA_VERSION:
@@ -268,7 +268,7 @@ def validate_parcut_stats(stats: dict) -> dict:
 
 
 def validate_treepack_stats(stats: dict) -> dict:
-    """Check a ``karger_nlt_mincut`` stats dict against schema v2."""
+    """Check a ``karger_nlt_mincut`` stats dict against the stats schema."""
     if not isinstance(stats, dict):
         raise SchemaError("stats is not a dict")
     if stats.get("stats_schema") != STATS_SCHEMA_VERSION:

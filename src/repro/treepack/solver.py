@@ -42,7 +42,7 @@ from ..graph.components import connected_components
 from ..graph.csr import Graph
 from ..core.parallel_capforest import check_executor
 from ..core.result import MinCutResult
-from ..observability.schema import TREEPACK_PHASES, TREEPACK_STATS_KEYS
+from ..observability.schema import STATS_SCHEMA_VERSION, TREEPACK_PHASES, TREEPACK_STATS_KEYS
 from ..runtime.supervisor import (
     call_with_degradation,
     raise_for_events,
@@ -119,7 +119,7 @@ def karger_nlt_mincut(
         rng = np.random.default_rng(rng)
 
     stats: dict = {
-        "stats_schema": 2,
+        "stats_schema": STATS_SCHEMA_VERSION,
         "seed": seed,
         "rounds": 0,
         "trees_packed": 0,

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.capforest import check_kernel
+from ..core.result import MinCutResult
 from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_labels, contract_by_union_find
 from ..graph.csr import Graph
-from ..core.result import MinCutResult
 from .label_propagation import LP_METHODS, cluster_labels
 from .padberg_rinaldi import padberg_rinaldi_marks
 
@@ -67,9 +68,9 @@ def viecut(
         identical across kernels.
     kernel:
         Relaxation kernel for the final exact NOI solve on the remnant
-        graph (:data:`repro.kernels.KERNELS`; resolved through
-        :func:`repro.kernels.resolve_kernel`).  Does not change the
-        clustering, so the returned cut is kernel-independent.
+        graph (:data:`repro.core.capforest.KERNELS`; checked on entry).
+        Does not change the clustering, so the returned cut is
+        kernel-independent.
     pr34_max_arcs:
         The triangle/star PR tests (budgeted common-neighbour
         intersections, whose index arrays grow with the budget) run only
@@ -89,22 +90,18 @@ def viecut(
     """
     if lp_method not in LP_METHODS:
         raise ValueError(f"unknown method {lp_method!r}; expected one of {LP_METHODS}")
+    check_kernel(kernel)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
 
-    from ..kernels import resolve_kernel
-
-    requested_kernel = kernel
-    kernel, kernel_fb = resolve_kernel(kernel, tracer=tracer)
     stats: dict = {
         "levels": 0,
         "final_exact_n": 0,
-        "kernel": requested_kernel,
+        "kernel": kernel,
         "kernel_resolved": kernel,
-        "kernel_fallback": kernel_fb,
     }
     if tracer is not None:
         tracer.emit("viecut_start", n=n, m=graph.m, lp_method=lp_method)

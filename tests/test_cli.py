@@ -58,6 +58,11 @@ class TestCli:
             main(["--algorithm", "parcut", "--executor", "threads", metis_file])
         assert exc.value.code == 2
         assert "invalid choice: 'threads'" in capsys.readouterr().err
+        # nor is the retired compiled kernel tier
+        with pytest.raises(SystemExit) as exc:
+            main(["--kernel", "compiled", metis_file])
+        assert exc.value.code == 2
+        assert "invalid choice: 'compiled'" in capsys.readouterr().err
 
 
 class TestCliBatch:

@@ -517,6 +517,29 @@ class TestEngineUpdateStreams:
             res = eng.update(dyn, inserts=[(0, 4, 2)], rng=0)
             assert res.value == minimum_cut(dyn.graph, rng=0).value
 
+    @pytest.mark.parametrize("batch, mode", [
+        ([(0, 1, 5)], "fast-path"),  # inside one K4: the carried cut holds
+        ([(3, 4, 2)], "seeded"),  # the bridge: the cut moves
+    ], ids=["fast-path", "seeded"])
+    @pytest.mark.parametrize("option, match", [
+        ({"kernel": "compiled"}, "unknown kernel 'compiled'"),
+        ({"pq_kind": "bogus"}, "unknown priority queue kind 'bogus'"),
+    ], ids=["kernel", "pq_kind"])
+    def test_bad_option_leaves_handle_untouched(self, dumbbell, batch, mode,
+                                                option, match):
+        # neither warm path runs a solver's entry checks, so the engine
+        # checks the kernel and the queue before it applies the batch
+        with SolverEngine(pool_size=0) as eng:
+            dyn = DynamicGraph(dumbbell)
+            eng.update(dyn, rng=0)
+            version, digest = dyn.version, dyn.digest
+            with pytest.raises(ValueError, match=match):
+                eng.update(dyn, inserts=batch, algorithm="noi-viecut", rng=0, **option)
+            assert (dyn.version, dyn.digest) == (version, digest)
+            res = eng.update(dyn, inserts=batch, algorithm="noi-viecut", rng=0)
+            assert res.stats["warm"]["mode"] == mode
+            assert dyn.version == version + 1
+
     def test_pooled_engine_update_works(self, dumbbell):
         with SolverEngine(pool_size=1) as eng:
             dyn = DynamicGraph(dumbbell)

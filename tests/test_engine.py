@@ -257,10 +257,10 @@ class TestEngineSolving:
     ):
         for g in (dumbbell, weighted_cycle, clique6):
             assert engine.solve(g).value == minimum_cut(g).value
-        # a pool worker runs a "compiled" request as vector, like inline
-        res = engine.solve(clique6, "noi", rng=0, kernel="compiled")
+        # a pool worker runs the kernel named, as inline
+        res = engine.solve(clique6, "noi", rng=0, kernel="scalar")
         assert res.value == minimum_cut(clique6).value
-        assert res.stats["kernel_resolved"] == "vector"
+        assert res.stats["kernel_resolved"] == "scalar"
 
     def test_solve_many_mixed_item_forms(self, engine, dumbbell, weighted_cycle):
         results = engine.solve_many(

@@ -75,4 +75,5 @@ class TestExperimentMains:
         main(["--scale", "0.15"])
         out = capsys.readouterr().out
         assert "Ablation 1" in out
-        assert "Ablation 4" in out
+        assert "Ablation 3" in out
+        assert "Ablation 4" not in out  # the sparse-certificate table is retired

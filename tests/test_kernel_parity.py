@@ -5,9 +5,6 @@ observationally identical to the scalar reference — same λ̂, same marked
 partition, same priority-queue operation counts — on every configuration.
 These tests check that equivalence on random GNM and RMAT instances, for the
 sequential kernel and the full NOI/ParCut drivers.
-
-The registry's ``"compiled"`` entry runs as the vector kernel, so its
-cases repeat the vector ones through the fallback.
 """
 
 from __future__ import annotations
@@ -38,9 +35,10 @@ def _instances():
 
 
 def test_kernel_registry():
-    assert KERNELS == ("scalar", "vector", "compiled")
+    assert KERNELS == ("scalar", "vector")
     assert check_kernel("vector") == "vector"
-    assert check_kernel("compiled") == "compiled"
+    with pytest.raises(ValueError, match="unknown kernel"):
+        check_kernel("compiled")
     with pytest.raises(ValueError, match="unknown kernel"):
         check_kernel("simd")
     with pytest.raises(ValueError, match="unknown kernel"):

@@ -12,7 +12,7 @@ Five acceptance properties from the issue:
 4. Zero overhead when disabled — a ``tracer=None`` run adds no stats keys,
    returns bit-identical results, and trace event volume is independent of
    edge count (round/pass granularity, never per edge).
-5. Stats schema v2 — ``parallel_mincut`` returns the identical key set on
+5. Stats schema — ``parallel_mincut`` returns the identical key set on
    every return path, including the early exits that used to skip the tail.
 """
 
@@ -32,6 +32,7 @@ from repro.observability import (
     EVENT_KINDS,
     LAMBDA_PROVENANCE,
     PARCUT_STATS_KEYS,
+    STATS_SCHEMA_VERSION,
     SchemaError,
     Tracer,
     validate_bench_payload,
@@ -243,7 +244,7 @@ class TestStatsSchemaV2:
         assert all(ks == PARCUT_STATS_KEYS for ks in key_sets.values()), key_sets
         for res in results.values():
             validate_parcut_stats(res.stats)
-            assert res.stats["stats_schema"] == 2
+            assert res.stats["stats_schema"] == STATS_SCHEMA_VERSION
 
     def test_early_exits_carry_finalized_fields(self, trace_graph):
         results = self.every_return_path(trace_graph)
@@ -378,7 +379,7 @@ class TestCli:
         summary = validate_trace_file(trace)
         assert summary["final_lambda"] == value
         doc = json.loads(metrics.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == STATS_SCHEMA_VERSION
         assert doc["value"] == value
         assert doc["trace_summary"]["final_lambda"] == value
         validate_parcut_stats(doc["stats"])

@@ -44,7 +44,11 @@ from repro.service.testing import ServiceThread
 #: the test process; a forked pool worker inherits this value
 PARENT_PID = os.getpid()
 
-BAD_KWARGS = [({"pq_kind": "bogus"}, ValueError), ({"nonsense": 1}, TypeError)]
+BAD_KWARGS = [
+    ({"pq_kind": "bogus"}, ValueError),
+    ({"nonsense": 1}, TypeError),
+    ({"kernel": "compiled"}, ValueError),  # the name of a retired kernel tier
+]
 
 
 def _service(pool_size: int, tracer=None, **config):

@@ -132,9 +132,8 @@ def test_no_segments_leaked_by_lifecycle():
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
-@pytest.mark.parametrize("kernel", ["scalar", "vector", "compiled"])
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
 def test_processes_executor_exact_under_both_start_methods(start_method, kernel):
-    # "compiled" resolves to vector before the pass reaches its workers
     g = connected_gnm(120, 500, rng=3, weights=(1, 9))
     expected = noi_mincut(g, rng=0).value
     before = _shm_names()

@@ -1,6 +1,6 @@
 """Solver options are checked on entry, and NOI reports its phase times.
 
-An invalid queue, executor, worker-count or label-propagation option used
+An invalid queue, kernel, executor, worker-count or label-propagation option used
 to surface only on the path that consumed it: a two-vertex or disconnected
 graph returned a value where a triangle raised.  Every solver now rejects
 it before any work.
@@ -34,6 +34,12 @@ class TestOptionsCheckedOnEntry:
     def test_unknown_queue(self, name, algorithm):
         with pytest.raises(ValueError, match="unknown priority queue kind 'bogus'"):
             minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, pq_kind="bogus")
+
+    @pytest.mark.parametrize("algorithm", ["noi", "noi-hnss", "noi-viecut", "parcut", "viecut"])
+    def test_unknown_kernel(self, name, algorithm):
+        # "compiled" named a retired tier; it fails as any unknown kernel does
+        with pytest.raises(ValueError, match="unknown kernel 'compiled'"):
+            minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, kernel="compiled")
 
     @pytest.mark.parametrize("algorithm", ["noi", "noi-viecut"])
     @pytest.mark.parametrize("pq_kind", ["bqueue", "bstack"])
@@ -147,6 +153,6 @@ def test_phases_that_ran_are_timed():
         ran.append(phases["viecut"] > 0.0)
         assert ran[-1] == (first["n"] - first["marks"] > SMALL_THRESHOLD)
         assert sum(phases.values()) <= wall
-        plain = noi_mincut(g, rng=0, sparsify=True)
+        plain = noi_mincut(g, rng=0)
         assert plain.stats["phase_seconds"]["capforest"] > 0.0
     assert ran == [False, True]

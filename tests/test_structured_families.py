@@ -141,10 +141,3 @@ class TestSymmetricTieBreaking:
         g = from_edges(7, us, vs)
         for pq in ("bstack", "bqueue", "heap"):
             assert minimum_cut(g, algorithm="noi", pq_kind=pq, rng=0).value == 6
-
-
-class TestSparsifiedFacade:
-    def test_sparsify_via_facade(self, dumbbell):
-        res = minimum_cut(dumbbell, algorithm="noi", sparsify=True, rng=0)
-        assert res.value == 1
-        assert res.verify(dumbbell)
