@@ -35,6 +35,7 @@ from ..core.result import MinCutResult
 from ..graph.contract import contract_by_union_find
 from ..graph.csr import Graph
 from ..runtime.faults import FaultPlan
+from ..runtime.supervisor import check_failure_policy
 from ..utils.timers import Timer
 
 
@@ -77,10 +78,7 @@ def matula_approx(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     check_executor(executor, workers)
-    if on_worker_failure not in ("degrade", "fail"):
-        raise ValueError(
-            f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
-        )
+    check_failure_policy(on_worker_failure)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")

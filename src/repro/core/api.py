@@ -29,7 +29,7 @@ Algorithm names (paper variant in brackets):
                    ``on_worker_failure`` (``"degrade"``/``"fail"``) — see
                    :mod:`repro.runtime`
 ``"viecut"``       Inexact multilevel bound (fast, usually exact, no
-                   guarantee)
+                   guarantee); kwargs: ``rng``, ``tracer``
 ``"stoer-wagner"`` Stoer–Wagner baseline
 ``"hao-orlin"``    Hao–Orlin push-relabel baseline [HO-CGKLS]
 ``"karger-stein"`` Randomized recursive contraction (Monte Carlo)
@@ -49,7 +49,10 @@ CLI, and the service (the service maps it to HTTP 400).
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable
+from functools import cache
+from importlib import import_module
 
 import numpy as np
 
@@ -57,33 +60,58 @@ from ..graph.csr import Graph
 from .result import MinCutResult
 
 
-def _noi(graph: Graph, **kw) -> MinCutResult:
-    from .noi import noi_mincut
+#: the solver function each registry entry runs, as ``module:function``
+#: relative to this package (imported on first use, looked up per call)
+_SOLVERS = {
+    "noi": ".noi:noi_mincut",
+    "noi-hnss": ".noi:noi_mincut",
+    "noi-viecut": ".noi:noi_mincut",
+    "parcut": ".mincut:parallel_mincut",
+    "viecut": "..viecut.viecut:viecut",
+    "stoer-wagner": "..baselines.stoer_wagner:stoer_wagner",
+    "hao-orlin": "..baselines.hao_orlin:hao_orlin",
+    "karger-stein": "..baselines.karger_stein:karger_stein",
+    "karger-nlt": "..treepack.solver:karger_nlt_mincut",
+    "matula": "..baselines.matula:matula_approx",
+}
 
-    return noi_mincut(graph, **kw)
+
+def _solver(algorithm: str) -> Callable[..., MinCutResult]:
+    module, name = _SOLVERS[algorithm].split(":")
+    return getattr(import_module(module, __package__), name)
+
+
+def _entry(algorithm: str) -> Callable[..., MinCutResult]:
+    """The registry entry that runs ``algorithm``'s solver unchanged."""
+
+    def run(graph: Graph, **kw) -> MinCutResult:
+        return _solver(algorithm)(graph, **kw)
+
+    return run
+
+
+#: the NOI configuration ``noi-hnss`` runs unless its caller overrides it
+_HNSS_DEFAULTS = {"bounded": False, "pq_kind": "heap"}
+
+#: ``noi_mincut`` keywords the ``noi-viecut`` entry refuses: the seed is its own
+_NOI_VIECUT_REFUSED = ("initial_bound", "initial_side")
 
 
 def _noi_hnss(graph: Graph, **kw) -> MinCutResult:
-    from .noi import noi_mincut
-
-    kw.setdefault("bounded", False)
-    kw.setdefault("pq_kind", "heap")
-    return noi_mincut(graph, **kw)
+    return _solver("noi-hnss")(graph, **{**_HNSS_DEFAULTS, **kw})
 
 
 def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
     from ..utils.timers import Timer
     from ..viecut.viecut import SMALL_THRESHOLD
-    from .capforest import DEFAULT_KERNEL
     from .noi import noi_mincut
 
-    for key in ("initial_bound", "initial_side"):
-        if key in kw:  # the seed is this entry's own
+    for key in _NOI_VIECUT_REFUSED:
+        if key in kw:
             raise TypeError(f"noi-viecut got an unexpected keyword argument {key!r}")
     rng = kw.pop("rng", None)
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
-    kernel = kw.get("kernel", DEFAULT_KERNEL)  # noi_mincut checks it on entry
     timer = Timer()
     seed_value = None
 
@@ -96,7 +124,7 @@ def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
         from ..viecut.viecut import viecut  # looked up per call
 
         with timer.phase("viecut"):
-            cut = viecut(contracted, rng=rng, tracer=kw.get("tracer"), kernel=kernel)
+            cut = viecut(contracted, rng=rng, tracer=kw.get("tracer"))
         seed_value = cut.value
         return cut
 
@@ -108,60 +136,22 @@ def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
     return res
 
 
-def _parcut(graph: Graph, **kw) -> MinCutResult:
-    from .mincut import parallel_mincut
-
-    return parallel_mincut(graph, **kw)
-
-
 def _viecut(graph: Graph, **kw) -> MinCutResult:
-    from ..viecut.viecut import viecut
-
     kw.pop("compute_side", None)
-    return viecut(graph, **kw)
-
-
-def _stoer_wagner(graph: Graph, **kw) -> MinCutResult:
-    from ..baselines.stoer_wagner import stoer_wagner
-
-    return stoer_wagner(graph, **kw)
-
-
-def _hao_orlin(graph: Graph, **kw) -> MinCutResult:
-    from ..baselines.hao_orlin import hao_orlin
-
-    return hao_orlin(graph, **kw)
-
-
-def _karger_stein(graph: Graph, **kw) -> MinCutResult:
-    from ..baselines.karger_stein import karger_stein
-
-    return karger_stein(graph, **kw)
-
-
-def _karger_nlt(graph: Graph, **kw) -> MinCutResult:
-    from ..treepack.solver import karger_nlt_mincut
-
-    return karger_nlt_mincut(graph, **kw)
-
-
-def _matula(graph: Graph, **kw) -> MinCutResult:
-    from ..baselines.matula import matula_approx
-
-    return matula_approx(graph, **kw)
+    return _solver("viecut")(graph, **kw)
 
 
 ALGORITHMS: dict[str, Callable[..., MinCutResult]] = {
-    "noi": _noi,
+    "noi": _entry("noi"),
     "noi-hnss": _noi_hnss,
     "noi-viecut": _noi_viecut,
-    "parcut": _parcut,
+    "parcut": _entry("parcut"),
     "viecut": _viecut,
-    "stoer-wagner": _stoer_wagner,
-    "hao-orlin": _hao_orlin,
-    "karger-stein": _karger_stein,
-    "karger-nlt": _karger_nlt,
-    "matula": _matula,
+    "stoer-wagner": _entry("stoer-wagner"),
+    "hao-orlin": _entry("hao-orlin"),
+    "karger-stein": _entry("karger-stein"),
+    "karger-nlt": _entry("karger-nlt"),
+    "matula": _entry("matula"),
 }
 
 #: algorithms guaranteed to return the exact minimum cut
@@ -173,6 +163,50 @@ EXACT_ALGORITHMS = (
 #: algorithms that accept ``tracer=`` (a :class:`repro.observability.Tracer`)
 #: and emit structured trace events; the CLI's ``--trace`` is limited to these
 TRACEABLE_ALGORITHMS = ("noi", "noi-hnss", "noi-viecut", "parcut", "viecut", "karger-nlt")
+
+
+@cache
+def _entry_options(algorithm: str) -> tuple[frozenset, dict]:
+    """The keywords ``algorithm``'s entry takes, and its defaults for them."""
+    params = inspect.signature(_solver(algorithm)).parameters
+    defaults = {name: p.default for name, p in params.items() if name != "graph"}
+    taken = set(defaults)
+    if algorithm == "noi-hnss":
+        defaults.update(_HNSS_DEFAULTS)
+    elif algorithm == "noi-viecut":
+        taken -= {*_NOI_VIECUT_REFUSED, "_seed_hook"}
+    elif algorithm == "viecut":
+        taken.add("compute_side")  # the entry drops it
+    return frozenset(taken), defaults
+
+
+def check_options(algorithm: str, kwargs: dict) -> None:
+    """Raise what ``algorithm``'s entry raises for ``kwargs`` before it solves.
+
+    A keyword the entry does not take raises ``TypeError``.  The kernel,
+    the queue, the executor with its worker count, and the worker-failure
+    policy go through the solvers' own checks, with the entry's defaults
+    for whatever ``kwargs`` leaves out.  :meth:`SolverEngine.update
+    <repro.engine.SolverEngine.update>` runs this before it applies a
+    batch, because its warm paths run no solver.
+    """
+    from ..runtime.supervisor import check_failure_policy
+    from .capforest import check_kernel, check_queue
+    from .parallel_capforest import check_executor
+
+    taken, defaults = _entry_options(algorithm)
+    for key in kwargs:
+        if key not in taken:
+            raise TypeError(f"{algorithm} got an unexpected keyword argument {key!r}")
+    opts = {**defaults, **kwargs}
+    if "kernel" in opts:
+        check_kernel(opts["kernel"])
+    if "pq_kind" in opts:
+        check_queue(opts["pq_kind"], opts.get("bounded", True))
+    if "executor" in opts:  # karger-nlt's workers=None picks a count >= 1
+        check_executor(opts["executor"], 1 if opts["workers"] is None else opts["workers"])
+    if "on_worker_failure" in opts:
+        check_failure_policy(opts["on_worker_failure"])
 
 
 class UnknownAlgorithmError(ValueError):

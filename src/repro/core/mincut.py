@@ -54,7 +54,7 @@ from ..graph.csr import Graph
 from ..graph.parallel_contract import parallel_contract_by_labels
 from ..observability import PARCUT_PHASES, STATS_SCHEMA_VERSION, Tracer
 from ..runtime.faults import FaultPlan
-from ..runtime.supervisor import call_with_degradation, raise_for_events
+from ..runtime.supervisor import call_with_degradation, check_failure_policy, raise_for_events
 from ..utils.timers import Timer
 from .capforest import capforest, check_kernel, check_queue
 from .noi import Incumbent, _absorb, contraction_rounds
@@ -180,11 +180,11 @@ def parallel_mincut(
         :mod:`~repro.core.parallel_capforest`.
     kernel:
         CAPFOREST relaxation kernel (``"scalar"`` or ``"vector"`` —
-        :data:`~repro.core.capforest.KERNELS`) of the VieCut seed and the
-        sequential fallback pass.  It does not reach the parallel region
-        workers, which run the sequential pass's scan core on arrays on
-        ``processes`` with the BQueue (draining at-the-clamp buckets)
-        whatever the kernel, and on lists otherwise (each
+        :data:`~repro.core.capforest.KERNELS`) of the sequential fallback
+        pass, the only place it reaches.  The VieCut seed takes none, and
+        the parallel region workers run the sequential pass's scan core on
+        arrays on ``processes`` with the BQueue (draining at-the-clamp
+        buckets) whatever the kernel, and on lists otherwise (each
         ``parallel_pass`` trace event names which ran).
     start_method:
         Multiprocessing start method for ``executor="processes"`` (default:
@@ -207,10 +207,7 @@ def parallel_mincut(
         round / λ̂ / worker / degradation events.  ``None`` (default) emits
         nothing and adds no per-edge work.
     """
-    if on_worker_failure not in ("degrade", "fail"):
-        raise ValueError(
-            f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
-        )
+    check_failure_policy(on_worker_failure)
     check_queue(pq_kind)
     check_kernel(kernel)
     check_executor(executor, workers)
@@ -247,7 +244,7 @@ def parallel_mincut(
         # Algorithm 2 line 1: VieCut's synchronous LP is the same on
         # every executor, so the seed does not depend on the executor
         with timer.phase("viecut"):
-            cut = viecut(graph, rng=rng, tracer=tracer, kernel=kernel)
+            cut = viecut(graph, rng=rng, tracer=tracer)
         stats["viecut_value"] = cut.value
         inc.offer(cut.value, "viecut", lambda: cut.side)
         return graph

@@ -406,23 +406,18 @@ class SolverEngine:
         completion on the calling thread (they are the cheap path).
         ``result.stats["warm"]`` records which path ran.
         """
-        from ..core.api import EXACT_ALGORITHMS, attach_cactus
-        from ..core.capforest import check_kernel, check_queue
-        from ..dynamic import WARMABLE_ALGORITHMS, make_warm_state, warm_solve
+        from ..core.api import EXACT_ALGORITHMS, attach_cactus, check_options
+        from ..dynamic import make_warm_state, warm_solve
 
         algorithm, options = self._check_request(
             algorithm, all_cuts, most_balanced, kwargs, deadline
         )
         # canary keying: reject uncanonicalisable kwargs *before* mutating
         # the graph, so a bad request leaves the handle untouched; the warm
-        # paths run none of a solver's entry checks, so the kernel and the
-        # queue are checked here too
+        # paths run none of a solver's entry checks, so those run here too,
+        # on every kwarg but the engine's own fault hook
         request_key("0" * 32, algorithm, kwargs, options)
-        if "kernel" in kwargs:
-            check_kernel(kwargs["kernel"])
-        if kwargs.get("pq_kind") is not None:
-            bounded = WARMABLE_ALGORITHMS.get(algorithm, {}).get("bounded", True)
-            check_queue(kwargs["pq_kind"], kwargs.get("bounded", bounded))
+        check_options(algorithm, {k: v for k, v in kwargs.items() if k != "_test_fault"})
         with self._lock:
             if self._closing or self._closed:
                 raise EngineClosed("engine is closed")

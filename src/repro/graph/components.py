@@ -33,21 +33,6 @@ def connected_components(graph: Graph) -> tuple[int, np.ndarray]:
     return components_from_csr(graph.xadj, graph.adjncy)
 
 
-def components_from_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of the graph induced by an arbitrary arc set.
-
-    ``src``/``dst`` need not be symmetric (each undirected edge may appear
-    in either or both directions) nor grouped: both directions are added
-    and the arcs sorted by source before :func:`components_from_csr`.
-    """
-    tails = np.concatenate((src, dst))
-    heads = np.concatenate((dst, src))
-    order = np.argsort(tails, kind="stable")
-    xadj = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=xadj[1:])
-    return components_from_csr(xadj, heads[order])
-
-
 def components_from_csr(xadj: np.ndarray, heads: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of a symmetric arc set grouped by source.
 

@@ -183,6 +183,16 @@ def raise_for_events(executor: str, events: list[dict]):
     raise ExecutorUnavailable(executor, "no workers reported", events)
 
 
+def check_failure_policy(policy: str) -> None:
+    """Validate an ``on_worker_failure`` policy: ``"degrade"`` or ``"fail"``.
+
+    Every solver with supervised passes calls this on entry, so a bad
+    policy fails on every graph, including those that never run a pass.
+    """
+    if policy not in ("degrade", "fail"):
+        raise ValueError(f"on_worker_failure must be 'degrade' or 'fail', got {policy!r}")
+
+
 def call_with_degradation(
     call,
     executor: str,
@@ -207,8 +217,7 @@ def call_with_degradation(
     Returns ``(result, executor_used)`` so callers can stay degraded for
     subsequent rounds instead of re-paying the failure each time.
     """
-    if policy not in ("degrade", "fail"):
-        raise ValueError(f"unknown degradation policy {policy!r}")
+    check_failure_policy(policy)
     while True:
         try:
             return call(executor), executor

@@ -45,6 +45,7 @@ from ..core.result import MinCutResult
 from ..observability.schema import STATS_SCHEMA_VERSION, TREEPACK_PHASES, TREEPACK_STATS_KEYS
 from ..runtime.supervisor import (
     call_with_degradation,
+    check_failure_policy,
     raise_for_events,
     supervise_processes,
 )
@@ -110,10 +111,7 @@ def karger_nlt_mincut(
         workers = min(4, os.cpu_count() or 1)
     check_executor(executor, workers)
     workers = int(workers)
-    if on_worker_failure not in ("degrade", "fail"):
-        raise ValueError(
-            f"on_worker_failure must be 'degrade' or 'fail', got {on_worker_failure!r}"
-        )
+    check_failure_policy(on_worker_failure)
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)

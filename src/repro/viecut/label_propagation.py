@@ -2,13 +2,13 @@
 
 VieCut (paper §2.4) finds clusters with strong intra-cluster connectivity
 and contracts them, betting that the minimum cut does not split a cluster.
-Label propagation: every vertex starts in its own cluster; in each of a
-fixed number of rounds the vertices are visited in random order and each
-adopts the label with the largest total incident edge weight among its
-neighbours.  Sequential running time is O(n + m) per round.
+Label propagation: every vertex starts in its own cluster, and in each of
+a small fixed number of rounds every vertex adopts the label with the
+largest total incident edge weight among its neighbours.
 
-VieCut runs :func:`propagate_labels_sync` on every executor.  Each of its
-half-rounds reads only labels fixed before the half-round starts, so it is
+:func:`propagate_labels_sync` is the one engine, on every executor.  Each
+round updates two complementary random halves of the vertices in turn,
+and each half-round reads only labels fixed before it starts, so it is
 the paper's shared-memory parallel label propagation without the races:
 the same clustering for a given seed, whatever the executor.
 
@@ -24,56 +24,6 @@ import numpy as np
 
 from ..graph.csr import Graph
 
-#: propagation engines accepted by :func:`cluster_labels` (``method=``)
-LP_METHODS = ("async", "sync")
-
-
-def propagate_labels(
-    graph: Graph,
-    *,
-    iterations: int = 2,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Raw label propagation: ``int64[n]`` label per vertex (not dense).
-
-    Ties are broken towards the currently held label (stability), then
-    towards the first maximal label encountered in adjacency order.
-    """
-    if iterations < 0:
-        raise ValueError(f"iterations must be non-negative, got {iterations}")
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    n = graph.n
-    labels = list(range(n))
-    xadj = graph.xadj.tolist()
-    adjncy = graph.adjncy
-    adjwgt = graph.adjwgt
-
-    for _ in range(iterations):
-        order = rng.permutation(n)
-        changed = 0
-        for v in order.tolist():
-            lo, hi = xadj[v], xadj[v + 1]
-            if lo == hi:
-                continue
-            nbrs = adjncy[lo:hi].tolist()
-            wgts = adjwgt[lo:hi].tolist()
-            gain: dict[int, int] = {}
-            for u, w in zip(nbrs, wgts):
-                lab = labels[u]
-                gain[lab] = gain.get(lab, 0) + w
-            own = labels[v]
-            best_label, best_gain = own, gain.get(own, 0)
-            for lab, g in gain.items():
-                if g > best_gain:
-                    best_label, best_gain = lab, g
-            if best_label != own:
-                labels[v] = best_label
-                changed += 1
-        if changed == 0:
-            break
-    return np.array(labels, dtype=np.int64)
-
 
 def propagate_labels_sync(
     graph: Graph,
@@ -84,12 +34,10 @@ def propagate_labels_sync(
     """Synchronous (Jacobi-style) label propagation, fully vectorized.
 
     Each round, every vertex simultaneously adopts the label with the
-    largest incident weight *as of the previous round*.  Unlike the
-    asynchronous scan of :func:`propagate_labels` this needs no per-vertex
-    Python loop: a sort groups the arcs by ``(tail, head-label)`` and one
-    ``np.maximum.reduceat`` per tail picks each vertex's winner —
-    O(m log m) in numpy (the hpc-parallel guides' vectorization rule
-    applied to LP).
+    largest incident weight *as of the previous round*.  There is no
+    per-vertex Python loop: a sort groups the arcs by ``(tail,
+    head-label)`` and one ``np.maximum.reduceat`` per tail picks each
+    vertex's winner — O(m log m) in numpy.
 
     Fully synchronous updates oscillate on symmetric structures (two
     vertices adopting each other's labels forever), so each round applies
@@ -97,9 +45,7 @@ def propagate_labels_sync(
     vertices in turn — the standard semi-synchronous symmetry breaker —
     and a half-update groups only the arcs of the vertices it updates.
     Ties break toward the currently held label, then toward the largest
-    label.  Cluster quality is statistically indistinguishable from the
-    asynchronous scan for VieCut's purposes (tests assert the dumbbell and
-    suite behaviours), at roughly a tenth of the interpreter cost.
+    label.  A round that changes no label ends the propagation early.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
@@ -171,24 +117,14 @@ def cluster_labels(
     *,
     iterations: int = 2,
     rng: np.random.Generator | int | None = None,
-    method: str = "async",
 ) -> np.ndarray:
     """Dense, connectivity-respecting cluster labels in ``[0, nc)``.
 
     Two vertices share a cluster iff they are joined by a path of edges
-    whose endpoints carry the same propagated label — exactly the blocks
-    VieCut contracts.
-
-    ``method`` selects the propagation engine: ``"async"`` (the reference
-    sequential scan) or ``"sync"`` (vectorized synchronous rounds — the
-    path VieCut uses by default, on every ParCut executor).
+    whose endpoints carry the same label after ``iterations`` rounds of
+    :func:`propagate_labels_sync` — exactly the blocks VieCut contracts.
     """
-    if method not in LP_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {LP_METHODS}")
-    if method == "sync":
-        raw = propagate_labels_sync(graph, iterations=iterations, rng=rng)
-    else:
-        raw = propagate_labels(graph, iterations=iterations, rng=rng)
+    raw = propagate_labels_sync(graph, iterations=iterations, rng=rng)
     return _split_into_connected_clusters(graph, raw)
 
 

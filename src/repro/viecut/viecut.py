@@ -18,29 +18,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.capforest import check_kernel
 from ..core.result import MinCutResult
 from ..graph.components import connected_components
 from ..graph.contract import compose_labels, contract_by_labels, contract_by_union_find
 from ..graph.csr import Graph
-from .label_propagation import LP_METHODS, cluster_labels
+from .label_propagation import cluster_labels
 from .padberg_rinaldi import padberg_rinaldi_marks
 
-#: default ``small_threshold``: graphs of at most this many vertices are
-#: not clustered, VieCut solves them exactly with NOI straight away
+# The loop's constants, read at call time.
+
+#: label-propagation rounds per level (the paper uses a small constant)
+LP_ITERATIONS = 2
+
+#: graphs of at most this many vertices are not clustered: VieCut solves
+#: them exactly with NOI straight away
 SMALL_THRESHOLD = 64
+
+#: cap on multilevel levels: label propagation is randomized and may stall,
+#: and a stalled level falls through to the exact solve
+MAX_LEVELS = 32
+
+#: the triangle/star PR tests (budgeted common-neighbour intersections,
+#: whose index arrays grow with the budget) run only once the contracted
+#: graph has at most this many arcs; PR1/PR2 always run.  Keeps the VieCut
+#: constant linear-ish on large inputs, as the paper's linear-work PR pass
+#: does
+PR34_MAX_ARCS = 1 << 16
 
 
 def viecut(
     graph: Graph,
     *,
-    lp_iterations: int = 2,
-    small_threshold: int = SMALL_THRESHOLD,
-    max_rounds: int = 32,
     rng: np.random.Generator | int | None = None,
-    lp_method: str = "sync",
-    kernel: str = "scalar",
-    pr34_max_arcs: int = 1 << 16,
     tracer=None,
 ) -> MinCutResult:
     """Fast inexact minimum cut (upper bound with a certified side).
@@ -49,34 +58,8 @@ def viecut(
     ----------
     graph:
         Weighted undirected graph with ``n >= 2``.
-    lp_iterations:
-        Label-propagation rounds per level (the paper uses a small constant).
-    small_threshold:
-        Once at most this many supervertices remain, finish exactly with NOI.
-    max_rounds:
-        Safety valve on multilevel rounds (label propagation is randomized
-        and may stall; a stalled round falls through to the exact solve).
     rng:
-        Seed or generator.
-    lp_method:
-        Label-propagation engine
-        (:data:`~repro.viecut.label_propagation.LP_METHODS`): ``"sync"``
-        (synchronous half-rounds as array passes, the default) or
-        ``"async"`` (the reference sequential scan).  Checked on entry,
-        even when the graph is too small to cluster.  The default stays
-        ``"sync"`` regardless of ``kernel`` so a solver's clustering is
-        identical across kernels.
-    kernel:
-        Relaxation kernel for the final exact NOI solve on the remnant
-        graph (:data:`repro.core.capforest.KERNELS`; checked on entry).
-        Does not change the clustering, so the returned cut is
-        kernel-independent.
-    pr34_max_arcs:
-        The triangle/star PR tests (budgeted common-neighbour
-        intersections, whose index arrays grow with the budget) run only
-        once the contracted graph has at most this many arcs; PR1/PR2
-        always run.  Keeps the VieCut constant linear-ish on large inputs,
-        as the paper's linear-work PR pass does.
+        Seed or generator for the label propagation and the remnant solve.
     tracer:
         Optional :class:`repro.observability.Tracer` receiving
         ``viecut_start`` / ``viecut_level`` / ``viecut_end`` events (one
@@ -86,25 +69,19 @@ def viecut(
     -------
     MinCutResult
         ``result.value`` is the capacity of the cut ``result.side`` — an
-        upper bound on λ(G), usually equal to it.
+        upper bound on λ(G), usually equal to it.  ``stats`` holds the
+        number of multilevel ``levels`` and the vertex count of the
+        remnant solved exactly (``final_exact_n``).
     """
-    if lp_method not in LP_METHODS:
-        raise ValueError(f"unknown method {lp_method!r}; expected one of {LP_METHODS}")
-    check_kernel(kernel)
     n = graph.n
     if n < 2:
         raise ValueError(f"minimum cut requires at least 2 vertices, got {n}")
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
 
-    stats: dict = {
-        "levels": 0,
-        "final_exact_n": 0,
-        "kernel": kernel,
-        "kernel_resolved": kernel,
-    }
+    stats: dict = {"levels": 0, "final_exact_n": 0}
     if tracer is not None:
-        tracer.emit("viecut_start", n=n, m=graph.m, lp_method=lp_method)
+        tracer.emit("viecut_start", n=n, m=graph.m)
 
     ncomp, comp_labels = connected_components(graph)
     if ncomp > 1:
@@ -119,11 +96,11 @@ def viecut(
 
     labels = np.arange(n, dtype=np.int64)
     g = graph
-    for _ in range(max_rounds):
-        if g.n <= small_threshold:
+    for _ in range(MAX_LEVELS):
+        if g.n <= SMALL_THRESHOLD:
             break
         # level: label propagation clustering + contraction
-        clusters = cluster_labels(g, iterations=lp_iterations, rng=rng, method=lp_method)
+        clusters = cluster_labels(g, iterations=LP_ITERATIONS, rng=rng)
         if int(clusters.max()) + 1 == g.n:
             break  # no cluster merged anything; LP has stalled
         level_n = g.n
@@ -142,8 +119,8 @@ def viecut(
             best_value = d
             best_side = labels == v
         # Padberg–Rinaldi pass on the contracted graph (PR3/4 only when the
-        # graph is small enough for their intersection arrays, see docstring)
-        if g.num_arcs <= pr34_max_arcs:
+        # graph is small enough for their intersection arrays)
+        if g.num_arcs <= PR34_MAX_ARCS:
             uf = padberg_rinaldi_marks(g, best_value)
         else:
             from .padberg_rinaldi import pr12_marks
@@ -163,7 +140,8 @@ def viecut(
     if g.n >= 2:
         from ..core.noi import noi_mincut  # local import: noi ⇄ viecut seeding
 
-        exact = noi_mincut(g, pq_kind="heap", bounded=True, rng=rng, kernel=kernel)
+        # a heap scan keeps its state in lists whatever the kernel
+        exact = noi_mincut(g, pq_kind="heap", bounded=True, rng=rng)
         if exact.value < best_value:
             best_value = exact.value
             best_side = exact.side[labels]

@@ -63,6 +63,9 @@ class TestCli:
             main(["--kernel", "compiled", metis_file])
         assert exc.value.code == 2
         assert "invalid choice: 'compiled'" in capsys.readouterr().err
+        # VieCut takes no kernel
+        assert main(["--algorithm", "viecut", "--kernel", "vector", metis_file]) == 2
+        assert "unexpected keyword argument 'kernel'" in capsys.readouterr().err
 
 
 class TestCliBatch:

@@ -28,11 +28,10 @@ class TestRegistry:
         from repro.core import KERNELS as core_kernels
         from repro.core.mincut import check_kernel as parcut_check
         from repro.core.noi import check_kernel as noi_check
-        from repro.viecut.viecut import check_kernel as viecut_check
 
         assert KERNELS == ("scalar", "vector")
         assert core_kernels is KERNELS
-        assert parcut_check is noi_check is viecut_check is check_kernel
+        assert parcut_check is noi_check is check_kernel
 
     def test_cli_choices_come_from_registry(self):
         import argparse

@@ -521,20 +521,36 @@ class TestEngineUpdateStreams:
         ([(0, 1, 5)], "fast-path"),  # inside one K4: the carried cut holds
         ([(3, 4, 2)], "seeded"),  # the bridge: the cut moves
     ], ids=["fast-path", "seeded"])
-    @pytest.mark.parametrize("option, match", [
-        ({"kernel": "compiled"}, "unknown kernel 'compiled'"),
-        ({"pq_kind": "bogus"}, "unknown priority queue kind 'bogus'"),
-    ], ids=["kernel", "pq_kind"])
+    @pytest.mark.parametrize("algorithm, option, error, match", [
+        ("noi-viecut", {"kernel": "compiled"}, ValueError, "unknown kernel 'compiled'"),
+        ("noi-viecut", {"pq_kind": "bogus"}, ValueError,
+         "unknown priority queue kind 'bogus'"),
+        ("parcut", {"executor": "threads"}, ValueError, "unknown executor 'threads'"),
+        ("parcut", {"workers": 0}, ValueError, "workers must be >= 1"),
+        ("parcut", {"on_worker_failure": "bogus"}, ValueError,
+         "on_worker_failure must be 'degrade' or 'fail'"),
+        ("parcut", {"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'"),
+        ("noi", {"executor": "threads"}, TypeError, "unexpected keyword argument 'executor'"),
+        ("noi", {"workers": 0}, TypeError, "unexpected keyword argument 'workers'"),
+        ("noi", {"on_worker_failure": "bogus"}, TypeError,
+         "unexpected keyword argument 'on_worker_failure'"),
+        ("noi", {"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'"),
+        ("viecut", {"lp_method": "sync"}, TypeError,
+         "unexpected keyword argument 'lp_method'"),
+    ], ids=["kernel", "pq_kind", "parcut-executor", "parcut-workers",
+            "parcut-on_worker_failure", "parcut-bogus", "noi-executor", "noi-workers",
+            "noi-on_worker_failure", "noi-bogus", "viecut-lp_method"])
     def test_bad_option_leaves_handle_untouched(self, dumbbell, batch, mode,
-                                                option, match):
-        # neither warm path runs a solver's entry checks, so the engine
-        # checks the kernel and the queue before it applies the batch
+                                                algorithm, option, error, match):
+        # neither warm path runs a solver's entry checks, and a cold solve
+        # runs them only after the batch is in, so the engine checks the
+        # options the algorithm's solver checks before it applies the batch
         with SolverEngine(pool_size=0) as eng:
             dyn = DynamicGraph(dumbbell)
             eng.update(dyn, rng=0)
             version, digest = dyn.version, dyn.digest
-            with pytest.raises(ValueError, match=match):
-                eng.update(dyn, inserts=batch, algorithm="noi-viecut", rng=0, **option)
+            with pytest.raises(error, match=match):
+                eng.update(dyn, inserts=batch, algorithm=algorithm, rng=0, **option)
             assert (dyn.version, dyn.digest) == (version, digest)
             res = eng.update(dyn, inserts=batch, algorithm="noi-viecut", rng=0)
             assert res.stats["warm"]["mode"] == mode

@@ -122,24 +122,6 @@ class TestLargestComponent:
         assert np.array_equal(ids, np.arange(8))
 
 
-class TestComponentsFromArcs:
-    def test_asymmetric_arc_input(self):
-        from repro.graph.components import components_from_arcs
-
-        # one-directional arcs must still union both endpoints
-        k, labels = components_from_arcs(4, np.array([0, 2]), np.array([1, 3]))
-        assert k == 2
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[0] != labels[2]
-
-    def test_empty_arcs(self):
-        from repro.graph.components import components_from_arcs
-
-        k, labels = components_from_arcs(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert k == 3
-
-
 class TestSortedInvariant:
     def test_builder_output_sorted(self):
         rng = np.random.default_rng(3)

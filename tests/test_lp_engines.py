@@ -1,4 +1,4 @@
-"""Tests for the two label-propagation engines and their agreement."""
+"""Tests for the synchronous label-propagation engine that VieCut runs."""
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ class TestSyncEngine:
             propagate_labels_sync(dumbbell, iterations=-1)
 
     def test_dumbbell_blobs_separate(self, dumbbell):
-        labels = cluster_labels(dumbbell, iterations=3, rng=0, method="sync")
+        labels = cluster_labels(dumbbell, iterations=3, rng=0)
         left = {labels[i] for i in range(4)}
         right = {labels[i] for i in range(4, 8)}
         assert len(left) == 1 and len(right) == 1 and left != right
@@ -58,36 +58,25 @@ class TestSyncEngine:
 
 
 class TestEngineAgreement:
-    """The engines are different heuristics; they must agree on *structure*
-    (cluster quality on community graphs), not on exact labels."""
+    """Cluster structure, not exact labels: community graphs coarsen and
+    every cluster is connected (the ids name the engine, one since the
+    asynchronous scan was retired)."""
 
-    @pytest.mark.parametrize("method", ["async", "sync"])
+    @pytest.mark.parametrize("method", ["sync"])
     def test_community_graph_coarsens(self, method):
         g = chung_lu(600, 14, gamma=2.5, communities=6, mu=0.8, rng=2)
-        labels = cluster_labels(g, iterations=3, rng=0, method=method)
+        labels = cluster_labels(g, iterations=3, rng=0)
         nc = labels.max() + 1
         assert 2 <= nc <= g.n // 3, f"{method}: {nc} clusters"
 
-    @pytest.mark.parametrize("method", ["async", "sync"])
+    @pytest.mark.parametrize("method", ["sync"])
     def test_clusters_connected(self, method):
         from repro.graph.components import connected_components_bfs, induced_subgraph
 
         rng = np.random.default_rng(4)
         g = connected_gnm(40, 90, rng=rng)
-        labels = cluster_labels(g, iterations=2, rng=1, method=method)
+        labels = cluster_labels(g, iterations=2, rng=1)
         for c in range(labels.max() + 1):
             sub, _ = induced_subgraph(g, np.flatnonzero(labels == c))
             ncomp, _ = connected_components_bfs(sub)
             assert ncomp == 1
-
-    def test_unknown_method_rejected(self, dumbbell):
-        with pytest.raises(ValueError):
-            cluster_labels(dumbbell, method="quantum")
-
-    def test_viecut_async_engine_still_works(self):
-        from repro.viecut import viecut
-
-        rng = np.random.default_rng(6)
-        g = connected_gnm(80, 240, rng=rng, weights=(1, 5))
-        res = viecut(g, rng=0, lp_method="async")
-        assert res.verify(g)

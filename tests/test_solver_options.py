@@ -1,6 +1,6 @@
 """Solver options are checked on entry, and NOI reports its phase times.
 
-An invalid queue, kernel, executor, worker-count or label-propagation option used
+An invalid queue, kernel, executor or worker-count option used
 to surface only on the path that consumed it: a two-vertex or disconnected
 graph returned a value where a triangle raised.  Every solver now rejects
 it before any work.
@@ -35,7 +35,7 @@ class TestOptionsCheckedOnEntry:
         with pytest.raises(ValueError, match="unknown priority queue kind 'bogus'"):
             minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, pq_kind="bogus")
 
-    @pytest.mark.parametrize("algorithm", ["noi", "noi-hnss", "noi-viecut", "parcut", "viecut"])
+    @pytest.mark.parametrize("algorithm", ["noi", "noi-hnss", "noi-viecut", "parcut"])
     def test_unknown_kernel(self, name, algorithm):
         # "compiled" named a retired tier; it fails as any unknown kernel does
         with pytest.raises(ValueError, match="unknown kernel 'compiled'"):
@@ -58,16 +58,20 @@ class TestOptionsCheckedOnEntry:
             with pytest.raises(ValueError, match=match):
                 minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, **option)
 
-    def test_unknown_lp_method(self, name):
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            viecut(SMALL_GRAPHS[name], lp_method="bogus")
+    def test_retired_viecut_keywords(self, name):
+        # VieCut takes only rng and tracer; its retired options are unknown
+        retired = {"lp_method": "sync", "kernel": "scalar", "lp_iterations": 2,
+                   "max_rounds": 32, "small_threshold": 64, "pr34_max_arcs": 1 << 16}
+        for key, value in retired.items():
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+                minimum_cut(SMALL_GRAPHS[name], algorithm="viecut", **{key: value})
 
     def test_valid_options_still_solve(self, name):
         g = SMALL_GRAPHS[name]
         expected = minimum_cut(g, algorithm="stoer-wagner").value
         assert noi_mincut(g, bounded=False, pq_kind="heap").value == expected
         assert parallel_mincut(g, pq_kind="bstack", rng=0).value == expected
-        assert viecut(g, lp_method="async").value >= expected
+        assert viecut(g, rng=0).value >= expected
 
 
 def test_noi_viecut_fails_before_viecut(monkeypatch):

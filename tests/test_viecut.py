@@ -10,7 +10,6 @@ from repro.viecut import (
     cluster_labels,
     pr12_marks,
     pr34_marks,
-    propagate_labels,
     viecut,
 )
 
@@ -54,7 +53,7 @@ class TestLabelPropagation:
 
     def test_negative_iterations_rejected(self, dumbbell):
         with pytest.raises(ValueError):
-            propagate_labels(dumbbell, iterations=-1)
+            cluster_labels(dumbbell, iterations=-1)
 
     def test_isolated_vertex_keeps_own_label(self):
         g = from_edges(3, [0], [1])

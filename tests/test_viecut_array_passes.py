@@ -355,7 +355,7 @@ class TestLabelsAndComponents:
 
     def test_cluster_labels_sync(self, name, graph):
         for seed in range(3):
-            got = cluster_labels(graph, rng=seed, method="sync")
+            got = cluster_labels(graph, rng=seed)
             want = oracle_split(graph, oracle_sync(graph, rng=seed))
             assert np.array_equal(got, want)
 
@@ -391,22 +391,6 @@ def test_sync_ties_pick_the_largest_label():
                               oracle_sync(g, iterations=1, rng=seed))
 
 
-def test_components_from_arcs_any_direction():
-    rng = np.random.default_rng(11)
-    for n, arcs in ((1, 0), (7, 3), (50, 40), (200, 150), (300, 600)):
-        src = rng.integers(0, n, size=arcs)
-        dst = rng.integers(0, n, size=arcs)
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        k, labels = components_mod.components_from_arcs(n, src, dst)
-        k_ref, labels_ref = oracle_components_from_arcs(n, src, dst)
-        assert k == k_ref
-        assert np.array_equal(labels, labels_ref)
-        # each undirected edge listed once, in whichever direction
-        k2, labels2 = components_mod.components_from_arcs(n, dst, src)
-        assert k2 == k and np.array_equal(labels2, labels)
-
-
 # ---------------------------------------------------------------------------
 # whole VieCut runs
 # ---------------------------------------------------------------------------
@@ -434,13 +418,24 @@ VIECUT_GRAPHS = [(name, g) for name, g in GRAPHS if g.n >= 2]
 
 @pytest.mark.parametrize("name, graph", VIECUT_GRAPHS,
                          ids=[name for name, _ in VIECUT_GRAPHS])
-def test_viecut_matches_the_loops(name, graph, oracles_patched):
-    kwargs = [dict(small_threshold=8), dict(small_threshold=8, pr34_max_arcs=0), {}]
-    got = [viecut_mod.viecut(graph, rng=seed, **kw)
-           for seed in range(3) for kw in kwargs]
+def test_viecut_matches_the_loops(name, graph, oracles_patched, monkeypatch):
+    # (SMALL_THRESHOLD, PR34_MAX_ARCS): cluster small graphs too, with and
+    # without the triangle/star tests, then the shipped constants
+    configs = [(8, viecut_mod.PR34_MAX_ARCS), (8, 0),
+               (viecut_mod.SMALL_THRESHOLD, viecut_mod.PR34_MAX_ARCS)]
+
+    def runs():
+        out = []
+        for seed in range(3):
+            for small, pr34 in configs:
+                monkeypatch.setattr(viecut_mod, "SMALL_THRESHOLD", small)
+                monkeypatch.setattr(viecut_mod, "PR34_MAX_ARCS", pr34)
+                out.append(viecut_mod.viecut(graph, rng=seed))
+        return out
+
+    got = runs()
     oracles_patched()
-    want = [viecut_mod.viecut(graph, rng=seed, **kw)
-            for seed in range(3) for kw in kwargs]
+    want = runs()
     for a, b in zip(got, want):
         assert a.value == b.value
         assert np.array_equal(a.side, b.side)
