@@ -80,6 +80,7 @@ def test_record_engine_throughput():
     samples: dict[str, list[float]] = {
         "per-solve-parcut": [], "engine-nocache": [], "engine-warm": [],
     }
+    kernels: set[str] = set()  # the kernel every solve reports it ran
     with SolverEngine(pool_size=2, default_algorithm="parcut") as engine:
         # engine warm-up: export the planes and populate the cache once,
         # so pair 1 measures the steady state the engine is built for
@@ -108,9 +109,11 @@ def test_record_engine_throughput():
             base = [r.value for r in results["per-solve-parcut"]]
             for variant in ("engine-nocache", "engine-warm"):
                 assert [r.value for r in results[variant]] == base, variant
+            kernels.update(r.stats["kernel"] for rs in results.values() for r in rs)
 
         engine_stats = engine.stats()
     assert engine_stats["cache"]["hits"] >= PAIRS * SOLVES
+    (kernel,) = kernels
 
     base_walls = np.array(samples["per-solve-parcut"])
     nocache_ratios = base_walls / np.array(samples["engine-nocache"])
@@ -126,7 +129,7 @@ def test_record_engine_throughput():
         records.append({
             "variant": variant,
             "graph": GRAPH_NAME,
-            "kernel": "scalar",
+            "kernel": kernel,
             "executor": executors[variant],
             "wall_s": round(median, 6),
             "wall_s_per_pair": [round(w, 6) for w in walls],

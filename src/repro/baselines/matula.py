@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.capforest import capforest
+from ..core.capforest import capforest, check_queue
 from ..core.mincut import SupervisedPass
 from ..core.noi import Incumbent, _absorb, contraction_rounds
 from ..core.parallel_capforest import check_executor
@@ -77,6 +77,7 @@ def matula_approx(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    check_queue(pq_kind)
     check_executor(executor, workers)
     check_failure_policy(on_worker_failure)
     n = graph.n

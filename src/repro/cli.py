@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--kernel", choices=KERNELS, default=None,
                     help="CAPFOREST relaxation kernel for noi/parcut variants "
                     "(identical results; vector batches relaxations via numpy; "
-                    "default: vector, scalar for parcut)")
+                    "default: vector)")
     ap.add_argument("--workers", type=int, default=None, help="parallel workers (parcut)")
     ap.add_argument(
         "--executor",

@@ -27,7 +27,7 @@ Algorithm names (paper variant in brackets):
                    ``use_viecut``, ``start_method``, plus the
                    supervised-runtime controls ``timeout`` and
                    ``on_worker_failure`` (``"degrade"``/``"fail"``) — see
-                   :mod:`repro.runtime`
+                   :mod:`repro.runtime`; seeded as ``noi-viecut`` is
 ``"viecut"``       Inexact multilevel bound (fast, usually exact, no
                    guarantee); kwargs: ``rng``, ``tracer``
 ``"stoer-wagner"`` Stoer–Wagner baseline
@@ -53,8 +53,6 @@ import inspect
 from collections.abc import Callable
 from functools import cache
 from importlib import import_module
-
-import numpy as np
 
 from ..graph.csr import Graph
 from .result import MinCutResult
@@ -102,38 +100,10 @@ def _noi_hnss(graph: Graph, **kw) -> MinCutResult:
 
 
 def _noi_viecut(graph: Graph, **kw) -> MinCutResult:
-    from ..utils.timers import Timer
-    from ..viecut.viecut import SMALL_THRESHOLD
-    from .noi import noi_mincut
-
     for key in _NOI_VIECUT_REFUSED:
         if key in kw:
             raise TypeError(f"noi-viecut got an unexpected keyword argument {key!r}")
-    rng = kw.pop("rng", None)
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    timer = Timer()
-    seed_value = None
-
-    def seed(contracted: Graph) -> MinCutResult | None:
-        # the first pass's scan cuts usually close λ̂ already; on a graph
-        # this small VieCut clusters nothing and would be an exact NOI solve
-        nonlocal seed_value
-        if contracted.n <= SMALL_THRESHOLD:
-            return None
-        from ..viecut.viecut import viecut  # looked up per call
-
-        with timer.phase("viecut"):
-            cut = viecut(contracted, rng=rng, tracer=kw.get("tracer"))
-        seed_value = cut.value
-        return cut
-
-    res = noi_mincut(graph, rng=rng, _seed_hook=seed, **kw)
-    res.stats["viecut_value"] = seed_value
-    res.stats["phase_seconds"] = {
-        "viecut": round(timer.total("viecut"), 6), **res.stats["phase_seconds"]
-    }
-    return res
+    return _solver("noi-viecut")(graph, _viecut_seed=True, **kw)
 
 
 def _viecut(graph: Graph, **kw) -> MinCutResult:
@@ -167,14 +137,19 @@ TRACEABLE_ALGORITHMS = ("noi", "noi-hnss", "noi-viecut", "parcut", "viecut", "ka
 
 @cache
 def _entry_options(algorithm: str) -> tuple[frozenset, dict]:
-    """The keywords ``algorithm``'s entry takes, and its defaults for them."""
+    """The keywords ``algorithm``'s entry takes, and its defaults for them.
+
+    A solver parameter whose name starts with ``_`` is private to the
+    library's own callers, and no entry takes it.
+    """
     params = inspect.signature(_solver(algorithm)).parameters
-    defaults = {name: p.default for name, p in params.items() if name != "graph"}
+    defaults = {name: p.default for name, p in params.items()
+                if name != "graph" and not name.startswith("_")}
     taken = set(defaults)
     if algorithm == "noi-hnss":
         defaults.update(_HNSS_DEFAULTS)
     elif algorithm == "noi-viecut":
-        taken -= {*_NOI_VIECUT_REFUSED, "_seed_hook"}
+        taken -= set(_NOI_VIECUT_REFUSED)
     elif algorithm == "viecut":
         taken.add("compute_side")  # the entry drops it
     return frozenset(taken), defaults
@@ -245,12 +220,9 @@ def minimum_cut(
     algorithm:
         Registry name (see module docstring).  The default,
         ``"noi-viecut"``, runs NOIλ̂-BQueue-VieCut: bounded NOI on the
-        BQueue with the ``vector`` kernel, seeded by VieCut.  The paper
-        seeds before the first CAPFOREST pass; here the first pass runs
-        at the min-degree bound and contracts, and VieCut then seeds the
-        contracted graph only if more than ``viecut.SMALL_THRESHOLD``
-        (64) vertices remain, which is rare.  A cut of the contracted
-        graph is a cut of the input, so the solve stays exact.
+        BQueue with the ``vector`` kernel.  VieCut seeds the graph that
+        the first pass left, if it kept more than 64 vertices, which is
+        rare (:func:`~repro.core.noi.viecut_seed`; the paper seeds first).
         ``stats["viecut_value"]`` is ``None`` when the seed did not run.
         The paper finds NOIλ̂-Heap-VieCut fastest sequentially on almost
         all instances (``pq_kind="heap"`` selects its queue); in this

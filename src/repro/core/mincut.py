@@ -2,12 +2,14 @@
 
 ::
 
-    λ̂  ← VieCut(G);  G_C ← G
+    λ̂  ← δ(G);  G_C ← G
     while G_C has more than 2 vertices:
         λ̂ ← Parallel CAPFOREST(G_C, λ̂)
         if no edges marked contractible:
             λ̂ ← CAPFOREST(G_C, λ̂)          # sequential fallback
         G_C, λ̂ ← Parallel Graph Contract(G_C)
+        if this was round 1 and G_C has more than 64 vertices:
+            λ̂ ← min(λ̂, VieCut(G_C))         # the seed
     return λ̂
 
 The loop is :func:`~repro.core.noi.contraction_rounds`, the one NOI and
@@ -16,6 +18,12 @@ supervised parallel pass and, only when that pass marks nothing, one
 complete sequential pass (line 5).  The parallel pass may stop early
 (§3.2), but a complete pass at ``λ̂ ≤ δ`` always marks (IMPLEMENTATION_NOTES
 §3), so every round shrinks the graph.
+
+Algorithm 2 runs VieCut on the input first (line 1); ParCut seeds as the
+default solve does (:func:`~repro.core.noi.viecut_seed`).  A cut of the
+contracted graph is a cut of the input (Lemma 3.1), and the first pass at
+the min-degree bound already brings λ̂ close to λ (EXPERIMENTS, "ParCut
+seeds after the first pass").  Only Figure 5 keeps the paper's order.
 
 The paper's variant names map to parameters as
 ``ParCutλ̂-BStack/BQueue/Heap`` ↔ ``pq_kind=...`` with ``use_viecut=True``.
@@ -48,6 +56,8 @@ never per edge, so disabled runs cost nothing in the scan hot loops.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..graph.csr import Graph
@@ -56,8 +66,8 @@ from ..observability import PARCUT_PHASES, STATS_SCHEMA_VERSION, Tracer
 from ..runtime.faults import FaultPlan
 from ..runtime.supervisor import call_with_degradation, check_failure_policy, raise_for_events
 from ..utils.timers import Timer
-from .capforest import capforest, check_kernel, check_queue
-from .noi import Incumbent, _absorb, contraction_rounds
+from .capforest import DEFAULT_KERNEL, capforest, check_kernel, check_queue
+from .noi import Incumbent, _absorb, contraction_rounds, viecut_seed
 from .parallel_capforest import ParallelCapforestResult, check_executor, parallel_capforest
 from .result import MinCutResult
 
@@ -137,27 +147,13 @@ def _new_stats(pq_kind: str, executor: str, kernel: str, workers: int) -> dict:
     }
 
 
-def _finalize_stats(stats: dict, timer: Timer, final_executor: str) -> dict:
-    """Seal the schema: phases, final executor, modeled speedup.
-
-    Called on **every** return path so consumers never have to guess which
-    keys exist (``stats["final_executor"]`` / ``stats["modeled_speedup"]``
-    used to be missing on the early exits).
-    """
-    stats["phase_seconds"] = {ph: round(timer.total(ph), 6) for ph in PARCUT_PHASES}
-    stats["final_executor"] = final_executor
-    if stats["makespan_work"] > 0:
-        stats["modeled_speedup"] = stats["total_work"] / stats["makespan_work"]
-    return stats
-
-
 def parallel_mincut(
     graph: Graph,
     *,
     workers: int = 4,
     pq_kind: str = "bqueue",
     executor: str = "serial",
-    kernel: str = "scalar",
+    kernel: str = DEFAULT_KERNEL,
     use_viecut: bool = True,
     rng: np.random.Generator | int | None = None,
     compute_side: bool = True,
@@ -166,6 +162,7 @@ def parallel_mincut(
     on_worker_failure: str = "degrade",
     fault_plan: FaultPlan | None = None,
     tracer: Tracer | None = None,
+    _seed_first: bool = False,
 ) -> MinCutResult:
     """Exact minimum cut via Algorithm 2 (ParCut).
 
@@ -179,20 +176,20 @@ def parallel_mincut(
         ``"serial"`` (deterministic round-robin) or ``"processes"`` — see
         :mod:`~repro.core.parallel_capforest`.
     kernel:
-        CAPFOREST relaxation kernel (``"scalar"`` or ``"vector"`` —
-        :data:`~repro.core.capforest.KERNELS`) of the sequential fallback
-        pass, the only place it reaches.  The VieCut seed takes none, and
-        the parallel region workers run the sequential pass's scan core on
-        arrays on ``processes`` with the BQueue (draining at-the-clamp
-        buckets) whatever the kernel, and on lists otherwise (each
-        ``parallel_pass`` trace event names which ran).
+        CAPFOREST relaxation kernel of the sequential fallback pass, the
+        only place it reaches (:data:`~repro.core.capforest.KERNELS`, default
+        :data:`~repro.core.capforest.DEFAULT_KERNEL`).  Whatever the kernel,
+        the region workers run the scan core on arrays on ``processes`` with
+        the BQueue and on lists otherwise (each ``parallel_pass`` trace
+        event names which ran).
     start_method:
         Multiprocessing start method for ``executor="processes"`` (default:
         ``fork`` where available, else ``spawn``); the method actually used
         is reported in ``stats["start_method"]``.
     use_viecut:
-        Seed ``λ̂`` with VieCut (Algorithm 2 line 1).  Disable to measure
-        the contribution of the seed (ablation).
+        Seed ``λ̂`` with VieCut by the default solve's rule
+        (:func:`~repro.core.noi.viecut_seed`).  Disable to measure the
+        contribution of the seed (ablation).
     timeout:
         Per-round deadline (seconds) for process workers; a finite backstop
         applies even when ``None`` (:data:`repro.runtime.DEFAULT_TIMEOUT`).
@@ -206,6 +203,9 @@ def parallel_mincut(
         Optional :class:`repro.observability.Tracer` receiving structured
         round / λ̂ / worker / degradation events.  ``None`` (default) emits
         nothing and adds no per-edge work.
+    _seed_first:
+        Private to Figure 5 and the figure harness: with ``use_viecut``,
+        seed before the first round instead, in Algorithm 2's order.
     """
     check_failure_policy(on_worker_failure)
     check_queue(pq_kind)
@@ -238,17 +238,6 @@ def parallel_mincut(
         rng=rng, start_method=start_method, timeout=timeout, fault_plan=fault_plan,
     )
 
-    def seed(inc: Incumbent) -> Graph:
-        from ..viecut.viecut import viecut
-
-        # Algorithm 2 line 1: VieCut's synchronous LP is the same on
-        # every executor, so the seed does not depend on the executor
-        with timer.phase("viecut"):
-            cut = viecut(graph, rng=rng, tracer=tracer)
-        stats["viecut_value"] = cut.value
-        inc.offer(cut.value, "viecut", lambda: cut.side)
-        return graph
-
     def certify(g: Graph, inc: Incumbent, r: int):
         with timer.phase("capforest"):
             pres = parallel(g, inc.value, r)
@@ -275,11 +264,17 @@ def parallel_mincut(
     def contract(g: Graph, uf):
         return parallel_contract_by_labels(g, uf.labels(), workers=workers)
 
+    seed = partial(viecut_seed, stats=stats, timer=timer, rng=rng, tracer=tracer)
     inc = contraction_rounds(
         graph, certify, contract, stats, timer, tracer=tracer, compute_side=compute_side,
-        prepare=seed if use_viecut else None,
+        prepare=seed if use_viecut and _seed_first else None,
+        after_first_round=seed if use_viecut and not _seed_first else None,
     )
-    _finalize_stats(stats, timer, parallel.executor)
+    # seal the schema on the one return path
+    stats["phase_seconds"] = {ph: round(timer.total(ph), 6) for ph in PARCUT_PHASES}
+    stats["final_executor"] = parallel.executor
+    if stats["makespan_work"] > 0:
+        stats["modeled_speedup"] = stats["total_work"] / stats["makespan_work"]
     if tracer is not None:
         tracer.emit(
             "solve_end", value=int(inc.value), rounds=stats["rounds"],

@@ -12,7 +12,8 @@ ParCut (:func:`repro.core.mincut.parallel_mincut`) and Matula's
 approximation (:func:`repro.baselines.matula.matula_approx`) all run it; a
 driver supplies only how a round certifies its edges and how it contracts
 them.  :class:`Incumbent` holds λ̂, its side, and the map from input
-vertices to the current graph's.
+vertices to the current graph's.  :func:`viecut_seed` is the one VieCut
+seed, which the default solve and ParCut run after the first round.
 
 Variants (the paper's experimental section):
 
@@ -21,7 +22,7 @@ Variants (the paper's experimental section):
   **NOIλ̂-BStack / NOIλ̂-BQueue / NOIλ̂-Heap** (§3.1.2–3.1.3)
 * pass ``initial_bound``/``initial_side`` from VieCut  →  **NOI-…-VieCut**
   (the paper's order; the ``noi-viecut`` registry entry instead seeds the
-  graph that the first pass left, see :func:`repro.core.api.minimum_cut`)
+  graph that the first pass left, by :func:`viecut_seed`'s rule)
 
 Without a named queue or kernel a bounded solve runs NOIλ̂-BQueue on the
 ``vector`` kernel (:data:`~repro.core.capforest.DEFAULT_PQ_KIND`,
@@ -39,6 +40,7 @@ raises :class:`~repro.runtime.NoProgressError` instead of looping.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -92,15 +94,15 @@ def contraction_rounds(
     *,
     tracer=None,
     compute_side: bool = True,
-    prepare: Callable[[Incumbent], Graph] | None = None,
+    prepare: Callable[[Graph, Incumbent], None] | None = None,
     after_first_round: Callable[[Graph, Incumbent], None] | None = None,
 ) -> Incumbent:
     """Contract ``graph`` round by round down to two vertices; return the
     :class:`Incumbent` that ends it.
 
     A disconnected input has minimum cut 0, one component against the rest.
-    Otherwise λ̂ starts at the minimum weighted degree, and ``prepare(inc)``
-    may lower it and returns the graph round 1 contracts.  Each round,
+    Otherwise λ̂ starts at the minimum weighted degree, and
+    ``prepare(graph, inc)`` may lower it before round 1.  Each round,
     counted from 1 in ``stats["rounds"]``:
 
     * ``certify(g, inc, round)`` offers ``inc`` its scan cuts and returns
@@ -124,7 +126,9 @@ def contraction_rounds(
         return inc
     v, d = graph.min_weighted_degree()
     inc.offer(d, "min-degree", lambda: _vertex_mask(n, v), vertex=v)
-    g = graph if prepare is None else prepare(inc)
+    if prepare is not None:
+        prepare(graph, inc)
+    g = graph
     log = stats.get("trace")
     while g.n > 2 and inc.value > 0:
         stats["rounds"] += 1
@@ -167,6 +171,26 @@ def contraction_rounds(
 _PQ_KEYS = ("pq_pushes", "pq_updates", "pq_skipped_updates", "pq_pops")
 
 
+def viecut_seed(g: Graph, inc: Incumbent, *, stats: dict, timer: Timer, rng,
+                tracer=None) -> None:
+    """Offer VieCut's cut of ``g`` as λ̂ if ``g`` has more than
+    ``viecut.SMALL_THRESHOLD`` vertices, timed as the ``viecut`` phase.
+
+    The default solve and ParCut run it after round 1: a cut of the
+    contracted graph is a cut of the input (Lemma 3.1).  Figure 5's ParCut
+    runs it before round 1.  On a smaller graph VieCut would be an exact NOI
+    solve, so it is skipped and ``stats["viecut_value"]`` stays ``None``.
+    """
+    from ..viecut.viecut import SMALL_THRESHOLD, viecut  # looked up per call
+
+    if g.n <= SMALL_THRESHOLD:
+        return
+    with timer.phase("viecut"):
+        cut = viecut(g, rng=rng, tracer=tracer)
+    stats["viecut_value"] = cut.value
+    inc.offer(cut.value, "viecut", lambda: cut.side)
+
+
 def _vertex_mask(n: int, v: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[v] = True
@@ -185,7 +209,7 @@ def noi_mincut(
     compute_side: bool = True,
     trace: bool = False,
     tracer=None,
-    _seed_hook: Callable[[Graph], MinCutResult | None] | None = None,
+    _viecut_seed: bool = False,
 ) -> MinCutResult:
     """Exact minimum cut of ``graph``.
 
@@ -219,10 +243,10 @@ def noi_mincut(
         round / λ̂-provenance events (round granularity; ``None`` adds no
         per-edge work).  Orthogonal to ``trace``, which keeps its
         in-stats round log for backwards compatibility.
-    _seed_hook:
-        Private to the ``noi-viecut`` entry: called once, with the graph
-        the first round left, it returns a cut of that graph (VieCut's)
-        or ``None``; a smaller value becomes λ̂.
+    _viecut_seed:
+        Private to the ``noi-viecut`` entry: run :func:`viecut_seed` after
+        the first round, and report ``stats["viecut_value"]`` and the
+        ``viecut`` phase.
 
     Returns
     -------
@@ -257,8 +281,10 @@ def noi_mincut(
     }
     if trace:
         stats["trace"] = []  # on every return path, the early exits included
+    if _viecut_seed:
+        stats["viecut_value"] = None
     timer = Timer()
-    seeded = initial_bound is not None or _seed_hook is not None
+    seeded = initial_bound is not None or _viecut_seed
     algo = _variant_name(pq_kind, bounded, seeded)
     if tracer is not None:
         tracer.emit(
@@ -266,12 +292,11 @@ def noi_mincut(
             pq_kind=pq_kind, bounded=bounded, kernel=kernel,
         )
 
-    def prepare(inc: Incumbent) -> Graph:
+    def prepare(g: Graph, inc: Incumbent) -> None:
         if initial_bound is not None:
             if initial_bound < 0:
                 raise ValueError("initial_bound must be non-negative")
             inc.offer(initial_bound, "viecut", lambda: initial_side)
-        return graph
 
     def certify(g: Graph, inc: Incumbent, r: int):
         with timer.phase("capforest"):
@@ -283,19 +308,14 @@ def noi_mincut(
         inc.offer(res.lambda_hat, "scan-cut", lambda: res.best_cut_mask(g.n), round=r)
         return res
 
-    def seed(g: Graph, inc: Incumbent) -> None:
-        # a cut of the contracted graph is a cut of the input, so its value
-        # is a valid λ̂ (Lemma 3.1) and its side maps back
-        cut = _seed_hook(g)
-        if cut is not None:
-            inc.offer(cut.value, "viecut", lambda: cut.side)
-
+    seed = partial(viecut_seed, stats=stats, timer=timer, rng=rng, tracer=tracer)
     inc = contraction_rounds(
         graph, certify, contract_by_union_find, stats, timer, tracer=tracer,
         compute_side=compute_side, prepare=prepare,
-        after_first_round=None if _seed_hook is None else seed,
+        after_first_round=seed if _viecut_seed else None,
     )
-    stats["phase_seconds"] = {ph: round(timer.total(ph), 6) for ph in NOI_PHASES}
+    phases = ("viecut", *NOI_PHASES) if _viecut_seed else NOI_PHASES
+    stats["phase_seconds"] = {ph: round(timer.total(ph), 6) for ph in phases}
     if tracer is not None:
         tracer.emit("solve_end", value=inc.value, rounds=stats["rounds"])
     return MinCutResult(inc.value, inc.side, n, algo, stats)

@@ -629,9 +629,10 @@ class SolverEngine:
         """The request check :meth:`submit` and :meth:`update` share.
 
         Resolves the algorithm (default when ``None``), rejects cactus
-        options on an inexact algorithm, live-object kwargs and a
-        non-positive deadline, and returns the algorithm with the output
-        options (``all_cuts`` implied by ``most_balanced``).
+        options on an inexact algorithm, live-object and private (leading
+        ``_``, but the engine's ``_test_fault``) kwargs and a non-positive
+        deadline, and returns the algorithm with the output options
+        (``all_cuts`` implied by ``most_balanced``).
         """
         from ..core.api import ALGORITHMS, EXACT_ALGORITHMS, UnknownAlgorithmError
 
@@ -649,6 +650,9 @@ class SolverEngine:
                     f"{bad!r} cannot cross the engine boundary; seed with an "
                     "integer and trace at the engine level instead"
                 )
+        for key in kwargs:
+            if key.startswith("_") and key != "_test_fault":
+                raise TypeError(f"{algorithm} got an unexpected keyword argument {key!r}")
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
         return algorithm, {"all_cuts": all_cuts,

@@ -3,7 +3,7 @@
 The paper runs ParCutλ̂-{BStack, BQueue, Heap} with p ∈ {1, 2, 4, 8, 12, 24}
 OpenMP threads on the five largest instances, reporting (top row)
 self-relative scalability and (bottom row) speedup over the best sequential
-variant and NOI-HNSS.
+variant and NOI-HNSS.  ParCut seeds in Algorithm 2's order, VieCut first.
 
 Python substitution (DESIGN.md §2): wall-clock speedup is reported from the
 ``processes`` executor (real parallelism); additionally the *modeled*
@@ -72,6 +72,7 @@ def run(
                     pq_kind=pq,
                     executor=executor,
                     use_viecut=True,
+                    _seed_first=True,  # Algorithm 2's order
                     rng=seed,
                     compute_side=False,
                 )

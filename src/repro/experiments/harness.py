@@ -108,7 +108,8 @@ def make_sequential_variants(
 def make_parallel_variants(
     workers: int, executor: str = "serial", kernel: str = "scalar"
 ) -> dict[str, Callable[[Graph, int], MinCutResult]]:
-    """ParCutλ̂-{BStack, BQueue, Heap} at a given worker count."""
+    """ParCutλ̂-{BStack, BQueue, Heap} at a given worker count, in
+    Algorithm 2's order: VieCut seeds λ̂ before the first pass."""
 
     def parcut(pq: str) -> Callable[..., MinCutResult]:
         def run(graph: Graph, seed: int, tracer=None) -> MinCutResult:
@@ -119,6 +120,7 @@ def make_parallel_variants(
                 executor=executor,
                 kernel=kernel,
                 use_viecut=True,
+                _seed_first=True,
                 rng=_seeded(seed),
                 compute_side=False,
                 tracer=tracer,

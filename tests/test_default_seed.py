@@ -1,12 +1,14 @@
-"""The default solve seeds λ̂ with VieCut after its first CAPFOREST pass.
+"""The default solve and ParCut seed λ̂ with VieCut after their first pass.
 
 ``noi-viecut`` runs its first pass at the min-degree bound and contracts,
 then runs VieCut on the contracted graph only if more than
-``SMALL_THRESHOLD`` vertices remain.  A cut of the contracted graph is a
-cut of the input, so the seed is a valid λ̂ and its side, mapped back
-through the first contraction, a valid side.  The inputs below put the
-first contraction exactly at the rule's boundary (64 and 65 vertices, as
-the round log shows) and are checked against Hao–Orlin.
+``SMALL_THRESHOLD`` vertices remain; ParCut runs the same seed function
+after its first parallel round.  A cut of the contracted graph is a cut of
+the input, so the seed is a valid λ̂ and its side, mapped back through the
+first contraction, a valid side.  The inputs below put the first
+contraction exactly at the rule's boundary (64 and 65 vertices, as the
+round log shows, for the default solve and for a one-worker ParCut) and
+are checked against Hao–Orlin.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from repro import minimum_cut
 from repro.core import noi
 from repro.core.capforest import capforest
+from repro.core.mincut import parallel_mincut
 from repro.generators import connected_gnm, rhg
 from repro.graph import from_edges
 from repro.observability import Tracer
@@ -88,6 +91,31 @@ def test_seed_side_maps_back_through_the_first_contraction():
     assert res.value == res.stats["viecut_value"] == hao_orlin_value(g)
     assert res.verify(g)
     assert minimum_cut(g, rng=0, compute_side=False).value == res.value
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_parcut_seeds_iff_first_round_leaves_more_than_threshold(name):
+    g, left = BOUNDARY[name]
+    res = parallel_mincut(g, workers=1, executor="serial", rng=0)
+    assert round(res.stats["contraction_ratios"][0] * g.n) == left
+    ran = left > SMALL_THRESHOLD
+    assert (res.stats["viecut_value"] is not None) == ran
+    assert (res.stats["phase_seconds"]["viecut"] > 0.0) == ran
+    assert res.value == hao_orlin_value(g)
+    assert res.verify(g)
+
+
+@pytest.mark.parametrize("executor", ["serial", "processes"])
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_parcut_p2_seed_rule(name, executor):
+    # a p=2 round leaves a count that depends on the schedule; the rule
+    # holds whatever it is
+    g, _ = BOUNDARY[name]
+    res = parallel_mincut(g, workers=2, executor=executor, rng=0)
+    left = round(res.stats["contraction_ratios"][0] * g.n)
+    assert (res.stats["viecut_value"] is not None) == (left > SMALL_THRESHOLD)
+    assert res.value == hao_orlin_value(g)
+    assert res.verify(g)
 
 
 @pytest.mark.parametrize("seed", range(40))

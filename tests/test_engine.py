@@ -327,6 +327,11 @@ class TestEngineValidation:
         with pytest.raises(UnkeyableRequest):
             engine.submit(dumbbell, rng=np.random.default_rng(0))
 
+    def test_private_solver_kwarg_rejected(self, engine, dumbbell):
+        # Figure 5's paper order is private to the library
+        with pytest.raises(TypeError, match="unexpected keyword argument '_seed_first'"):
+            engine.submit(dumbbell, "parcut", _seed_first=True)
+
     def test_nonpositive_deadline_rejected(self, engine, dumbbell):
         with pytest.raises(ValueError, match="deadline"):
             engine.submit(dumbbell, deadline=0)

@@ -8,6 +8,7 @@ variants all agree)."""
 import numpy as np
 import pytest
 
+from repro.core.mincut import parallel_mincut
 from repro.experiments import (
     make_parallel_variants,
     make_sequential_variants,
@@ -16,7 +17,14 @@ from repro.experiments import (
 )
 from repro.experiments.figure3 import REFERENCE, slowdown_rows, speedup_summary
 from repro.experiments.figure4 import profile_columns
-from repro.generators import connected_gnm
+from repro.generators import connected_gnm, rhg
+from repro.observability import Tracer
+
+
+def seeds_first(tracer) -> bool:
+    """VieCut started before the first round: Algorithm 2's order."""
+    kinds = [ev["kind"] for ev in tracer.events()]
+    return kinds.index("viecut_start") < kinds.index("round_start")
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +120,32 @@ class TestFigureScripts:
         for r in rows:
             if r["p"] == 2:
                 assert r["modeled_speedup"] >= 1.0
+
+    def test_figure5_seeds_first(self, monkeypatch):
+        """Figure 5 keeps Algorithm 2's order, where the library's ParCut
+        seeds after its first round."""
+        from repro.experiments import figure5
+
+        tracers = []
+
+        def traced(graph, **kw):
+            tracers.append(Tracer())
+            return parallel_mincut(graph, tracer=tracers[-1], **kw)
+
+        monkeypatch.setattr(figure5, "parallel_mincut", traced)
+        figure5.run(workers=(2,), scale=0.2, count=1, executor="serial", seed=0)
+        assert len(tracers) == 3  # one ParCut solve per queue
+        assert all(seeds_first(t) for t in tracers)
+
+    def test_parallel_variants_seed_first(self):
+        g = rhg(256, 32, rng=1)
+        for name, variant in make_parallel_variants(2).items():
+            tracer = Tracer()
+            variant(g, 0, tracer=tracer)
+            assert seeds_first(tracer), name
+        tracer = Tracer()
+        parallel_mincut(g, workers=2, rng=0, tracer=tracer)
+        assert not seeds_first(tracer)
 
     def test_table1_runs(self):
         from repro.experiments.table1 import run

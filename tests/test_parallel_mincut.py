@@ -8,7 +8,7 @@ from repro.baselines.hao_orlin import hao_orlin
 from repro.core.capforest import MAX_BUCKET_BOUND, MIN_BATCH
 from repro.core import mincut
 from repro.core.mincut import parallel_mincut
-from repro.generators import chung_lu, connected_gnm
+from repro.generators import chung_lu, connected_gnm, rhg
 from repro.graph import from_edges, largest_component
 from repro.observability import Tracer
 from repro.runtime import NoProgressError
@@ -50,10 +50,13 @@ class TestConfigurations:
         assert res.stats["viecut_value"] is None
         assert res.algorithm.endswith("-noseed")
 
-    def test_viecut_seed_recorded(self, dumbbell):
-        res = parallel_mincut(dumbbell, use_viecut=True, rng=0)
+    def test_viecut_seed_recorded(self):
+        # the seed runs after round 1, which keeps about 200 of these 256
+        # vertices, more than viecut.SMALL_THRESHOLD
+        g = rhg(256, 32, rng=1)
+        res = parallel_mincut(g, use_viecut=True, rng=0)
         assert res.stats["viecut_value"] is not None
-        assert res.stats["viecut_value"] >= 1
+        assert res.stats["viecut_value"] >= res.value
 
     def test_stats_work_model(self):
         rng = np.random.default_rng(2)
@@ -116,15 +119,20 @@ def test_processes_executor_exact():
 
 def test_viecut_seed_does_not_depend_on_executor():
     """Every executor seeds λ̂ with the same synchronous label propagation,
-    so one rng gives one VieCut clustering and one seed value."""
+    so one rng gives one VieCut clustering and one seed value.  Algorithm
+    2's order (Figure 5's) seeds the input graph, which no executor has
+    touched yet; seeded after round 1, VieCut would see a graph that the
+    executor's pass contracted, and on this graph never runs."""
     g, _ = largest_component(chung_lu(600, 12, gamma=2.5, communities=6, mu=0.7, rng=2))
     truth = hao_orlin(g).value
     seeds = {}
     for executor in ("serial", "processes"):
         tracer = Tracer()
-        res = parallel_mincut(g, workers=2, executor=executor, rng=5, tracer=tracer)
+        res = parallel_mincut(g, workers=2, executor=executor, rng=5, tracer=tracer,
+                              _seed_first=True)
         levels = [(ev["n_before"], ev["n_after"]) for ev in tracer.events("viecut_level")]
         seeds[executor] = (levels, res.stats["viecut_value"])
+        assert levels and res.stats["viecut_value"] is not None  # VieCut ran
         assert res.value == truth
     assert seeds["processes"] == seeds["serial"]
 

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro import minimum_cut
+from repro.core.api import check_options
 from repro.core.mincut import parallel_mincut
 from repro.core.noi import NOI_PHASES, noi_mincut
 from repro.generators import connected_gnm, rhg
@@ -30,7 +31,7 @@ SMALL_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
 class TestOptionsCheckedOnEntry:
-    @pytest.mark.parametrize("algorithm", ["noi", "noi-hnss", "noi-viecut", "parcut"])
+    @pytest.mark.parametrize("algorithm", ["noi", "noi-hnss", "noi-viecut", "parcut", "matula"])
     def test_unknown_queue(self, name, algorithm):
         with pytest.raises(ValueError, match="unknown priority queue kind 'bogus'"):
             minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, pq_kind="bogus")
@@ -72,6 +73,16 @@ class TestOptionsCheckedOnEntry:
         assert noi_mincut(g, bounded=False, pq_kind="heap").value == expected
         assert parallel_mincut(g, pq_kind="bstack", rng=0).value == expected
         assert viecut(g, rng=0).value >= expected
+
+
+@pytest.mark.parametrize("algorithm, key", [
+    ("noi", "_viecut_seed"), ("noi-viecut", "_viecut_seed"), ("parcut", "_seed_first"),
+])
+def test_private_keywords_are_not_options(algorithm, key):
+    # a solver parameter with a leading underscore is private to the
+    # library's own callers, so SolverEngine.update's check refuses it
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+        check_options(algorithm, {key: True})
 
 
 def test_noi_viecut_fails_before_viecut(monkeypatch):
