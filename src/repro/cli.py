@@ -209,6 +209,27 @@ def _batch_exit_code(exc: BaseException) -> int:
     return EXIT_INVALID_INPUT
 
 
+def _solver_kwargs(args) -> dict:
+    """The solver keywords the flags set, the same in every mode.
+
+    ``--timeout`` is the solver's per-round deadline, except with
+    ``--updates``, where it is each batch's engine deadline instead.
+    """
+    kwargs: dict = {"rng": args.seed}
+    for flag, key in (("pq", "pq_kind"), ("kernel", "kernel"),
+                      ("workers", "workers"), ("executor", "executor"),
+                      ("on_worker_failure", "on_worker_failure")):
+        if getattr(args, flag) is not None:
+            kwargs[key] = getattr(args, flag)
+    if args.timeout is not None and args.updates is None:
+        kwargs["timeout"] = args.timeout
+    if args.all_cuts or args.most_balanced:
+        kwargs["all_cuts"] = True
+    if args.most_balanced:
+        kwargs["most_balanced"] = True
+    return kwargs
+
+
 def _run_batch(args, tracer) -> int:
     """Solve every manifest item through one persistent engine."""
     from .engine import SolverEngine
@@ -219,24 +240,7 @@ def _run_batch(args, tracer) -> int:
         print(f"error reading manifest {args.batch}: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    defaults: dict = {"rng": args.seed}
-    if args.pq is not None:
-        defaults["pq_kind"] = args.pq
-    if args.kernel is not None:
-        defaults["kernel"] = args.kernel
-    if args.workers is not None:
-        defaults["workers"] = args.workers
-    if args.executor is not None:
-        defaults["executor"] = args.executor
-    if args.timeout is not None:
-        defaults["timeout"] = args.timeout
-    if args.on_worker_failure is not None:
-        defaults["on_worker_failure"] = args.on_worker_failure
-    if args.all_cuts or args.most_balanced:
-        defaults["all_cuts"] = True
-    if args.most_balanced:
-        defaults["most_balanced"] = True
-
+    defaults = _solver_kwargs(args)
     codes = [EXIT_OK] * len(items)
     t0 = time.perf_counter()
     with SolverEngine(pool_size=args.pool_size, tracer=tracer,
@@ -323,16 +327,7 @@ def _run_updates(args, tracer) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    kwargs: dict = {"rng": args.seed}
-    if args.pq is not None:
-        kwargs["pq_kind"] = args.pq
-    if args.kernel is not None:
-        kwargs["kernel"] = args.kernel
-    if args.all_cuts or args.most_balanced:
-        kwargs["all_cuts"] = True
-    if args.most_balanced:
-        kwargs["most_balanced"] = True
-
+    kwargs = _solver_kwargs(args)
     codes = [EXIT_OK] * (len(batches) + 1)
     t0 = time.perf_counter()
     with SolverEngine(pool_size=args.pool_size, tracer=tracer,
@@ -408,20 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error reading {args.path}: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    kwargs: dict = {"rng": args.seed}
-    if args.pq is not None:
-        kwargs["pq_kind"] = args.pq
-    if args.kernel is not None:
-        kwargs["kernel"] = args.kernel
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    if args.executor is not None:
-        kwargs["executor"] = args.executor
-    if args.timeout is not None:
-        kwargs["timeout"] = args.timeout
-    if args.on_worker_failure is not None:
-        kwargs["on_worker_failure"] = args.on_worker_failure
-
+    kwargs = _solver_kwargs(args)
     tracer = None
     if args.trace is not None or args.metrics_json is not None:
         if args.algorithm not in TRACEABLE_ALGORITHMS:
@@ -442,11 +424,7 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        result = minimum_cut(
-            graph, algorithm=args.algorithm,
-            all_cuts=args.all_cuts, most_balanced=args.most_balanced,
-            **kwargs,
-        )
+        result = minimum_cut(graph, algorithm=args.algorithm, **kwargs)
     except RuntimeFault as exc:
         print(f"error: {exc}", file=sys.stderr)
         if tracer is not None:

@@ -204,8 +204,9 @@ def parallel_mincut(
         round / λ̂ / worker / degradation events.  ``None`` (default) emits
         nothing and adds no per-edge work.
     _seed_first:
-        Private to Figure 5 and the figure harness: with ``use_viecut``,
-        seed before the first round instead, in Algorithm 2's order.
+        Private to the figure harness's ParCut variants, which Figure 5
+        runs: with ``use_viecut``, seed before the first round instead, in
+        Algorithm 2's order.
     """
     check_failure_policy(on_worker_failure)
     check_queue(pq_kind)

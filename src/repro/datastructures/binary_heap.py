@@ -17,8 +17,6 @@ heap also works unbounded — that configuration is the paper's baseline
 
 from __future__ import annotations
 
-import numpy as np
-
 from .pq import PQStats
 
 _ABSENT = -1
@@ -128,60 +126,6 @@ class HeapPQ:
         if self._pos[v] == _ABSENT:
             raise KeyError(v)
         return self._key[v]
-
-    # -- batch interface (vector CAPFOREST kernel) --------------------------
-
-    def apply_relaxations(self, vs: np.ndarray, old_keys: np.ndarray, new_keys: np.ndarray) -> None:
-        """Bulk-apply precomputed insert-or-raise outcomes, in event order.
-
-        ``old_keys[i] == -1`` means push, anything else means raise-in-place
-        (the old key itself is not needed by the heap — the position array
-        locates the entry).  Stats are left to the caller, mirroring the
-        bucket queues' batch contract.
-        """
-        heap, key, pos = self._heap, self._key, self._pos
-        for v, old, new in zip(vs.tolist(), old_keys.tolist(), new_keys.tolist()):
-            key[v] = new
-            if old < 0:
-                heap.append(v)
-                pos[v] = len(heap) - 1
-                self._sift_up(len(heap) - 1)
-            else:
-                self._sift_up(pos[v])
-
-    def insert_many(self, vs: np.ndarray, priorities: np.ndarray) -> None:
-        """Vectorized :meth:`insert_or_raise` over distinct vertices.
-
-        Same event semantics and tie-breaking as the scalar method applied
-        in array order; the bound/no-op filtering happens on arrays before
-        the per-element sift work.
-        """
-        vs = np.asarray(vs, dtype=np.int64)
-        priorities = np.asarray(priorities, dtype=np.int64)
-        if vs.size == 0:
-            return
-        bound = self._bound
-        in_heap = np.fromiter(
-            map(self._pos.__getitem__, vs.tolist()), dtype=np.int64, count=len(vs)
-        ) != _ABSENT
-        cur = np.fromiter(map(self._key.__getitem__, vs.tolist()), dtype=np.int64, count=len(vs))
-        if bound is None:
-            new = priorities
-            push = ~in_heap
-            skip = np.zeros(len(vs), dtype=bool)
-        else:
-            new = np.minimum(priorities, bound)
-            push = ~in_heap
-            skip = in_heap & (cur >= bound)
-        raise_ = in_heap & ~skip & (new > cur)
-        st = self.stats
-        st.pushes += int(push.sum())
-        st.skipped_updates += int(skip.sum())
-        st.updates += int(raise_.sum())
-        moved = push | raise_
-        if moved.any():
-            old = np.where(push, -1, cur)
-            self.apply_relaxations(vs[moved], old[moved], new[moved])
 
     def __len__(self) -> int:
         return len(self._heap)

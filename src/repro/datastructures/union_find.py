@@ -80,13 +80,6 @@ class UnionFind:
             parent[roots] = grand
             roots = grand
 
-    def union_many(self, x: int, ys) -> int:
-        """Union ``x`` with every element of ``ys``; returns sets merged."""
-        ys = np.asarray(ys, dtype=np.int64)
-        if ys.size == 0:
-            return 0
-        return self.union_pairs(np.full(ys.shape, x, dtype=np.int64), ys)
-
     def union_pairs(self, us, vs) -> int:
         """Union ``us[i]`` with ``vs[i]`` for every ``i``; returns sets merged.
 

@@ -23,14 +23,10 @@ from __future__ import annotations
 import argparse
 import time
 
-from ..core.mincut import parallel_mincut
-from ..core.noi import noi_mincut
 from ..core.parallel_capforest import EXECUTORS
-from ..viecut.viecut import viecut as run_viecut
+from .harness import make_parallel_variants, make_sequential_variants
 from .instances import largest_web_instances
 from .report import format_csv, format_table
-
-PQ_KINDS = ("bstack", "bqueue", "heap")
 
 
 def run(
@@ -43,39 +39,25 @@ def run(
 ):
     """Return rows: one per (instance, pq_kind, p)."""
     instances = largest_web_instances(count, scale=scale)
+    sequential = make_sequential_variants()
+    parallel = {p: make_parallel_variants(p, executor) for p in workers}
     rows = []
     for name, graph in instances:
         # sequential references (paper: NOI-HNSS and the fastest sequential)
         t0 = time.perf_counter()
-        hnss = noi_mincut(graph, pq_kind="heap", bounded=False, rng=seed, compute_side=False)
+        hnss = sequential["NOI-HNSS"](graph, seed)
         t_hnss = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        seed_cut = run_viecut(graph, rng=seed)
-        best_seq = noi_mincut(
-            graph,
-            pq_kind="heap",
-            bounded=True,
-            initial_bound=seed_cut.value,
-            rng=seed,
-            compute_side=False,
-        )
+        best_seq = sequential["NOIlam-Heap-VieCut"](graph, seed)
         t_best_seq = time.perf_counter() - t0
 
-        for pq in PQ_KINDS:
+        for variant in parallel[workers[0]]:
+            pq = variant.removeprefix("ParCutlam-").lower()
             base_wall = None
             for p in workers:
                 t0 = time.perf_counter()
-                res = parallel_mincut(
-                    graph,
-                    workers=p,
-                    pq_kind=pq,
-                    executor=executor,
-                    use_viecut=True,
-                    _seed_first=True,  # Algorithm 2's order
-                    rng=seed,
-                    compute_side=False,
-                )
+                res = parallel[p][variant](graph, seed)
                 wall = time.perf_counter() - t0
                 if base_wall is None:
                     base_wall = wall

@@ -28,17 +28,13 @@ def _seeded(rng_seed: int) -> np.random.Generator:
     return np.random.default_rng(rng_seed)
 
 
-def make_sequential_variants(
-    kernel: str = "scalar",
-) -> dict[str, Callable[[Graph, int], MinCutResult]]:
+def make_sequential_variants() -> dict[str, Callable[[Graph, int], MinCutResult]]:
     """The paper's sequential line-up, keyed by its variant names.
 
     ``HO-CGKLS`` / ``NOI-CGKLS`` are the Chekuri et al. codes; our stand-ins
     are the same algorithms (flow-based Hao–Orlin; NOI with an unbounded
-    heap and no VieCut seed) — see DESIGN.md.  ``kernel`` selects the
-    CAPFOREST relaxation kernel for the bounded/VieCut NOI variants
-    (results are identical either way, so the cross-variant agreement
-    check still holds when timing the two kernels against each other).
+    heap and no VieCut seed) — see DESIGN.md.  The bounded and VieCut NOI
+    variants run the ``"scalar"`` relaxation kernel.
 
     ``NOI-CGKLS`` vs ``NOI-HNSS``: both are unbounded-heap NOI — the
     *algorithm* is the same, the codes differ in implementation tuning
@@ -70,7 +66,7 @@ def make_sequential_variants(
     def bounded(pq: str) -> Callable[..., MinCutResult]:
         def run(graph: Graph, seed: int, tracer=None) -> MinCutResult:
             return noi_mincut(graph, pq_kind=pq, bounded=True, rng=_seeded(seed),
-                              compute_side=False, kernel=kernel, tracer=tracer)
+                              compute_side=False, kernel="scalar", tracer=tracer)
 
         return run
 
@@ -87,7 +83,7 @@ def make_sequential_variants(
                 initial_bound=seed_cut.value,
                 rng=rng,
                 compute_side=False,
-                kernel=kernel,
+                kernel="scalar",
                 tracer=tracer,
             )
 
@@ -106,10 +102,11 @@ def make_sequential_variants(
 
 
 def make_parallel_variants(
-    workers: int, executor: str = "serial", kernel: str = "scalar"
+    workers: int, executor: str = "serial"
 ) -> dict[str, Callable[[Graph, int], MinCutResult]]:
     """ParCutλ̂-{BStack, BQueue, Heap} at a given worker count, in
-    Algorithm 2's order: VieCut seeds λ̂ before the first pass."""
+    Algorithm 2's order: VieCut seeds λ̂ before the first pass.  Figure 5
+    and its benchmark take their ParCut solves from here."""
 
     def parcut(pq: str) -> Callable[..., MinCutResult]:
         def run(graph: Graph, seed: int, tracer=None) -> MinCutResult:
@@ -118,7 +115,6 @@ def make_parallel_variants(
                 workers=workers,
                 pq_kind=pq,
                 executor=executor,
-                kernel=kernel,
                 use_viecut=True,
                 _seed_first=True,
                 rng=_seeded(seed),

@@ -85,10 +85,6 @@ class _Segment:
         """Segment name workers use to attach."""
         return self._shm.name
 
-    @property
-    def is_owner(self) -> bool:
-        return self._owner
-
     def close(self) -> None:
         """Release this process's mapping (safe to call twice)."""
         if self._shm is not None:

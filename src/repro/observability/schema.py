@@ -67,7 +67,7 @@ EVENT_KINDS = frozenset(
         "service_stop",  # once, on shutdown: request counters
         "request_admitted",  # an HTTP request passed admission control
         "request_shed",  # an HTTP request was load-shed: shed_reason, queue_depth
-        "request_done",  # an HTTP request finished: status code, seconds, retries
+        "request_done",  # an HTTP request finished: status code, seconds
         "client_disconnect",  # a client vanished mid-request; work was cancelled
         "drain_begin",  # graceful drain started: inflight count at entry
         "drain_end",  # graceful drain finished: drained/cancelled counts

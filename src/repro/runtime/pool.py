@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import signal
 import threading
 import time
 from contextlib import contextmanager
@@ -53,6 +54,17 @@ def next_task(tasks):
         return tasks.recv()
     except EOFError:
         return None  # the owner closed its end of the task pipe
+
+
+def _worker_main(target, tasks, results) -> None:
+    """A worker's entry point: ``target`` with SIGTERM's default action.
+
+    A forked worker inherits its parent's signal handlers.  Under
+    ``python -m repro.service``, whose event loop handles SIGTERM, a
+    worker forked as a replacement would otherwise outlive ``terminate()``.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    target(tasks, results)
 
 
 def default_start_method() -> str:
@@ -117,8 +129,8 @@ class WorkerPool:
         task_recv, task_send = self._ctx.Pipe(duplex=False)
         result_recv, result_send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
-            target=self._target,
-            args=(task_recv, result_send),
+            target=_worker_main,
+            args=(self._target, task_recv, result_send),
             daemon=True,
         )
         try:

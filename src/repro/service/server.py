@@ -23,13 +23,9 @@ pipeline has the robustness a long-lived service boundary needs built in:
   is watched; a client that vanishes has its engine request cancelled
   (queued work immediately, running work via its deadline) instead of
   burning pool time for nobody.
-* **Bounded retry with jittered backoff** — failures are classified with
-  the runtime fault taxonomy: a pooled worker crash
-  (:class:`~repro.runtime.errors.WorkerCrashed`, the ``pool_recycle``
-  path) is transient and retried up to ``retry_attempts`` times inside
-  the request's deadline by one helper, which re-enters an update with
-  an empty batch so the batch is applied once; validation errors and
-  blown deadlines are never retried.
+* **One retry, in the engine** — the engine retries a crashed pooled
+  solve once on a fresh worker, and a second crash is a ``500``
+  ``retryable``.
 * **Graceful drain** — :meth:`MinCutService.drain` (wired to SIGTERM by
   ``python -m repro.service``) walks a three-state machine
   ``RUNNING → DRAINING → STOPPED``: stop accepting (admission sheds with
@@ -55,7 +51,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import random
 import threading
 import time
 from collections.abc import Callable
@@ -108,8 +103,6 @@ class ServiceConfig:
     drain_grace_s: float = 10.0  # inflight grace before drain cancels
     max_body_bytes: int = 8 << 20
     max_batch_items: int = 256  # items per solve_many/batch request
-    retry_attempts: int = 2  # extra attempts after a retryable fault
-    retry_backoff_s: float = 0.05  # base backoff, doubled per retry, jittered
     retry_after_s: int = 1  # advertised in 429/503 Retry-After headers
     keepalive_timeout_s: float = 30.0  # idle keep-alive connection lifetime
     allow_test_faults: bool = False  # accept `_test_fault` kwargs (CI smoke)
@@ -207,8 +200,7 @@ class _RequestCtx:
         self._lock = threading.Lock()
         self._futures: list[EngineFuture] = []
         self.cancelled = False
-        self.retries = 0
-        # digest/algorithm of the latest attempt (for 504 bodies and logs)
+        # digest/algorithm of the latest solve (for 504 bodies and logs)
         self.subject: dict = {}
 
     def register(self, fut: EngineFuture) -> None:
@@ -238,7 +230,7 @@ class MinCutService:
     """
 
     def __init__(self, engine: SolverEngine, config: ServiceConfig | None = None,
-                 tracer=None, *, jitter_seed: int | None = None) -> None:
+                 tracer=None) -> None:
         self._engine = engine
         self.config = config or ServiceConfig()
         self._tracer = tracer
@@ -246,7 +238,6 @@ class MinCutService:
             max_inflight=self.config.max_inflight,
             per_client_inflight=self.config.per_client_inflight,
         )
-        self._rng = random.Random(jitter_seed)
         self._server: asyncio.base_events.Server | None = None
         self._state = STOPPED
         self._active: set[_RequestCtx] = set()
@@ -258,7 +249,7 @@ class MinCutService:
         # loop-thread-only counters (read via /v1/stats in the same loop)
         self._counters = {
             "connections": 0, "requests": 0, "admitted": 0, "shed": 0,
-            "done_ok": 0, "done_error": 0, "disconnects": 0, "retries": 0,
+            "done_ok": 0, "done_error": 0, "disconnects": 0,
             "drain_cancelled": 0, "updates": 0,
         }
         # /v1/update graph registry: created/looked-up on the event loop
@@ -724,41 +715,23 @@ class MinCutService:
 
     # -- blocking work (worker threads) --------------------------------------
 
-    def _with_retries(self, ctx: _RequestCtx, algorithm: str | None,
-                      digest, attempt, on_retry=None):
-        """Run ``attempt(remaining_s)`` on a ``to_thread`` worker with
-        bounded jittered retries of the transient pool-recycle class
-        (``WorkerCrashed``); invalid input and blown deadlines surface at
-        once.  Each attempt re-checks the disconnect flag and the deadline
-        (a spent budget raises :meth:`_budget_spent`, the one caller of
-        ``digest()``); ``on_retry()`` runs before each retry.
-        """
-        attempts_left = self.config.retry_attempts
-        backoff = self.config.retry_backoff_s
-        while True:
-            if ctx.cancelled:
-                raise RequestCancelled("client went away")
-            remaining = ctx.deadline_abs - time.monotonic()
-            if remaining <= 0:
-                raise self._budget_spent(ctx, digest(), algorithm)
-            try:
-                return attempt(remaining)
-            except WorkerCrashed:
-                if attempts_left <= 0:
-                    raise
-                attempts_left -= 1
-                ctx.retries += 1
-                if on_retry is not None:
-                    on_retry()
-                sleep_s = backoff * (0.5 + self._rng.random())
-                backoff *= 2.0
-                if time.monotonic() + sleep_s >= ctx.deadline_abs:
-                    raise
-                time.sleep(sleep_s)
+    def _attempt(self, ctx: _RequestCtx, algorithm: str | None, digest,
+                 attempt):
+        """Run ``attempt(remaining_s)`` once on a ``to_thread`` worker,
+        unless the client went away or the deadline has passed (a spent
+        budget raises :meth:`_budget_spent`, the one caller of
+        ``digest()``).  A crashed pooled solve is retried by the engine,
+        not here."""
+        if ctx.cancelled:
+            raise RequestCancelled("client went away")
+        remaining = ctx.deadline_abs - time.monotonic()
+        if remaining <= 0:
+            raise self._budget_spent(ctx, digest(), algorithm)
+        return attempt(remaining)
 
     def _budget_spent(self, ctx: _RequestCtx, digest: str,
                       algorithm: str | None) -> WorkerTimeout:
-        """The deadline passed before a (re)submit: no worker was involved,
+        """The deadline passed before the submit: no worker was involved,
         so the error names the request instead of a worker id."""
         algorithm = algorithm or self._engine.default_algorithm
         ctx.subject = {"digest": digest, "algorithm": algorithm}
@@ -774,7 +747,7 @@ class MinCutService:
         )
 
     def _solve_blocking(self, ctx: _RequestCtx, graph, spec: dict):
-        """Submit + await one engine solve, under :meth:`_with_retries`."""
+        """Submit + await one engine solve, under :meth:`_attempt`."""
 
         def attempt(remaining: float):
             fut = self._engine.submit(
@@ -787,14 +760,12 @@ class MinCutService:
             # guards against a wedged dispatcher, mapping to 504 anyway
             return fut.result(timeout=remaining + 1.0)
 
-        return self._with_retries(ctx, spec["algorithm"],
-                                  lambda: graph_digest(graph), attempt)
+        return self._attempt(ctx, spec["algorithm"],
+                             lambda: graph_digest(graph), attempt)
 
     def _update_blocking(self, ctx: _RequestCtx, handle, inserts, deletes,
                          spec: dict):
-        """Apply + re-solve one update, under :meth:`_with_retries`.  The
-        batch is applied once: a retry after a cold-path worker crash
-        re-enters :meth:`SolverEngine.update` with empty batches.  Returns
+        """Apply + re-solve one update, under :meth:`_attempt`.  Returns
         the result and the version, digest and size the batch produced,
         read under the handle's lock, before a concurrent batch moves it."""
 
@@ -810,13 +781,8 @@ class MinCutService:
                                 "digest": handle.digest,
                                 "n": handle.graph.n, "m": handle.graph.m}
 
-        def applied() -> None:
-            nonlocal inserts, deletes
-            inserts, deletes = (), ()
-
-        return self._with_retries(ctx, spec["algorithm"],
-                                  lambda: handle.digest, attempt,
-                                  on_retry=applied)
+        return self._attempt(ctx, spec["algorithm"], lambda: handle.digest,
+                             attempt)
 
     def _solve_many_blocking(self, ctx: _RequestCtx,
                              specs: list[dict]) -> list[dict]:
@@ -900,9 +866,8 @@ class MinCutService:
     def _request_done(self, ctx: _RequestCtx, status: int) -> None:
         self._settle(ctx)
         self._counters["done_ok" if status < 400 else "done_error"] += 1
-        self._counters["retries"] += ctx.retries
         self._emit("request_done", rid=ctx.rid, route=ctx.route,
-                   status=status, seconds=ctx.elapsed, retries=ctx.retries)
+                   status=status, seconds=ctx.elapsed)
 
     def _result_body(self, result, spec: dict, ctx: _RequestCtx) -> dict:
         body = {
@@ -926,8 +891,7 @@ class MinCutService:
 
     def _failure_body(self, exc: BaseException, kind: str, ctx: _RequestCtx,
                       timeout_ms: int) -> dict:
-        body = {"error": str(exc), "kind": kind, "elapsed_s": ctx.elapsed,
-                "retries": ctx.retries}
+        body = {"error": str(exc), "kind": kind, "elapsed_s": ctx.elapsed}
         if kind in ("timeout", "retryable", "fault"):
             body.update(ctx.subject)
         if kind == "timeout":

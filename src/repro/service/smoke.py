@@ -11,11 +11,14 @@ about in one pass:
    cut), a two-item ``/v1/solve_many`` solves both items, an unknown path
    is a 404, a wrong method a 405, and a solver option the pooled solve
    rejects is a 400 ``invalid``;
-4. with the budget occupied by hanging requests, a further solve is
+4. a solve whose worker exits on every attempt is a 500 ``retryable``
+   after the engine's one retry, the engine keeps its pool, and the next
+   solve returns the exact minimum cut;
+5. with the budget occupied by hanging requests, a further solve is
    *shed* — 429, ``Retry-After``, structured ``shed_reason`` body;
-5. SIGTERM mid-load drains gracefully: the process exits 0 on its own,
+6. SIGTERM mid-load drains gracefully: the process exits 0 on its own,
    the inflight work having finished or deadlined out;
-6. the trace file the server wrote validates against the closed event
+7. the trace file the server wrote validates against the closed event
    taxonomy and contains the service lifecycle (start → drain → stop).
 
 Exits 0 on success, 1 with a diagnostic on any violated expectation —
@@ -121,6 +124,23 @@ def _walk_routes(client: ServiceClient, graph) -> None:
     print("smoke: 404, 405 and invalid-option 400 ok", flush=True)
 
 
+def _crash_once(client: ServiceClient, graph, expected: int) -> None:
+    """Step 4 of the module docstring: one crash, one retry."""
+    crash = {"_test_fault": {"test_fault": "exit", "exit_code": 3}}
+    status, _h, body = client.solve(graph, cache=False, kwargs=crash)
+    _expect(status == 500 and body.get("kind") == "retryable",
+            f"crashing solve answered {status} {body}")
+    engine = client.stats()["engine"]
+    _expect(engine["retries"] == 1 and engine["pool_abandoned"] is False,
+            f"one crash left the engine at retries={engine['retries']}, "
+            f"pool_abandoned={engine['pool_abandoned']}")
+    status, _h, body = client.solve(graph, cache=False)
+    _expect(status == 200 and body["value"] == expected,
+            f"solve after the crash: {status} {body}, expected {expected}")
+    print("smoke: crash ok (500 retryable after one engine retry, "
+          "pool kept)", flush=True)
+
+
 def run_smoke(trace_path: str) -> None:
     graph = connected_gnm(60, 200, rng=0, weights=(1, 9))
     from ..core.api import minimum_cut
@@ -142,6 +162,7 @@ def run_smoke(trace_path: str) -> None:
         print(f"smoke: solve ok (value={body['value']})", flush=True)
 
         _walk_routes(client, graph)
+        _crash_once(client, graph, expected)
 
         # occupy the 2-unit budget with bounded hangs, then provoke a shed
         hang = {"graph": graph_payload(graph), "cache": False,

@@ -27,12 +27,10 @@ class ServiceThread:
     """
 
     def __init__(self, *, engine_kwargs: dict | None = None,
-                 config: ServiceConfig | None = None, tracer=None,
-                 jitter_seed: int | None = 0) -> None:
+                 config: ServiceConfig | None = None, tracer=None) -> None:
         self._engine_kwargs = dict(engine_kwargs or {})
         self._config = config or ServiceConfig()
         self._tracer = tracer
-        self._jitter_seed = jitter_seed
         self._ready = threading.Event()
         self._stop: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -65,8 +63,7 @@ class ServiceThread:
             self.engine = SolverEngine(tracer=self._tracer,
                                        **self._engine_kwargs)
             self.service = MinCutService(self.engine, self._config,
-                                         tracer=self._tracer,
-                                         jitter_seed=self._jitter_seed)
+                                         tracer=self._tracer)
             await self.service.start()
             self.port = self.service.port
         except BaseException as exc:  # noqa: BLE001 - surfaced to start()

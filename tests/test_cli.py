@@ -217,6 +217,14 @@ class TestCliUpdates:
         assert summary["by_kind"]["warm_solve"] == 4
         assert summary["by_kind"]["engine_stop"] == 1
 
+    def test_stream_takes_the_solver_flags(self, metis_file, stream, capsys):
+        # the flags reach every batch's solve, as they reach a single solve
+        assert main(["--updates", str(stream), "--algorithm", "parcut",
+                     "--workers", "0", "--pool-size", "0", metis_file]) == 2
+        out = capsys.readouterr().out
+        assert "initial exit=2 error: workers must be >= 1" in out
+        assert "3 batches, 4 failed" in out
+
     def test_updates_usage_errors(self, metis_file, stream, capsys):
         assert main(["--updates", str(stream)]) == 2  # no input PATH
         assert main(["--updates", str(stream), "--batch", "x.jsonl",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import statistics
 import sys
 import threading
@@ -41,7 +42,7 @@ from repro.observability import Tracer
 from repro.observability.schema import EVENT_KINDS, validate_trace_events
 from repro.runtime.errors import WorkerCrashed, WorkerTimeout
 
-from .conftest import assert_workers_exit_when_owner_is_killed
+from .conftest import _running, assert_workers_exit_when_owner_is_killed
 
 
 def ring(n: int, w: int = 2):
@@ -358,6 +359,27 @@ class TestEngineFaults:
             assert eng.stats()["pool"]["recycles"] == 1
             # the recycled pool keeps solving
             assert eng.solve(dumbbell).value == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs fork and /proc")
+    def test_deadline_ends_a_worker_forked_under_a_sigterm_handler(self, dumbbell):
+        # python -m repro.service handles SIGTERM on its event loop, and the
+        # workers the engine forks after that inherit the handler
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with SolverEngine(pool_size=1, start_method="fork") as eng:
+                pid = eng._pool.workers(1)[0][0].pid
+                fut = eng.submit(
+                    dumbbell, deadline=0.4, cache=False,
+                    _test_fault={"test_fault": "hang", "sleep_seconds": 10},
+                )
+                with pytest.raises(WorkerTimeout):
+                    fut.result(timeout=30)
+                survived = _running(pid)
+                if survived:  # a survivor would block the test run's exit
+                    os.kill(pid, signal.SIGKILL)
+                assert not survived  # the recycle's terminate() ended it
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_crash_retries_once_then_fails(self, dumbbell):
         with SolverEngine(pool_size=1, max_recycles=4) as eng:

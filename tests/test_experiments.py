@@ -124,15 +124,15 @@ class TestFigureScripts:
     def test_figure5_seeds_first(self, monkeypatch):
         """Figure 5 keeps Algorithm 2's order, where the library's ParCut
         seeds after its first round."""
-        from repro.experiments import figure5
+        from repro.experiments import figure5, harness
 
         tracers = []
 
-        def traced(graph, **kw):
+        def traced(graph, *, tracer=None, **kw):
             tracers.append(Tracer())
             return parallel_mincut(graph, tracer=tracers[-1], **kw)
 
-        monkeypatch.setattr(figure5, "parallel_mincut", traced)
+        monkeypatch.setattr(harness, "parallel_mincut", traced)
         figure5.run(workers=(2,), scale=0.2, count=1, executor="serial", seed=0)
         assert len(tracers) == 3  # one ParCut solve per queue
         assert all(seeds_first(t) for t in tracers)

@@ -14,8 +14,10 @@
 * **parse-step statuses** — a ``/v1/update`` parse error that is not a
   400 (unknown id, id taken, registry full) traces its own status on
   ``request_done``;
-* **apply once** — an update whose cold solve crashes its worker is
-  retried with an empty batch, so the edges are applied exactly once;
+* **one retry** — the engine retries a crashed pooled solve once and the
+  service adds none: with every engine default, a request whose worker
+  exits on every attempt is a 500 ``retryable`` that leaves the pool in
+  place, and an update whose cold solve crashes applies its edges once;
 * **route table** — every route answers 405 to the other method.
 """
 
@@ -328,14 +330,43 @@ def test_update_parse_errors_trace_their_own_status(dumbbell):
 
 
 # ---------------------------------------------------------------------------
-# apply once
+# one retry
 # ---------------------------------------------------------------------------
+
+CRASH = {"_test_fault": {"test_fault": "exit", "exit_code": 3}}
+
+
+@pytest.mark.parametrize("route", ["/v1/solve", "/v1/update"])
+def test_crashing_request_is_retried_once_and_keeps_the_pool(route):
+    # every engine default: one crashing request takes two of the three
+    # worker replacements the engine allows, so the pool stays and serves
+    # the next solve
+    g = connected_gnm(20, 40, rng=1)
+    with ServiceThread(config=ServiceConfig(allow_test_faults=True)) as st, \
+            ServiceClient("127.0.0.1", st.port) as client:
+        if route == "/v1/update":
+            assert client.update("g", graph=g)[0] == 200
+            # stoer-wagner is not warmable: the update takes the pooled
+            # cold path
+            status, _h, body = client.update(
+                "g", inserts=_absent_edges(g, 2, weight=1),
+                algorithm="stoer-wagner", cache=False, kwargs=CRASH,
+            )
+        else:
+            status, _h, body = client.solve(g, cache=False, kwargs=CRASH)
+        assert status == 500 and body["kind"] == "retryable", body
+        engine = client.stats()["engine"]
+        assert engine["retries"] == 1
+        assert engine["pool_abandoned"] is False
+        status, _h, body = client.solve(g, cache=False)
+        assert status == 200 and body["value"] == minimum_cut(g).value
+        assert client.stats()["engine"]["inline_solves"] == 0
 
 
 def test_update_retry_applies_its_batch_once():
     g = connected_gnm(20, 40, rng=1)
     tracer = Tracer()
-    with _service(1, tracer, retry_attempts=1, allow_test_faults=True) as st:
+    with _service(1, tracer, allow_test_faults=True) as st:
         with ServiceClient("127.0.0.1", st.port) as client:
             status, _h, body = client.update("g", graph=g)
             assert status == 200 and body["m"] == 40
@@ -343,11 +374,9 @@ def test_update_retry_applies_its_batch_once():
             # cold path, whose worker exits on every attempt
             status, _h, body = client.update(
                 "g", inserts=_absent_edges(g, 2, weight=1),
-                algorithm="stoer-wagner", cache=False,
-                kwargs={"_test_fault": {"test_fault": "exit", "exit_code": 3}},
+                algorithm="stoer-wagner", cache=False, kwargs=CRASH,
             )
             assert status == 500 and body["kind"] == "retryable", body
-            assert body["retries"] >= 1
             status, _h, body = client.update("g")
             assert status == 200
             assert body["version"] == 1 and body["m"] == 42, body
