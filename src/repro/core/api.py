@@ -34,11 +34,11 @@ Algorithm names (paper variant in brackets):
 ``"hao-orlin"``    Hao–Orlin push-relabel baseline [HO-CGKLS]
 ``"karger-stein"`` Randomized recursive contraction (Monte Carlo)
 ``"karger-nlt"``   Exact tree-packing solver (Karger near-linear-time
-                   family): greedy spanning-tree packing + per-tree minimum
+                   family), a sequential exact oracle for the others:
+                   greedy spanning-tree packing + per-tree minimum
                    1-/2-respecting cuts; kwargs: ``rng`` (int seed —
-                   deterministic and engine-cacheable), ``trees_per_round``,
-                   ``executor``, ``workers``, ``timeout``,
-                   ``on_worker_failure`` — see :mod:`repro.treepack`
+                   deterministic and engine-cacheable), ``compute_side``,
+                   ``tracer`` — see :mod:`repro.treepack`
 ``"matula"``       Matula (2+ε)-approximation (paper §5 future work)
 =================  ==========================================================
 
@@ -178,8 +178,8 @@ def check_options(algorithm: str, kwargs: dict) -> None:
         check_kernel(opts["kernel"])
     if "pq_kind" in opts:
         check_queue(opts["pq_kind"], opts.get("bounded", True))
-    if "executor" in opts:  # karger-nlt's workers=None picks a count >= 1
-        check_executor(opts["executor"], 1 if opts["workers"] is None else opts["workers"])
+    if "executor" in opts:
+        check_executor(opts["executor"], opts["workers"])
     if "on_worker_failure" in opts:
         check_failure_policy(opts["on_worker_failure"])
 

@@ -115,8 +115,8 @@ def contraction_rounds(
       round 1 ``after_first_round(g, inc)`` runs.
 
     ``stats`` must hold ``rounds``, ``contraction_ratios`` and the ``pq_*``
-    counters, which ``certify`` keeps; a ``trace`` list there receives one
-    row per round.  ``tracer`` receives ``round_start`` and ``round_end``.
+    counters, which ``certify`` keeps.  ``tracer`` receives
+    ``round_start`` and ``round_end``.
     """
     n = graph.n
     inc = Incumbent(n, tracer, compute_side)
@@ -129,14 +129,13 @@ def contraction_rounds(
     if prepare is not None:
         prepare(graph, inc)
     g = graph
-    log = stats.get("trace")
     while g.n > 2 and inc.value > 0:
         stats["rounds"] += 1
         r = stats["rounds"]
-        n_before, m_before, lam_in = g.n, g.m, inc.value
+        n_before = g.n
         if tracer is not None:
             pq_before = [stats[key] for key in _PQ_KEYS]
-            tracer.emit("round_start", round=r, n=n_before, m=m_before, lambda_hat=int(lam_in))
+            tracer.emit("round_start", round=r, n=n_before, m=g.m, lambda_hat=int(inc.value))
         res = certify(g, inc, r)
         with timer.phase("contract"):
             g, contraction = contract(g, res.uf)
@@ -144,9 +143,6 @@ def contraction_rounds(
         inc.labels = compose_labels(inc.labels, contraction)
         ratio = round(n_after / n_before, 6)
         stats["contraction_ratios"].append(ratio)
-        if log is not None:
-            log.append({"round": r, "n": n_before, "m": m_before, "lambda_in": lam_in,
-                        "lambda_out": inc.value, "marks": n_before - n_after})
         if tracer is not None:
             tracer.emit(
                 "round_end", round=r, n_before=n_before, n_after=n_after,
@@ -207,7 +203,6 @@ def noi_mincut(
     initial_side: np.ndarray | None = None,
     rng: np.random.Generator | int | None = None,
     compute_side: bool = True,
-    trace: bool = False,
     tracer=None,
     _viecut_seed: bool = False,
 ) -> MinCutResult:
@@ -233,16 +228,10 @@ def noi_mincut(
         Seed or generator for CAPFOREST start vertices.
     compute_side:
         Track the cut side (small overhead; disable for pure timing runs).
-    trace:
-        Record a per-round log in ``result.stats["trace"]``: graph size,
-        λ̂ before and after the round's pass, and the vertices the round
-        contracted away — the solver's execution narrative, for debugging
-        and teaching.
     tracer:
         Optional :class:`repro.observability.Tracer` receiving structured
         round / λ̂-provenance events (round granularity; ``None`` adds no
-        per-edge work).  Orthogonal to ``trace``, which keeps its
-        in-stats round log for backwards compatibility.
+        per-edge work).
     _viecut_seed:
         Private to the ``noi-viecut`` entry: run :func:`viecut_seed` after
         the first round, and report ``stats["viecut_value"]`` and the
@@ -279,8 +268,6 @@ def noi_mincut(
         "kernel_resolved": kernel,  # = kernel; perfbench's host facts read it
         "phase_seconds": {},
     }
-    if trace:
-        stats["trace"] = []  # on every return path, the early exits included
     if _viecut_seed:
         stats["viecut_value"] = None
     timer = Timer()

@@ -419,7 +419,7 @@ def _run_processes(
                 except OSError:
                     pass  # died since the lease began: its sentinel reports it
             procs, conns = pool.workers(p)
-            outcome = supervise_processes(procs, conns, n=n, timeout=timeout)
+            outcome = supervise_processes(procs, conns, timeout=timeout)
             if outcome.all_lost:
                 raise ExecutorUnavailable(
                     "processes", "no worker reported a result", outcome.events
@@ -429,7 +429,7 @@ def _run_processes(
             reports: list[WorkerReport] = []
             lam_out = lambda_hat
             for worker_id in sorted(outcome.results):
-                _, _, rep_dict = outcome.results[worker_id]
+                rep_dict = outcome.results[worker_id]
                 pairs = pair_buf.read_pairs(worker_id)
                 if len(pairs) and (pairs.min() < 0 or int(pairs.max()) >= n):
                     outcome.events.append(worker_event(
@@ -527,7 +527,7 @@ def _round_task(
         pair_buf.write_pairs(worker_id, pairs)
         # pairs travel through the shared buffer, not the pipe; the report
         # dict is shallow (dataclasses.asdict would copy the prefix item by item)
-        return worker_id, None, {**vars(report), "pq_stats": report.pq_stats.as_dict()}
+        return worker_id, {**vars(report), "pq_stats": report.pq_stats.as_dict()}
     finally:
         # drop every view into the segments before closing them, otherwise
         # SharedMemory refuses to unmap ("cannot close exported pointers")

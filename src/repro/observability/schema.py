@@ -30,8 +30,9 @@ import json
 #: version of the ``MinCutResult.stats`` contract documented here.  v1 was
 #: the historical ad-hoc dict whose keys differed between return paths;
 #: v2 is the normalized schema (every path emits every key); v3 drops the
-#: kernel-fallback note with the retired ``"compiled"`` kernel name.
-STATS_SCHEMA_VERSION = 3
+#: kernel-fallback note with the retired ``"compiled"`` kernel name; v4
+#: drops tree packing's executor keys with its process fan-out.
+STATS_SCHEMA_VERSION = 4
 
 #: version of the ``BENCH_*.json`` record contract.
 BENCH_SCHEMA_VERSION = 1
@@ -150,11 +151,6 @@ TREEPACK_STATS_KEYS = frozenset(
         "min_degree_bound",
         "one_respect_min",
         "two_respect_min",
-        "executor",
-        "final_executor",
-        "workers",
-        "worker_events",
-        "degradations",
         "phase_seconds",
     }
 )

@@ -20,12 +20,21 @@ from .schema import (
     STATS_SCHEMA_VERSION,
     SchemaError,
     validate_bench_file,
+    validate_parcut_stats,
     validate_trace_file,
+    validate_treepack_stats,
 )
+
+#: stats keys that ``minimum_cut(all_cuts=True)`` adds to a solver's own
+_CACTUS_STATS_KEYS = ("num_min_cuts", "most_balanced")
 
 
 def validate_metrics_file(path) -> dict:
-    """Check a ``--metrics-json`` document written by the CLI."""
+    """Check a ``--metrics-json`` document written by the CLI.
+
+    A ParCut (``parcut-*``) or ``karger-nlt`` document's ``stats`` must
+    also match that solver's stats schema.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     for key in ("schema_version", "algorithm", "n", "m", "value", "seconds", "stats"):
@@ -36,6 +45,14 @@ def validate_metrics_file(path) -> dict:
             f"metrics schema_version is {payload['schema_version']!r}, "
             f"expected {STATS_SCHEMA_VERSION}"
         )
+    algorithm, stats = payload["algorithm"], payload["stats"]
+    if str(algorithm).startswith("parcut"):
+        validate_parcut_stats(stats)
+    elif algorithm == "karger-nlt":
+        if isinstance(stats, dict):
+            stats = {key: value for key, value in stats.items()
+                     if key not in _CACTUS_STATS_KEYS}
+        validate_treepack_stats(stats)
     return payload
 
 

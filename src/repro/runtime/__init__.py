@@ -1,14 +1,15 @@
 """Supervised execution runtime: supervision, fault injection, degradation.
 
-Every parallel code path in the package routes its worker management
-through this subsystem so that no executor can hang the coordinator, every
-failure is observable as a structured event, and a failing executor
-degrades ``processes → serial`` instead of aborting (Lemma 3.2(1) makes
-dropped workers safe; the sequential fallback guarantees progress when
-everything else dies).  See the module docstrings of
-:mod:`~repro.runtime.supervisor`, :mod:`~repro.runtime.pool`,
-:mod:`~repro.runtime.faults` and :mod:`~repro.runtime.errors` for the
-pieces.
+Every worker process the package starts is a :class:`WorkerPool` worker:
+the solver engine's pool, and the round workers of ParCut's parallel pass
+(which Matula's parallel mode runs too).  That pass is the one supervised
+fan-out: no worker can hang the coordinator, every failure is observable
+as a structured event, and a failing executor degrades ``processes →
+serial`` instead of aborting (Lemma 3.2(1) makes dropped workers safe;
+the sequential fallback guarantees progress when everything else dies).
+See the module docstrings of :mod:`~repro.runtime.supervisor`,
+:mod:`~repro.runtime.pool`, :mod:`~repro.runtime.faults` and
+:mod:`~repro.runtime.errors` for the pieces.
 """
 
 from .errors import (

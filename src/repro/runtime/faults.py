@@ -26,8 +26,9 @@ Fault kinds
     The worker completes its scan but exits cleanly *without* enqueueing a
     result — a lost-message failure distinct from a crash (exit code 0).
 ``"corrupt_pairs"``
-    The worker reports out-of-range contraction pairs — the supervisor
-    must reject the payload rather than poison the merged union–find.
+    The worker publishes out-of-range contraction pairs in its shared
+    pair row — the pass must reject the row rather than poison the merged
+    union–find.
 
 All faults are keyed by worker id, so a plan is deterministic given the
 worker numbering (worker ``i`` scans from the ``i``-th start vertex).

@@ -17,14 +17,17 @@ pipe per worker:
 * an overall deadline (default :data:`DEFAULT_TIMEOUT`, a backstop so no
   run can hang even when the caller passes no timeout) converts the
   remaining workers into *timeout* events;
-* payloads are sanitised before they are merged — a worker reporting
-  out-of-range contraction pairs is recorded as *corrupt* and its payload
-  discarded, never unioned.
+* payloads are checked before they are kept — a report that is not
+  ``(worker_id, dict)`` under the sender's own id is recorded as
+  *corrupt* and discarded.
 
-The supervisor neither terminates nor joins the processes it watches:
-their owner decides whether a worker is replaced (the round workers of
-:mod:`repro.core.parallel_capforest` live across passes) or joined (the
-per-call fan-out of :mod:`repro.treepack.solver`).
+Its one caller is ParCut's parallel pass
+(:func:`repro.core.parallel_capforest._run_processes`), whose workers
+send their contraction marks through a shared-memory row that the pass
+range-checks before it merges them; only the report dict travels down
+the pipe.  The supervisor neither terminates nor joins the processes it
+watches: the round workers live across passes, and their owner decides
+whether one is replaced.
 
 Losing workers is safe by the paper's Lemma 3.2(1): contraction marks are
 unions, unions commute, and any *subset* of safe marks is still safe — the
@@ -68,8 +71,8 @@ def worker_event(worker_id: int, kind: str, **detail) -> dict:
 class SupervisedOutcome:
     """What the supervisor salvaged from one process fan-out."""
 
-    #: validated payloads, keyed by worker id
-    results: dict[int, tuple] = field(default_factory=dict)
+    #: validated report dicts, keyed by worker id
+    results: dict[int, dict] = field(default_factory=dict)
     #: structured events for every worker that did not report cleanly
     events: list[dict] = field(default_factory=list)
 
@@ -78,43 +81,29 @@ class SupervisedOutcome:
         return not self.results
 
 
-def _validate_payload(payload, n: int, n_workers: int) -> tuple[int, list, dict]:
-    """Sanitise one worker payload; raise ``ValueError`` on corruption.
+def _validate_payload(payload, n_workers: int) -> tuple[int, dict]:
+    """Check one worker payload, ``(worker_id, report)``; raise
+    ``ValueError`` on corruption.
 
-    Merging is a sequence of union–find unions, so the only way a bad
-    payload can poison the result is through its pair list — every pair
-    must be a valid vertex pair.  ``pairs`` may be ``None``: the sentinel
-    meaning the pairs travelled through the shared-memory return buffer
-    instead of the pipe (the coordinator range-checks that buffer row
-    itself before merging).  The report dict only feeds statistics, but
-    its fields are type-checked too so a mangled payload cannot crash the
-    coordinator later.
+    The report only feeds statistics, but its shape is checked so a
+    mangled payload cannot crash the coordinator later.
     """
-    if not isinstance(payload, tuple) or len(payload) != 3:
-        raise ValueError(f"malformed payload (expected 3-tuple, got {type(payload).__name__})")
-    worker_id, pairs, rep = payload
+    if not isinstance(payload, tuple) or len(payload) != 2:
+        raise ValueError(f"malformed payload (expected 2-tuple, got {type(payload).__name__})")
+    worker_id, rep = payload
     if not isinstance(worker_id, int) or not (0 <= worker_id < n_workers):
         raise ValueError(f"worker id {worker_id!r} out of range")
-    for pair in pairs if pairs is not None else ():
-        if len(pair) != 2:
-            raise ValueError(f"worker {worker_id}: malformed pair {pair!r}")
-        u, v = pair
-        if not (0 <= int(u) < n and 0 <= int(v) < n):
-            raise ValueError(f"worker {worker_id}: pair ({u}, {v}) out of range for n={n}")
     if not isinstance(rep, dict):
         raise ValueError(f"worker {worker_id}: report is not a dict")
-    return worker_id, pairs, rep
+    return worker_id, rep
 
 
-def supervise_processes(
-    procs, conns, *, n: int, timeout: float | None = None
-) -> SupervisedOutcome:
+def supervise_processes(procs, conns, *, timeout: float | None = None) -> SupervisedOutcome:
     """Collect one payload per process in ``procs`` without ever hanging.
 
     ``procs`` and ``conns`` are indexed by worker id: ``conns[i]`` is the
-    receiving end of worker ``i``'s own result pipe.  ``n`` is the vertex
-    count used to validate contraction pairs.  Returns the surviving
-    payloads plus one event per worker that did not report cleanly.
+    receiving end of worker ``i``'s own result pipe.  Returns the surviving
+    reports plus one event per worker that did not report cleanly.
     """
     budget = DEFAULT_TIMEOUT if timeout is None else timeout
     deadline = time.monotonic() + budget
@@ -140,13 +129,13 @@ def supervise_processes(
             return
         pending.discard(wid)
         try:
-            worker_id, pairs, rep = _validate_payload(payload, n, len(procs))
+            worker_id, rep = _validate_payload(payload, len(procs))
             if worker_id != wid:
                 raise ValueError(f"worker {wid} reported as worker {worker_id}")
         except (ValueError, TypeError) as exc:
             outcome.events.append(worker_event(wid, "corrupt", detail=str(exc)))
             return
-        outcome.results[wid] = (wid, pairs, rep)
+        outcome.results[wid] = rep
 
     while pending:
         remaining = deadline - time.monotonic()

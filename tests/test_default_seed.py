@@ -7,7 +7,8 @@ after its first parallel round.  A cut of the contracted graph is a cut of
 the input, so the seed is a valid λ̂ and its side, mapped back through the
 first contraction, a valid side.  The inputs below put the first
 contraction exactly at the rule's boundary (64 and 65 vertices, as the
-round log shows, for the default solve and for a one-worker ParCut) and
+first contraction ratio shows, for the default solve and for a one-worker
+ParCut) and
 are checked against Hao–Orlin.
 """
 
@@ -64,16 +65,15 @@ def hao_orlin_value(g) -> int:
     return minimum_cut(g, algorithm="hao-orlin").value
 
 
-def first_contraction_left(res) -> int:
-    first = res.stats["trace"][0]
-    return first["n"] - first["marks"]
+def first_contraction_left(res, g) -> int:
+    return round(res.stats["contraction_ratios"][0] * g.n)
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY))
 def test_seed_runs_iff_first_contraction_leaves_more_than_threshold(name):
     g, left = BOUNDARY[name]
-    res = minimum_cut(g, rng=0, trace=True)
-    assert first_contraction_left(res) == left
+    res = minimum_cut(g, rng=0)
+    assert first_contraction_left(res, g) == left
     ran = left > SMALL_THRESHOLD
     assert (res.stats["viecut_value"] is not None) == ran
     assert (res.stats["phase_seconds"]["viecut"] > 0.0) == ran
@@ -84,10 +84,11 @@ def test_seed_runs_iff_first_contraction_leaves_more_than_threshold(name):
 
 def test_seed_side_maps_back_through_the_first_contraction():
     g, _ = BOUNDARY["left-65"]
-    res = minimum_cut(g, rng=0, trace=True)
+    tracer = Tracer()
+    res = minimum_cut(g, rng=0, tracer=tracer)
     # the seed, not a later round, set the answer: its side is the one
     # returned, mapped from the contracted graph to input vertices
-    assert res.stats["viecut_value"] < res.stats["trace"][0]["lambda_out"]
+    assert res.stats["viecut_value"] < tracer.events("round_end")[0]["lambda_hat"]
     assert res.value == res.stats["viecut_value"] == hao_orlin_value(g)
     assert res.verify(g)
     assert minimum_cut(g, rng=0, compute_side=False).value == res.value

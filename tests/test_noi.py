@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.noi import noi_mincut
 from repro.generators import connected_gnm, gnm
 from repro.graph import from_edges
+from repro.observability import Tracer
 
 from .conftest import oracle_mincut
 
@@ -224,25 +225,29 @@ def test_property_disconnected_graphs(seed):
         assert res.value == oracle_mincut(g)
 
 
-class TestTrace:
-    def test_trace_records_rounds(self):
+class TestRoundEvents:
+    def test_round_events_record_rounds(self):
         rng = np.random.default_rng(4)
         g = connected_gnm(80, 240, rng=rng, weights=(1, 5))
-        res = noi_mincut(g, rng=0, trace=True)
-        trace = res.stats["trace"]
-        assert len(trace) == res.stats["rounds"]
-        for entry in trace:
-            assert entry["n"] >= 2
-            assert entry["lambda_out"] <= entry["lambda_in"]
-            assert entry["marks"] >= 0
+        tracer = Tracer()
+        res = noi_mincut(g, rng=0, tracer=tracer)
+        starts, ends = tracer.events("round_start"), tracer.events("round_end")
+        assert len(starts) == len(ends) == res.stats["rounds"]
+        for start, end in zip(starts, ends):
+            assert start["n"] >= 2
+            assert end["lambda_hat"] <= start["lambda_hat"]
+            assert end["n_after"] < end["n_before"] == start["n"]
 
-    def test_trace_off_by_default(self, dumbbell):
+    def test_round_log_is_retired(self, dumbbell):
         res = noi_mincut(dumbbell, rng=0)
         assert "trace" not in res.stats
+        with pytest.raises(TypeError, match="unexpected keyword argument 'trace'"):
+            noi_mincut(dumbbell, rng=0, trace=True)
 
-    def test_trace_shrinking_n(self):
+    def test_contraction_ratios_shrink_n(self):
         rng = np.random.default_rng(5)
         g = connected_gnm(120, 300, rng=rng)
-        res = noi_mincut(g, rng=1, trace=True)
-        ns = [e["n"] for e in res.stats["trace"]]
-        assert ns == sorted(ns, reverse=True)
+        res = noi_mincut(g, rng=1)
+        ratios = res.stats["contraction_ratios"]
+        assert len(ratios) == res.stats["rounds"]
+        assert all(0 < r < 1 for r in ratios)

@@ -385,6 +385,31 @@ class TestCli:
         assert doc["trace_summary"]["final_lambda"] == value
         validate_parcut_stats(doc["stats"])
 
+    @pytest.mark.parametrize("algorithm, flags, break_stats, error", [
+        ("parcut", [], lambda stats: stats.pop("modeled_speedup"),
+         "stats missing keys: ['modeled_speedup']"),
+        # the all-cuts keys are the facade's, not a schema violation
+        ("karger-nlt", ["--all-cuts"], lambda stats: stats.update(executor="serial"),
+         "stats has unknown keys: ['executor']"),
+    ], ids=["parcut", "karger-nlt"])
+    def test_metrics_validation_checks_the_stats(self, tmp_path, capsys, algorithm,
+                                                 flags, break_stats, error):
+        from repro.cli import main
+        from repro.graph.io import write_metis
+        from repro.observability.validate import main as validate
+
+        write_metis(connected_gnm(40, 120, rng=2, weights=(1, 5)), tmp_path / "g.graph")
+        metrics = tmp_path / "metrics.json"
+        assert main(["--algorithm", algorithm, "--seed", "0", *flags,
+                     "--metrics-json", str(metrics), str(tmp_path / "g.graph")]) == 0
+        assert validate(["--metrics", str(metrics)]) == 0
+        doc = json.loads(metrics.read_text())
+        break_stats(doc["stats"])
+        metrics.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert validate(["--metrics", str(metrics)]) == 1
+        assert error in capsys.readouterr().err
+
     def test_trace_rejected_for_untraceable_algorithm(self, tmp_path, capsys):
         from repro.cli import main
         from repro.graph.io import write_metis

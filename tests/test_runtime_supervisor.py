@@ -90,24 +90,23 @@ class TestFaultPlan:
 
 class TestPayloadValidation:
     def test_accepts_clean_payload(self):
-        wid, pairs, rep = _validate_payload((1, [(0, 2)], {"a": 1}), n=3, n_workers=2)
-        assert wid == 1 and pairs == [(0, 2)]
+        wid, rep = _validate_payload((1, {"a": 1}), n_workers=2)
+        assert wid == 1 and rep == {"a": 1}
 
     @pytest.mark.parametrize(
         "payload",
         [
             "garbage",
-            (1, [(0, 2)]),  # wrong arity
-            (9, [], {}),  # worker id out of range
-            (0, [(0, 5)], {}),  # pair out of range
-            (0, [(0, -1)], {}),  # negative vertex
-            (0, [(0, 1, 2)], {}),  # malformed pair
-            (0, [], "not a dict"),
+            (1, None, {}),  # wrong arity: pairs travel in shared memory
+            (9, {}),  # worker id out of range
+            (-1, {}),  # negative worker id
+            ("0", {}),  # worker id not an int
+            (0, "not a dict"),
         ],
     )
     def test_rejects_corrupt_payloads(self, payload):
         with pytest.raises((ValueError, TypeError)):
-            _validate_payload(payload, n=3, n_workers=2)
+            _validate_payload(payload, n_workers=2)
 
 
 class TestDegradationLadder:
@@ -270,7 +269,7 @@ def _sleep(conn, seconds: float) -> None:
     time.sleep(seconds)
 
 
-def _supervise(behaviours, *, n: int = 4, timeout: float = 30.0):
+def _supervise(behaviours, *, timeout: float = 30.0):
     """Start one process per ``(target, arg)`` pair, each with its own
     result pipe, and supervise them; every process is stopped afterwards."""
     import multiprocessing as mp
@@ -287,7 +286,7 @@ def _supervise(behaviours, *, n: int = 4, timeout: float = 30.0):
             proc.start()
             send.close()
             procs.append(proc)
-        outcome = supervise_processes(procs, conns, n=n, timeout=timeout)
+        outcome = supervise_processes(procs, conns, timeout=timeout)
         alive = [proc.is_alive() for proc in procs]
     finally:
         for proc in procs:
@@ -301,8 +300,8 @@ def _supervise(behaviours, *, n: int = 4, timeout: float = 30.0):
 
 class TestPipeSupervision:
     def test_unreadable_worker_id_is_one_corrupt_event_for_the_sender(self):
-        outcome, _ = _supervise([(_post_and_exit, ("x", None, {})),
-                                 (_post_and_exit, (1, None, {"ok": 1}))])
+        outcome, _ = _supervise([(_post_and_exit, ("x", {})),
+                                 (_post_and_exit, (1, {"ok": 1}))])
         assert outcome.events == [outcome.events[0]]
         assert outcome.events[0]["kind"] == "corrupt"
         assert outcome.events[0]["worker_id"] == 0
@@ -310,26 +309,26 @@ class TestPipeSupervision:
         assert list(outcome.results) == [1]
 
     def test_report_under_another_workers_id_is_charged_to_the_sender(self):
-        outcome, _ = _supervise([(_post_and_exit, (1, None, {})),
-                                 (_post_and_exit, (1, None, {}))])
+        outcome, _ = _supervise([(_post_and_exit, (1, {})),
+                                 (_post_and_exit, (1, {}))])
         assert [(ev["worker_id"], ev["kind"]) for ev in outcome.events] == [(0, "corrupt")]
         assert list(outcome.results) == [1]
 
     def test_report_posted_just_before_exit_is_kept(self):
-        outcome, _ = _supervise([(_post_and_exit, (i, None, {"i": i})) for i in range(4)])
+        outcome, _ = _supervise([(_post_and_exit, (i, {"i": i})) for i in range(4)])
         assert not outcome.events
         assert sorted(outcome.results) == [0, 1, 2, 3]
-        assert outcome.results[2][2] == {"i": 2}
+        assert outcome.results[2] == {"i": 2}
 
     def test_exits_without_report_are_crashed_or_lost(self):
         outcome, _ = _supervise([(_exit_with, 3), (_exit_with, 0),
-                                 (_post_and_exit, (2, None, {}))])
+                                 (_post_and_exit, (2, {}))])
         assert sorted((ev["worker_id"], ev["kind"], ev["exit_code"]) for ev in outcome.events) == [
             (0, "crashed", 3), (1, "lost", 0)]
         assert list(outcome.results) == [2]
 
     def test_deadline_reports_timeout_and_leaves_the_process_to_its_owner(self):
-        outcome, alive = _supervise([(_sleep, 60.0), (_post_and_exit, (1, None, {}))],
+        outcome, alive = _supervise([(_sleep, 60.0), (_post_and_exit, (1, {}))],
                                     timeout=1.0)
         assert [(ev["worker_id"], ev["kind"]) for ev in outcome.events] == [(0, "timeout")]
         assert alive[0], "supervise_processes must not terminate the processes it watches"

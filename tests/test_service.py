@@ -501,12 +501,11 @@ class TestBackpressure:
         tracer = Tracer()
         with _tight_service(tracer) as st:
             hang = _hang_payload(dumbbell, timeout_ms=2_000)
+            occupants = [ServiceClient("127.0.0.1", st.port) for _ in range(2)]
             occupiers = [
-                threading.Thread(
-                    target=ServiceClient("127.0.0.1", st.port).request,
-                    args=("POST", "/v1/solve", hang),
-                )
-                for _ in range(2)
+                threading.Thread(target=occupant.request,
+                                 args=("POST", "/v1/solve", hang))
+                for occupant in occupants
             ]
             for t in occupiers:
                 t.start()
@@ -516,8 +515,9 @@ class TestBackpressure:
                 time.sleep(0.01)
             with ServiceClient("127.0.0.1", st.port) as client:
                 status, headers, body = client.solve(dumbbell, cache=False)
-            for t in occupiers:
+            for t, occupant in zip(occupiers, occupants):
                 t.join()
+                occupant.close()
             assert status == 429
             assert headers.get("Retry-After") == "1"
             assert body["shed_reason"] == "global_inflight"
@@ -529,23 +529,21 @@ class TestBackpressure:
         # one greedy API key saturates its own queue; another key passes
         with _tight_service(max_inflight=8, per_client_inflight=1) as st:
             hang = _hang_payload(dumbbell, timeout_ms=2_000)
+            occupant = ServiceClient("127.0.0.1", st.port, api_key="greedy")
             greedy = threading.Thread(
-                target=ServiceClient("127.0.0.1", st.port,
-                                     api_key="greedy").request,
-                args=("POST", "/v1/solve", hang),
+                target=occupant.request, args=("POST", "/v1/solve", hang),
             )
             greedy.start()
             deadline = time.monotonic() + 5.0
             while (st.service.admission.inflight < 1
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            status_greedy, _h, body = ServiceClient(
-                "127.0.0.1", st.port, api_key="greedy"
-            ).solve(dumbbell, cache=False)
-            status_polite, _h, _b = ServiceClient(
-                "127.0.0.1", st.port, api_key="polite"
-            ).solve(dumbbell, cache=False)
+            with ServiceClient("127.0.0.1", st.port, api_key="greedy") as client:
+                status_greedy, _h, body = client.solve(dumbbell, cache=False)
+            with ServiceClient("127.0.0.1", st.port, api_key="polite") as client:
+                status_polite, _h, _b = client.solve(dumbbell, cache=False)
             greedy.join()
+            occupant.close()
             assert status_greedy == 429 and body["shed_reason"] == "client_queue"
             assert status_polite == 200
 
@@ -665,11 +663,12 @@ class TestDisconnectAndDrain:
                 time.sleep(0.01)
             sock.close()  # walk away mid-solve
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                stats = ServiceClient("127.0.0.1", st.port).stats()
-                if stats["service"]["disconnects"] >= 1:
-                    break
-                time.sleep(0.02)
+            with ServiceClient("127.0.0.1", st.port) as client:
+                while time.monotonic() < deadline:
+                    stats = client.stats()
+                    if stats["service"]["disconnects"] >= 1:
+                        break
+                    time.sleep(0.02)
             assert stats["service"]["disconnects"] == 1
         kinds = [e["kind"] for e in tracer.events()]
         assert "client_disconnect" in kinds
@@ -685,8 +684,8 @@ class TestDisconnectAndDrain:
             holder: dict = {}
 
             def run_slow():
-                client = ServiceClient("127.0.0.1", st.port)
-                holder["resp"] = client.request("POST", "/v1/solve", slow)
+                with ServiceClient("127.0.0.1", st.port) as client:
+                    holder["resp"] = client.request("POST", "/v1/solve", slow)
 
             t = threading.Thread(target=run_slow)
             t.start()
@@ -801,8 +800,8 @@ class TestServiceTracing:
 
     def test_service_stop_emitted_on_close(self, dumbbell):
         tracer = Tracer()
-        with _tight_service(tracer) as st:
-            ServiceClient("127.0.0.1", st.port).solve(dumbbell)
+        with _tight_service(tracer) as st, ServiceClient("127.0.0.1", st.port) as client:
+            client.solve(dumbbell)
         kinds = [e["kind"] for e in tracer.events()]
         assert kinds.count("service_stop") == 1
         # service events and engine events interleave in one valid stream
@@ -858,6 +857,7 @@ class TestConcurrentLoad:
             assert len(ok) >= 1
             values = {r["body"]["value"] for r in ok}
             assert values <= {1, 2}
-            stats = ServiceClient("127.0.0.1", st.port).stats()
+            with ServiceClient("127.0.0.1", st.port) as client:
+                stats = client.stats()
             assert stats["service"]["done_ok"] == len(ok)
             assert stats["service"]["shed"] == len(shed)

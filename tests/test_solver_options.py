@@ -9,6 +9,7 @@ it before any work.
 from __future__ import annotations
 
 import importlib
+import json
 import time
 
 import pytest
@@ -27,6 +28,11 @@ SMALL_GRAPHS = {
     "disconnected": from_edges(4, [0, 2], [1, 3]),
     "triangle": from_edges(3, [0, 1, 2], [1, 2, 0]),
 }
+
+#: karger-nlt's retired options: it takes only rng, compute_side and tracer
+RETIRED_KARGER_NLT = {"executor": "serial", "workers": 2, "timeout": 30.0,
+                      "on_worker_failure": "fail", "trees_per_round": 8,
+                      "max_rounds": 0}
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
@@ -55,7 +61,7 @@ class TestOptionsCheckedOnEntry:
         ({"executor": "threads"}, "unknown executor 'threads'"),
     ], ids=["executor", "workers", "threads"])
     def test_bad_executor_option(self, name, option, match):
-        for algorithm in ("parcut", "karger-nlt", "matula"):
+        for algorithm in ("parcut", "matula"):
             with pytest.raises(ValueError, match=match):
                 minimum_cut(SMALL_GRAPHS[name], algorithm=algorithm, **option)
 
@@ -67,12 +73,52 @@ class TestOptionsCheckedOnEntry:
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
                 minimum_cut(SMALL_GRAPHS[name], algorithm="viecut", **{key: value})
 
+    def test_retired_karger_nlt_keywords(self, name):
+        for key, value in RETIRED_KARGER_NLT.items():
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+                minimum_cut(SMALL_GRAPHS[name], algorithm="karger-nlt", **{key: value})
+
     def test_valid_options_still_solve(self, name):
         g = SMALL_GRAPHS[name]
         expected = minimum_cut(g, algorithm="stoer-wagner").value
         assert noi_mincut(g, bounded=False, pq_kind="heap").value == expected
         assert parallel_mincut(g, pq_kind="bstack", rng=0).value == expected
         assert viecut(g, rng=0).value >= expected
+
+
+def test_retired_karger_nlt_keywords_on_the_cli(tmp_path, capsys):
+    from repro.cli import main
+    from repro.graph.io import write_metis
+
+    path = tmp_path / "g.metis"
+    write_metis(connected_gnm(12, 30, rng=0), path)
+    for flags in (["--executor", "serial"], ["--workers", "2"], ["--timeout", "30"],
+                  ["--on-worker-failure", "fail"]):
+        assert main(["--algorithm", "karger-nlt", *flags, str(path)]) == 2, flags
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"path": str(path), key: value}) + "\n"
+        for key, value in RETIRED_KARGER_NLT.items()))
+    assert main(["--algorithm", "karger-nlt", "--batch", str(manifest),
+                 "--pool-size", "0"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    for i, key in enumerate(RETIRED_KARGER_NLT):
+        line = next(line for line in lines if line.startswith(f"batch[{i}] "))
+        assert "exit=2" in line and f"unexpected keyword argument '{key}'" in line
+
+
+def test_retired_karger_nlt_keywords_on_the_service():
+    from repro.service import ServiceClient, ServiceConfig
+    from repro.service.testing import ServiceThread
+
+    with ServiceThread(engine_kwargs={"pool_size": 0}, config=ServiceConfig()) as st:
+        with ServiceClient("127.0.0.1", st.port) as client:
+            for key, value in RETIRED_KARGER_NLT.items():
+                status, _h, body = client.solve(
+                    SMALL_GRAPHS["triangle"], algorithm="karger-nlt",
+                    kwargs={"rng": 0, key: value})
+                assert status == 400, (key, body)
+                assert f"unexpected keyword argument '{key}'" in body["error"]
 
 
 @pytest.mark.parametrize("algorithm, key", [
@@ -159,14 +205,14 @@ def test_phases_that_ran_are_timed():
     ran = []
     # the first pass leaves 18 vertices of the gnm graph and 182 of the rhg
     for g in (connected_gnm(300, 1200, rng=5, weights=(1, 6)), rhg(256, 32, rng=1)):
-        res, wall = _timed("noi-viecut", g, trace=True)
+        res, wall = _timed("noi-viecut", g)
         phases = res.stats["phase_seconds"]
         assert res.stats["rounds"] > 0
         assert phases["capforest"] > 0.0 and phases["contract"] > 0.0
         # VieCut seeds the graph the first pass left, if it kept > 64 vertices
-        first = res.stats["trace"][0]
+        left = round(res.stats["contraction_ratios"][0] * g.n)
         ran.append(phases["viecut"] > 0.0)
-        assert ran[-1] == (first["n"] - first["marks"] > SMALL_THRESHOLD)
+        assert ran[-1] == (left > SMALL_THRESHOLD)
         assert sum(phases.values()) <= wall
         plain = noi_mincut(g, rng=0)
         assert plain.stats["phase_seconds"]["capforest"] > 0.0

@@ -2,11 +2,11 @@
 
 Layered like the package: the Euler-tour/LCA machinery and the per-tree
 1-/2-respecting DP against naive oracles, the greedy packing's certificate
-arithmetic, then the full solver — brute-force/oracle parity over the
-random gnm sweep the ISSUE prescribes (weighted + unit, n ≤ 64), the
-executor ladder (processes included), determinism under a fixed seed,
-stats-schema discipline on every return path, trace validation, and the
-end-to-end surfaces (engine cache, CLI batch, service).
+arithmetic, then the full solver — brute-force/oracle parity over a
+random gnm sweep (weighted + unit, n ≤ 64), determinism under a fixed
+seed, stats-schema discipline on every return path, trace validation, the
+round cap's raise, and the end-to-end surfaces (engine cache, CLI batch,
+service).
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from repro.observability.schema import (
     validate_trace_events,
     validate_treepack_stats,
 )
+from repro.runtime import NoProgressError
 from repro.treepack import RootedTree, TreePacking, evaluate_tree, karger_nlt_mincut
+from repro.treepack import solver as treepack_solver
 from repro.treepack.respect import _INF
 
 from .conftest import CANONICAL_CUTS, oracle_mincut
@@ -267,7 +269,6 @@ class TestSolverContract:
         paths = [
             karger_nlt_mincut(g, rng=0),
             karger_nlt_mincut(g, rng=0, compute_side=False),
-            karger_nlt_mincut(g, rng=0, executor="processes", workers=2, timeout=120),
             karger_nlt_mincut(two_vertices, rng=0),
             karger_nlt_mincut(two_triangles_disconnected, rng=0),
         ]
@@ -288,12 +289,6 @@ class TestSolverContract:
         with pytest.raises(ValueError, match="at least 2"):
             karger_nlt_mincut(from_edges(1, [], []), rng=0)
 
-    def test_bad_executor_and_policy_rejected(self, two_vertices):
-        with pytest.raises(ValueError, match="unknown executor"):
-            karger_nlt_mincut(two_vertices, executor="gpu")
-        with pytest.raises(ValueError, match="on_worker_failure"):
-            karger_nlt_mincut(two_vertices, on_worker_failure="ignore")
-
     def test_trace_validates_and_lands_on_value(self):
         g = connected_gnm(20, 60, rng=4, weights=(1, 9))
         with Tracer() as tracer:
@@ -309,40 +304,36 @@ class TestSolverContract:
         assert rounds[-1]["certified"] is True
         assert rounds[-1]["lambda_hat"] == res.value
 
-    def test_uncertified_when_rounds_capped(self):
-        g = connected_gnm(20, 60, rng=4, weights=(1, 9))
-        res = karger_nlt_mincut(g, rng=0, max_rounds=0)
-        # zero rounds: still exact-shaped stats, but explicitly uncertified
-        # and the value is the min-degree upper bound
-        assert not res.stats["certified"]
-        assert res.value == res.stats["min_degree_bound"]
-        validate_treepack_stats(res.stats)
+    def test_uncertified_when_rounds_capped(self, monkeypatch, dumbbell, tmp_path):
+        # a solve that ends without its certificate has only an upper
+        # bound (the dumbbell's min degree, 3, against λ = 1): it raises
+        # on every surface, and the engine caches nothing for it
+        from repro.cli import EXIT_NO_PROGRESS, main
+        from repro.service import ServiceClient, ServiceConfig
+        from repro.service.testing import ServiceThread
 
-
-# ---------------------------------------------------------------------------
-# executor ladder
-# ---------------------------------------------------------------------------
-
-
-class TestExecutors:
-    @pytest.mark.parametrize("executor", ["processes"])
-    def test_parallel_executors_match_serial(self, executor):
-        g = connected_gnm(32, 96, rng=9, weights=(1, 9))
-        base = karger_nlt_mincut(g, rng=3)
-        res = karger_nlt_mincut(g, rng=3, executor=executor, workers=3,
-                                timeout=120)
-        assert res.value == base.value
-        assert np.array_equal(res.side, base.side)
-        assert res.stats["final_executor"] == executor
-        assert res.stats["worker_events"] == []
-
-    def test_processes_without_side(self):
-        g = connected_gnm(24, 70, rng=2, weights=(1, 9))
-        base = karger_nlt_mincut(g, rng=1, compute_side=False)
-        res = karger_nlt_mincut(g, rng=1, executor="processes", workers=2,
-                                compute_side=False, timeout=120)
-        assert res.value == base.value
-        assert res.side is None
+        monkeypatch.setattr(treepack_solver, "MAX_ROUNDS", 0)
+        match = r"0 trees in 0 rounds .*packing bound 0\.0, lambda-hat 3"
+        with pytest.raises(NoProgressError, match=match):
+            minimum_cut(dumbbell, "karger-nlt", rng=0)
+        with pytest.raises(NoProgressError, match=match):
+            minimum_cut(dumbbell, "karger-nlt", rng=0, all_cuts=True)
+        write_metis(dumbbell, tmp_path / "g.metis")
+        assert main(["--algorithm", "karger-nlt", str(tmp_path / "g.metis")]) == EXIT_NO_PROGRESS
+        with ServiceThread(engine_kwargs={"pool_size": 0},
+                           config=ServiceConfig()) as st:
+            with ServiceClient("127.0.0.1", st.port) as client:
+                status, _h, body = client.solve(
+                    dumbbell, algorithm="karger-nlt", kwargs={"rng": 0})
+                assert status == 500 and body["kind"] == "fault", body
+                assert "without a certificate" in body["error"]
+        with SolverEngine(pool_size=0) as eng:
+            with pytest.raises(NoProgressError, match=match):
+                eng.solve(dumbbell, "karger-nlt", rng=0)
+            monkeypatch.undo()
+            res = eng.solve(dumbbell, "karger-nlt", rng=0)
+            assert res.value == 1 and res.stats["certified"]
+            assert eng.stats()["cache"]["hits"] == 0
 
 
 # ---------------------------------------------------------------------------
